@@ -125,9 +125,13 @@ class Family:
 
     def recovered_from_residue(self, m: int, residue: Rat) -> Rat:
         """Invert the residue identity: the q-expansion coefficient of the
-        family's form at the pole parameter, from the residue of entry m."""
+        family's form at the pole parameter, from the residue of entry m.
+
+        The sign is (-1)^(m+1) for the multiplicative kind, whatever a is:
+        the paper's (-1)^(m+a+1) gives the wrong sign for odd a.
+        """
         p = self.edge(m)
-        exp = (m + self.a + 1) if self.kind == "mult" else (m + self.k + 1)
+        exp = (m + 1) if self.kind == "mult" else (m + self.k + 1)
         sign = -1 if exp % 2 else 1
         return sign * p * Fraction(16) ** p * residue
 

@@ -160,18 +160,6 @@ class RatFunc:
         # the sum cannot vanish at any 1/j, so the result is already reduced
         return RatFunc._raw(acc, tuple((j, e + 1) for j, e in den))
 
-    def divide_edge(self, s: int) -> "RatFunc":
-        """Exact division by (1 - s*v); cancels into the numerator when it can."""
-        if not isinstance(s, int) or s < 1:
-            raise ValueError("edge factor index must be a positive integer")
-        if not self._num:
-            return self
-        if self.pole_order(s) == 0 and backend.eval_at_inv(list(self._num.int_coeffs), s) == 0:
-            return RatFunc._raw(self._num.divexact_linear(s), self._den)
-        den = dict(self._den)
-        den[s] = den.get(s, 0) + 1
-        return RatFunc._raw(self._num, tuple(sorted(den.items())))
-
     # -- poles, residues, expansion -----------------------------------------
 
     def residue(self, j: int) -> Rat:

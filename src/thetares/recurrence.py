@@ -4,18 +4,29 @@ Two coupled computations per family:
 
 * the v-side: rational functions e_0, e_1, ... where each step solves
 
-      e_m (1 - (m+a)v) = rhs_m - v * G_m(e_{m-1}),
-      G_m(e) = (m-1-beta) e - v e' + (w-1)/4 v (v e)' + 1/4 v (v (v e)')',
+      e_m (1 - s v) = rhs_m - v * G_m(e_{m-1}),    s = m + a,
+      G_m(e) = (m-1-beta) e - v e' + (w-1)/4 v (v e)' + 1/4 v (v (v e)')'.
 
-  so only a derivative, multiplications by v, and one exact division by
-  the edge factor ever touch the denominator;
+  With the Euler operator theta = v d/dv, v (v e)' = v (1+theta) e and
+  v (v (v e)')' = v (1+theta)^2 e, so
+
+      G_m = (m-1-beta) - theta + v [w/4 + (w+1)/4 theta + 1/4 theta^2].
+
+  Write e = N / D with D = prod (1 - j v)^e_j, L = prod (1 - j v) over the
+  distinct j, and A = sum_j e_j (-j v) L / (1 - j v), so theta D / D = A / L.
+  Then theta e = M / (D L) with M = L theta N - A N, and
+  theta^2 e = P / (D L^2) with P = L theta M - (A + theta L) M.  Each step
+  (`rec_step`) writes the new numerator over D L^2 (1 - s v) directly: five
+  products of the large numerator by the small L and A, and one reduction.
+  `relation_defect` checks a step the slow way, through generic `RatFunc`
+  arithmetic;
 
 * the u-side: polynomials phi_0, phi_1, ... from a three-term relation,
   whose factorially weighted coefficients resum to the same numbers.
 
-The pole of e_m at v = 1/(m+a) is at most simple, and its residue
-recovers the q-expansion coefficient c(m+a) of the family's form up to
-the sign (-1)^(m+a+1) and the factor (m+a) 16^(m+a).  The scans at the
+The pole of e_m at v = 1/s is at most simple, and its residue recovers the
+q-expansion coefficient c(s) of the family's form up to a sign (see
+`Family.recovered_from_residue`) and the factor s 16^s.  The scans at the
 bottom turn that into membership tests (sums of two squares, perfect
 numbers, squares, vanishing of Ramanujan's tau).
 """
@@ -24,10 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
+from . import backend
 from .families import DELTA256, THETA, THETA2, THETA4, Family
 from .rational import Poly, Rat
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, edge_factor
 
 _V = Poly([0, 1])
 _U2U = Poly([0, -1, 1])  # u^2 - u
@@ -48,7 +61,8 @@ class TheoryViolationError(ArithmeticError):
 
 
 def _g_operator(family: Family, m: int, e: RatFunc) -> RatFunc:
-    """(m-1-beta) e - v e' + (w-1)/4 v (v e)' + 1/4 v (v (v e)')'."""
+    """(m-1-beta) e - v e' + (w-1)/4 v (v e)' + 1/4 v (v (v e)')', through
+    generic `RatFunc` derivatives and sums: the reference for `rec_step`."""
     ve_d = (e * _V).diff()
     vve_d = (ve_d * _V).diff()
     out = e * (m - 1 - family.beta)
@@ -57,6 +71,38 @@ def _g_operator(family: Family, m: int, e: RatFunc) -> RatFunc:
     if w1:
         out = out + ve_d * _V * w1
     return out + vve_d * _V * _QUARTER
+
+
+def _edge_terms(factors: tuple):
+    """Integer lists L = prod (1 - j v) over the factor indices j, and
+    A_t = sum_j (e_j + t) (-j v) L / (1 - j v) for t = 1, 2."""
+    ell = [1]
+    for j, _e in factors:
+        ell.append(0)
+        for i in range(len(ell) - 1, 0, -1):
+            ell[i] -= j * ell[i - 1]
+    a1 = [0] * len(ell)
+    a2 = [0] * len(ell)
+    for j, e in factors:
+        for i, c in enumerate(backend.divexact_linear(ell, j)):
+            a1[i + 1] -= (e + 1) * j * c
+            a2[i + 1] -= (e + 2) * j * c
+    return ell, a1, a2
+
+
+def _theta(nums: list) -> list:
+    """theta = v d/dv on an integer coefficient list."""
+    return [i * c for i, c in enumerate(nums)]
+
+
+def _combo(coeffs, lists) -> list:
+    """sum_k coeffs[k] * lists[k] for integer lists of any lengths."""
+    out = [0] * max(map(len, lists))
+    for c, xs in zip(coeffs, lists):
+        if c:
+            for i, x in enumerate(xs):
+                out[i] += c * x
+    return out
 
 
 def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
@@ -73,9 +119,36 @@ def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
         return RatFunc(Poly([family.rhs(0)]), [(s, 1)] if s else [])
     if prev is None:
         raise ValueError(f"entry {m} needs entry {m - 1}")
-    t = RatFunc.const(family.rhs(m)) - _g_operator(family, m, prev) * _V
-    entry = t.divide_edge(family.edge(m))
-    order = entry.pole_order(family.edge(m))
+    s = family.edge(m)
+    ell, a1, a2 = _edge_terms(prev.factors)
+    n = list(prev.num.int_coeffs)
+    # theta(N L) = L theta N + N theta L, and A_1 = A + theta L, hence
+    # M = theta(N L) - A_1 N and likewise P = theta(M L) - A_2 M
+    nl = backend.conv(n, ell)
+    mm = _combo((1, -1), (_theta(nl), backend.conv(n, a1)))
+    nl2 = backend.conv(nl, ell)
+    ml = backend.conv(mm, ell)
+    p = _combo((1, -1), (_theta(ml), backend.conv(mm, a2)))
+    # G D L^2 = (c0 + v w/4) N L^2 + (-1 + v (w+1)/4) M L + v P/4, and the
+    # entry's numerator over D L^2 (1 - s v) is rhs D L^2 - v G D L^2, times q
+    c0 = m - 1 - family.beta
+    cw = family.w / 4
+    cw1 = (family.w + 1) / 4
+    rhs = Fraction(family.rhs(m))
+    q = lcm(c0.denominator, cw.denominator, cw1.denominator, 4, rhs.denominator)
+    t = _combo(
+        (-int(c0 * q), q, -int(cw * q), -int(cw1 * q), -(q // 4)),
+        ([0] + nl2, [0] + ml, [0, 0] + nl2, [0, 0] + ml, [0, 0] + p),
+    )
+    den = {j: e + 2 for j, e in prev.factors}
+    if rhs:
+        dl2 = [1]
+        for j, e in den.items():
+            dl2 = backend.conv(dl2, list(edge_factor(j, e).int_coeffs))
+        t = _combo((1, int(rhs * q) * prev.num.int_den), (t, dl2))
+    den[s] = den.get(s, 0) + 1
+    entry = RatFunc(Poly.from_cleared(t, q * prev.num.int_den), den)
+    order = entry.pole_order(s)
     if order > 1:
         raise TheoryViolationError(family, m, order)
     return entry
@@ -83,8 +156,8 @@ def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
 
 def relation_defect(family: Family, m: int, entry: RatFunc, prev: RatFunc | None) -> RatFunc:
     """v times the m-th relation, evaluated on a candidate pair; exactly
-    zero iff the pair satisfies the recurrence.  Uses multiplication by
-    the edge factor, the reverse of the division `rec_step` performs."""
+    zero iff the pair satisfies the recurrence.  Shares no arithmetic with
+    the fused step in `rec_step`."""
     s = family.edge(m)
     lhs = entry * Poly([1, -s]) if s else entry
     if m > 0:

@@ -97,7 +97,9 @@ class TestWeights:
         assert THETA.weight_product(2) == Fraction(1 * 1 * 2 * 3, 2 * 2)
 
     def test_recovered_coefficient_sign(self):
-        # (-1)^(m+a+1) * (m+a) * 16^(m+a) * residue
+        # (-1)^(m+1) * (m+a) * 16^(m+a) * residue
         assert THETA2.recovered_from_residue(1, Fraction(1, 4)) == 4
         assert THETA2.recovered_from_residue(2, Fraction(-1, 128)) == 4
         assert DELTA256.recovered_from_residue(4, Fraction(-21, 32768)) == 256 * 252
+        # odd a: y = theta_2^4 has q^3 coefficient 64
+        assert parse_family("mult:1,0,0").recovered_from_residue(2, Fraction(-1, 192)) == 64

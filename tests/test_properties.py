@@ -1,0 +1,53 @@
+"""Property tests over random admissible families.
+
+Every step of the fused recurrence is checked against the generic
+`RatFunc` reference path (`relation_defect`), the pole at the edge must
+be at most simple, the residue there must recover the family's
+q-expansion coefficient from the independent q-series oracle, and the
+entries' Taylor coefficients must match the u-side resummation.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thetares import Family, cf_coeff, rec_sequence, relation_defect, residue_report, resum_matrix
+
+M_MAX = 8
+
+
+@st.composite
+def mult_families(draw):
+    a = draw(st.integers(0, 5))
+    b4 = draw(st.integers(0, 8))
+    c4 = draw(st.integers(1 if a == b4 == 0 else 0, 8))
+    return Family.multiplicative(a, Fraction(b4, 4), Fraction(c4, 4))
+
+
+coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def poly_families(draw):
+    k = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(coefficients, min_size=k + 1, max_size=k + 1))
+    if not any(coeffs):
+        coeffs[draw(st.integers(0, k))] = Fraction(1)
+    return Family.polynomial([(k - j, j, c) for j, c in enumerate(coeffs)])
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.one_of(mult_families(), poly_families()))
+def test_every_step_satisfies_the_relation_and_the_residue_identity(family):
+    seq = rec_sequence(family, M_MAX)
+    for m, entry in enumerate(seq.entries):
+        prev = seq.entries[m - 1] if m else None
+        assert not relation_defect(family, m, entry, prev)
+        if m:
+            assert entry.pole_order(family.edge(m)) <= 1
+            report = residue_report(seq, m)
+            assert report.recovered == cf_coeff(family, report.pole, trunc=16)
+    matrix = resum_matrix(family, M_MAX, M_MAX)
+    for m, entry in enumerate(seq.entries):
+        assert tuple(matrix[m]) == entry.taylor(M_MAX)

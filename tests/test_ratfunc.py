@@ -99,25 +99,6 @@ class TestDiff:
             assert dtay == tuple((i + 1) * tay[i + 1] for i in range(n))
 
 
-class TestDivideEdge:
-    def test_new_factor(self):
-        assert ONE.divide_edge(2) == RatFunc(Poly([1]), [(2, 1)])
-
-    def test_cancels_into_numerator(self):
-        assert RatFunc(Poly([1, -3])).divide_edge(3) == ONE
-
-    def test_increments_exponent(self):
-        f = RatFunc(Poly([1]), [(2, 1)])
-        assert f.divide_edge(2) == RatFunc(Poly([1]), [(2, 2)])
-
-    def test_round_trip_with_mul(self):
-        rng = random.Random(777)
-        for _ in range(50):
-            f = rand_ratfunc(rng)
-            j = rng.randint(1, 10)
-            assert f.divide_edge(j) * Poly([1, -j]) == f
-
-
 class TestPolesAndResidues:
     def test_pole_order_of_constant(self):
         for j in (1, 2, 17):
