@@ -44,13 +44,10 @@ def kernel_cases():
     rng = random.Random(20260810)
     long_a = rand_ints(rng, 600, 1500)
     short_b = rand_ints(rng, 60, 200)
-    mid_a = rand_ints(rng, 128, 400)
-    mid_b = rand_ints(rng, 128, 400)
     divided = _kernels_py.conv(long_a, [1, -7])
     inv_input = [1] + rand_ints(rng, 127, 64)
     return [
         ("conv 600x60 (recurrence add)", "conv", (long_a, short_b)),
-        ("conv 128x128 (q-series mul)", "conv_trunc", (mid_a, mid_b, 128)),
         ("divexact_linear deg 600", "divexact_linear", (divided, 7)),
         ("eval_at_inv deg 600", "eval_at_inv", (long_a, 29)),
         ("geom_coeffs e=21 n=600", "geom_coeffs", (4, 21, 600)),

@@ -5,6 +5,8 @@ The coefficient arithmetic itself is arbitrary-precision (Python ints),
 so the win here is stripping interpreter dispatch from the inner loops,
 not native arithmetic.  Keep the algorithms in lockstep with the pure
 module: tests/test_backends.py compares the two on random inputs.
+``conv_trunc`` is not here: the pure-Python Kronecker kernel serves both
+backends.
 """
 
 from math import gcd
@@ -21,27 +23,6 @@ def conv(list a, list b):
         ai = a[i]
         if ai:
             for j in range(lb):
-                out[i + j] = out[i + j] + ai * b[j]
-    return out
-
-
-def conv_trunc(list a, list b, Py_ssize_t n):
-    """First ``n`` coefficients of a*b (may return fewer when the exact
-    product is shorter)."""
-    cdef Py_ssize_t la = len(a), lb = len(b), i, j, m, imax, jmax
-    if la == 0 or lb == 0 or n <= 0:
-        return []
-    m = la + lb - 1
-    if n < m:
-        m = n
-    cdef list out = [0] * m
-    cdef object ai
-    imax = la if la < m else m
-    for i in range(imax):
-        ai = a[i]
-        if ai:
-            jmax = lb if lb < m - i else m - i
-            for j in range(jmax):
                 out[i + j] = out[i + j] + ai * b[j]
     return out
 

@@ -3,7 +3,8 @@
 Everything exact in this package (polynomials, factored rational
 functions, truncated q-series) is stored as a list of integer numerators
 over one shared denominator, so these inner loops only ever touch plain
-Python ints.  ``_kernels_cy.pyx`` is the compiled twin; the two must
+Python ints.  ``_kernels_cy.pyx`` is the compiled twin of every kernel
+but ``conv_trunc``, which both backends take from here; the twins must
 stay behaviourally identical (tests/test_backends.py checks that).
 """
 
@@ -27,20 +28,45 @@ def conv(a, b):
 
 def conv_trunc(a, b, n):
     """First ``n`` coefficients of a*b (may return fewer when the exact
-    product is shorter)."""
+    product is shorter).
+
+    Kronecker substitution: each operand is packed into one integer with
+    a slot of ``width`` bytes per coefficient, the two are multiplied
+    once, and the coefficients are read back slot by slot.  A slot has
+    room for min(la, lb) * max|a| * max|b|, the largest any output
+    coefficient can be, plus a sign bit and one bit of slack, so every
+    output coefficient is exact.
+    """
+    if n <= 0 or not a or not b:
+        return []
+    a = a[:n]
+    b = b[:n]
     la = len(a)
     lb = len(b)
-    if la == 0 or lb == 0 or n <= 0:
-        return []
     m = min(n, la + lb - 1)
-    out = [0] * m
-    for i in range(min(la, m)):
-        ai = a[i]
-        if ai:
-            jmax = min(lb, m - i)
-            for j in range(jmax):
-                out[i + j] += ai * b[j]
-    return out
+    bits = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+            + min(la, lb).bit_length() + 2)
+    width = (bits + 7) // 8
+    prod = _pack(a, width) * _pack(b, width)
+    # adding half a slot to each of the first m slots turns every signed
+    # coefficient into an unsigned digit, whatever the sign of prod
+    half = 1 << (8 * width - 1)
+    size = width * m
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * m, "little")
+    low = ((prod + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(low[k:k + width], "little") - half
+            for k in range(0, size, width)]
+
+
+def _pack(a, width):
+    """sum a[i] * 256**(width*i), from one join of two's-complement slots."""
+    packed = int.from_bytes(
+        b"".join([c.to_bytes(width, "little", signed=True) for c in a]), "little")
+    # a negative slot reads as c + 256**width: take back the borrowed 1
+    zero = bytes(width)
+    one = b"\x01" + bytes(width - 1)
+    borrow = int.from_bytes(zero + b"".join([one if c < 0 else zero for c in a]), "little")
+    return packed - borrow
 
 
 def divexact_linear(nums, j):

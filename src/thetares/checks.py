@@ -19,7 +19,6 @@ from .qseries import (
     cf_series,
     delta_series,
     dstar,
-    eval_poly,
     r2_count,
     ramanujan_tau,
     t_series,
@@ -174,24 +173,32 @@ def max_three_term_defect(family: Family, n_max: int, trunc: int) -> QSeries | N
     u = u_series(trunc)
     w = family.w
 
+    # running product F * x^n (multiplicative F) or x^(n+k) (P of degree k)
     if family.kind == "mult":
-        base = cf_series(family, trunc)
-        head = 0
+        xpow = cf_series(family, trunc)
     else:
-        base = QSeries.const(1, trunc)
-        head = family.k
-
-    def g(n: int) -> QSeries:
-        if n < 0:
-            return QSeries.zero(trunc)
-        return base * (x ** (n + head)) * eval_poly(phis[n], u)
+        xpow = x**family.k
+    # u^0 .. u^deg once, so each phi_n(u) is a scalar combination of them
+    upow = [QSeries.const(1, trunc)]
+    for _ in range(max(len(p.int_coeffs) for p in phis) - 1):
+        upow.append(upow[-1] * u)
+    # gs[n + 1] = g_n = xpow * phi_n(u), with gs[0] = g_{-1} = 0
+    gs = [QSeries.zero(trunc)]
+    for n, phi in enumerate(phis):
+        if n:
+            xpow = xpow * x
+        phi_u = QSeries.zero(trunc)
+        for i, c in enumerate(phi.coeffs):
+            if c:
+                phi_u = phi_u + upow[i] * c
+        gs.append(xpow * phi_u)
 
     xy4 = x * y * Fraction(1, 4)
     for n in range(n_max + 1):
         defect = (
-            g(n + 1) * ((n + 1) * (n + w))
-            + dstar(g(n), w + 2 * n) * 2
-            + xy4 * g(n - 1)
+            gs[n + 2] * ((n + 1) * (n + w))
+            + dstar(gs[n + 1], w + 2 * n) * 2
+            + xy4 * gs[n]
         )
         if defect:
             return defect

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from thetares import checks
 from thetares import (
     DELTA256,
     THETA2,
@@ -24,6 +25,7 @@ from thetares import (
     t_series,
     theta_series,
     u_series,
+    upoly_sequence,
     xy_series,
 )
 
@@ -182,6 +184,44 @@ class TestEvalPoly:
         p = Poly([1, -2, Fraction(1, 3)])
         direct = QSeries.const(1, 10) - u * 2 + u * u * Fraction(1, 3)
         assert eval_poly(p, u) == direct
+
+
+def direct_three_term_defect(family, phis, n, trunc):
+    """Defect of the three-term relation at n, each g_k built from scratch
+    as base * x^(k+head) * phi_k(u)."""
+    x, y = xy_series(trunc)
+    u = u_series(trunc)
+    if family.kind == "mult":
+        base, head = cf_series(family, trunc), 0
+    else:
+        base, head = QSeries.const(1, trunc), family.k
+
+    def g(k):
+        if k < 0:
+            return QSeries.zero(trunc)
+        return base * x ** (k + head) * eval_poly(phis[k], u)
+
+    w = family.w
+    return (g(n + 1) * ((n + 1) * (n + w)) + dstar(g(n), w + 2 * n) * 2
+            + x * y * Fraction(1, 4) * g(n - 1))
+
+
+class TestThreeTermDefect:
+    @pytest.mark.parametrize("family", [Family.polynomial([(0, 1, 1)]), THETA2],
+                             ids=["P=y", "theta^2"])
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_scaled_phi_is_caught(self, monkeypatch, family, k):
+        def scaled(fam, n_max):
+            phis = upoly_sequence(fam, n_max)
+            phis[k] = phis[k] * 2
+            return phis
+
+        monkeypatch.setattr(checks, "upoly_sequence", scaled)
+        defect = checks.max_three_term_defect(family, 5, 30)
+        assert defect
+        phis = scaled(family, 6)
+        direct = (direct_three_term_defect(family, phis, n, 30) for n in range(6))
+        assert defect == next(d for d in direct if d)
 
 
 class TestOracles:
