@@ -2,8 +2,10 @@
 
 Entries for large m are expensive (degrees grow quadratically with big
 coefficients), so the CLI persists them one file per (family, m) under a
-versioned header.  Files that fail any validation are recomputed, never
-trusted; writes go through a temporary file and an atomic rename.
+versioned header.  Coefficients are stored in the wire format of
+:mod:`thetares.rational`.  Files that fail any validation are
+recomputed, never trusted; writes go through a temporary file and an
+atomic rename.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class SeqCache:
             if data.get("family") != family.canonical() or data.get("m") != m:
                 return None
             return RatFunc.from_json_dict(data["entry"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, ArithmeticError):
             return None
 
     def write(self, family: Family, m: int, entry: RatFunc) -> None:

@@ -20,7 +20,7 @@ from math import isqrt, lcm
 
 from . import backend
 from .families import Family
-from .rational import Poly, Rat, _as_rat
+from .rational import Poly, Rat, _as_rat, format_rationals, parse_rationals
 
 DEFAULT_TRUNC = 128
 
@@ -45,17 +45,9 @@ class QSeries:
 
     def __init__(self, coeffs, trunc: int | None = None):
         fracs = [_as_rat(c) for c in coeffs]
-        if trunc is None:
-            if not fracs:
-                raise ValueError("a q-series needs at least the constant term")
-            trunc = len(fracs) - 1
-        if trunc < 0:
-            raise ValueError("truncation must be nonnegative")
-        fracs = fracs[: trunc + 1]
-        fracs.extend([Fraction(0)] * (trunc + 1 - len(fracs)))
         den = lcm(*(c.denominator for c in fracs))
         nums = [c.numerator * (den // c.denominator) for c in fracs]
-        self._nums, self._den = _normalize_fixed(nums, den)
+        self._nums, self._den = _fit(nums, den, trunc)
 
     @classmethod
     def _make(cls, nums: tuple, den: int) -> "QSeries":
@@ -192,11 +184,13 @@ class QSeries:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"trunc": self.trunc, "coeffs": [str(c) for c in self.coeffs]}
+        return {"trunc": self.trunc, "coeffs": format_rationals(self._nums, self._den)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QSeries":
-        return cls([Fraction(c) for c in data["coeffs"]], trunc=int(data["trunc"]))
+        s = object.__new__(cls)
+        s._nums, s._den = _fit(*parse_rationals(data["coeffs"]), int(data["trunc"]))
+        return s
 
     def __str__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[: min(9, self.trunc + 1)])
@@ -204,6 +198,19 @@ class QSeries:
         return f"q-series[{shown}{tail}] (trunc {self.trunc})"
 
     __repr__ = __str__
+
+
+def _fit(nums: list, den: int, trunc: int | None):
+    # cut or zero-pad to trunc + 1 terms (default: as many as given)
+    if trunc is None:
+        if not nums:
+            raise ValueError("a q-series needs at least the constant term")
+        trunc = len(nums) - 1
+    if trunc < 0:
+        raise ValueError("truncation must be nonnegative")
+    nums = nums[: trunc + 1]
+    nums.extend([0] * (trunc + 1 - len(nums)))
+    return _normalize_fixed(nums, den)
 
 
 def _normalize_fixed(nums: list, den: int):

@@ -2,8 +2,13 @@
 
 ``Rat`` is the stdlib :class:`fractions.Fraction`, which already
 guarantees the canonical form everything here relies on: fully reduced,
-positive denominator, zero stored as 0/1.  ``str``/``Fraction(str)``
-give the wire format ("p/q", the "/q" omitted when q is 1).
+positive denominator, zero stored as 0/1.
+
+The wire format of a coefficient (cache files, JSON output) is the
+string ``str(Fraction)`` gives: "p/q" fully reduced with q > 1, or "p".
+:func:`parse_rationals` and :func:`format_rationals` are its only codec;
+they work on integer numerators over one shared denominator and never
+build a ``Fraction``.
 
 A :class:`Poly` keeps its coefficients as integer numerators over one
 shared positive denominator with gcd(content, denominator) = 1, so the
@@ -13,8 +18,9 @@ plain ints through :mod:`thetares.backend`.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from . import backend
@@ -32,6 +38,70 @@ def _as_rat(value) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+# int <-> decimal str conversions longer than this many digits raise
+# ValueError (0 = no limit; Python before 3.10.7 has no limit)
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _parse_int(text: str, limit: int) -> int:
+    if not limit or len(text) <= limit:
+        return int(text)
+    # too long for one int(): split the digits in halves, recursively
+    negative = text[0] == "-"
+    digits = text[1:] if negative else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text[:32]}...")
+    k = len(digits) // 2
+    n = _parse_int(digits[:-k], limit) * 10**k + _parse_int(digits[-k:], limit)
+    return -n if negative else n
+
+
+def _format_int(n: int, limit: int) -> str:
+    # fewer than 3*limit bits means at most limit digits
+    if not limit or n.bit_length() < 3 * limit:
+        return str(n)
+    if n < 0:
+        return "-" + _format_int(-n, limit)
+    k = int(n.bit_length() * 0.30103) // 2  # half the digits (log10(2) = 0.30103)
+    hi, lo = divmod(n, 10**k)
+    return _format_int(hi, limit) + _format_int(lo, limit).zfill(k)
+
+
+def parse_rationals(strings) -> tuple:
+    """Wire strings "p" or "p/q" -> (numerators, den).
+
+    den is the lcm of the q's and the i-th value is numerators[i] / den;
+    the input need not be reduced.  Raises ValueError for a malformed
+    string or q <= 0 and TypeError for a value that is not a string.
+    """
+    limit = _max_str_digits()
+    pairs = []
+    for s in strings:
+        if not isinstance(s, str):
+            raise TypeError(f"expected a rational string, got {type(s).__name__}")
+        p, slash, q = s.partition("/")
+        q = _parse_int(q, limit) if slash else 1
+        if q <= 0:
+            raise ValueError(f"denominator must be positive in {s[:32]!r}")
+        pairs.append((_parse_int(p, limit), q))
+    den = lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
+
+
+def format_rationals(nums, den: int) -> list:
+    """Inverse of :func:`parse_rationals`: ``str(Fraction(c, den))`` for
+    each c, for any den > 0, with no limit on the number of digits."""
+    limit = _max_str_digits()
+    if den == 1:
+        return [_format_int(c, limit) for c in nums]
+    out = []
+    for c in nums:
+        g = gcd(c, den)
+        p = _format_int(c // g, limit)
+        out.append(p if g == den else f"{p}/{_format_int(den // g, limit)}")
+    return out
 
 
 def _normalize(nums: list, den: int):
@@ -88,7 +158,8 @@ class Poly:
 
     @classmethod
     def from_strings(cls, strings) -> "Poly":
-        return cls(Fraction(s) for s in strings)
+        """Parse the wire format (see :func:`parse_rationals`)."""
+        return cls.from_cleared(*parse_rationals(strings))
 
     # -- inspection ------------------------------------------------------
 
@@ -116,7 +187,8 @@ class Poly:
         return Fraction(0)
 
     def to_strings(self) -> list:
-        return [str(c) for c in self.coeffs]
+        """Coefficients in the wire format, constant term first."""
+        return format_rationals(self._nums, self._den)
 
     def __bool__(self) -> bool:
         return bool(self._nums)

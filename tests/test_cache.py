@@ -2,9 +2,17 @@
 
 import json
 
-from thetares import DELTA256, THETA2, rec_sequence
+from thetares import DELTA256, THETA2, Poly, RatFunc, __version__, rec_sequence
 from thetares.cache import SeqCache, cached_sequence
 from thetares.cli import main
+
+# theta^2 entry m = 3 exactly as the Fraction-based writer of format 1
+# wrote it; reading it and writing it back must give these bytes
+PINNED_M3 = (
+    '{"engine": "0.1.0", "entry": {"den": [[1, 5], [2, 3]], "num": ["0", "0", "0", "0", '
+    '"-1/4", "17/8", "-457/64", "13", "-953/64", "351/32", "-35/8", "3/4"]}, '
+    '"family": "mult:0,0,2", "format": 1, "m": 3}'
+)
 
 
 def test_round_trip(tmp_path):
@@ -37,6 +45,43 @@ def test_corrupt_entries_are_recomputed(tmp_path):
     seq = cached_sequence(THETA2, 3, cache)
     assert seq.entries[2] == good
     assert cache.read(THETA2, 2) == good  # rewritten
+
+
+def test_pinned_file_reads_and_writes_back_byte_identical(tmp_path):
+    cache = SeqCache(tmp_path)
+    path = cache.entry_path(THETA2, 3)
+    pinned = PINNED_M3.replace('"engine": "0.1.0"', f'"engine": "{__version__}"')
+    path.write_text(pinned, encoding="utf-8")
+    entry = cache.read(THETA2, 3)
+    assert entry == rec_sequence(THETA2, 3).entries[3]
+    path.unlink()
+    cache.write(THETA2, 3, entry)
+    assert path.read_bytes() == pinned.encode()
+
+
+def test_zero_denominator_is_recomputed(tmp_path):
+    cache = SeqCache(tmp_path)
+    cached_sequence(THETA2, 3, cache)
+    good = cache.read(THETA2, 2)
+    path = cache.entry_path(THETA2, 2)
+    data = json.loads(path.read_text())
+    data["entry"]["num"][3] = "1/0"
+    path.write_text(json.dumps(data))
+    assert cache.read(THETA2, 2) is None
+    seq = cached_sequence(THETA2, 3, cache)
+    assert seq.entries[2] == good
+    assert cache.read(THETA2, 2) == good  # rewritten
+
+
+def test_coefficients_beyond_the_int_str_limit(tmp_path):
+    # 15,000 digits: str(int) and int(str) refuse more than 4,300 by default
+    big = "-" + "3" * 14999 + "1/4"
+    entry = RatFunc(Poly.from_strings([big, "1", "0", "5/2"]), [(2, 1), (3, 2)])
+    assert entry.num.to_strings()[0] == big
+    cache = SeqCache(tmp_path)
+    cache.write(THETA2, 7, entry)
+    assert big in cache.entry_path(THETA2, 7).read_text()
+    assert cache.read(THETA2, 7) == entry
 
 
 def test_mismatched_header_rejected(tmp_path):
