@@ -108,16 +108,15 @@ def cmd_compute(config: RunConfig) -> int:
     if config.m_max < 0:
         raise ConfigError("--m-max must be nonnegative")
     seq = cached_sequence(family, config.m_max, config.cache())
-    rows = [
-        {"m": m, **entry.to_json_dict()} for m, entry in enumerate(seq.entries)
-    ]
     if config.fmt == "json":
+        rows = [{"m": m, **entry.to_json_dict()} for m, entry in enumerate(seq.entries)]
         _emit_json({"family": family.canonical(), "entries": rows})
     elif config.fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["m", "num", "den"])
-        for row in rows:
-            writer.writerow([row["m"], json.dumps(row["num"]), json.dumps(row["den"])])
+        for m, entry in enumerate(seq.entries):
+            row = entry.to_json_dict()
+            writer.writerow([m, json.dumps(row["num"]), json.dumps(row["den"])])
     else:
         for m, entry in enumerate(seq.entries):
             print(f"e_{m}(v) = {entry}")

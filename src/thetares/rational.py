@@ -308,16 +308,16 @@ class Poly:
         if not self._nums:
             return "0"
         parts = []
-        for i in range(len(self._nums) - 1, -1, -1):
-            c = self.coeff(i)
-            if not c:
+        strings = format_rationals(self._nums, self._den)
+        for i in range(len(strings) - 1, -1, -1):
+            c = strings[i]
+            if c == "0":
                 continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = -c if c < 0 else c
+            sign, mag = ("-", c[1:]) if c[0] == "-" else ("+" if parts else "", c)
             if i == 0:
-                body = str(mag)
+                body = mag
             else:
-                head = "" if mag == 1 else f"{mag}"
+                head = "" if mag == "1" else mag
                 body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
             parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
         return " ".join(parts)

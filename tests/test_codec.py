@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetares import Poly, QSeries
+from thetares import Poly, QSeries, RatFunc
+from thetares.cli import main
 from thetares.rational import format_rationals, parse_rationals
 
 # zero, small and multi-thousand-bit numerators of both signs
@@ -90,6 +91,15 @@ def test_coefficients_beyond_the_int_str_limit(digits):
     assert f.to_json_dict()["coeffs"] == strings
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
+
+
+def test_pretty_printing_goes_through_the_codec(capsys):
+    assert main(["compute", "--family", "mult:0,0,2", "--m-max", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "e_2(v) = (1/4v^6 - 11/16v^5 + 13/16v^4 - 1/4v^3) / (1 - v)^3(1 - 2v)")
+    big = "1" + "0" * 15000
+    f = RatFunc(Poly.from_strings([big, "-1/3", "0", "-1"]), [(2, 1)])
+    assert str(f) == f"(-v^3 - 1/3v + {big}) / (1 - 2v)"
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")

@@ -1,36 +1,18 @@
-"""Parity between the pure-Python kernels and the compiled extension, and
-the Kronecker ``conv_trunc`` (shared by both backends) against a
-schoolbook reference."""
+"""The integer kernels in ``thetares.backend``: the Kronecker
+``conv_trunc`` against a schoolbook reference, and the binomial series."""
 
+import inspect
 import random
-import subprocess
-import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetares import _kernels_py as kpy
-
-try:
-    from thetares import _kernels_cy as kcy
-except ImportError:
-    kcy = None
-
-needs_ext = pytest.mark.skipif(kcy is None, reason="compiled kernels not built")
+import thetares
+from thetares import backend
 
 
 def rand_ints(rng, n, bits=64):
     return [rng.randint(-(1 << bits), 1 << bits) for _ in range(n)]
-
-
-@needs_ext
-def test_conv_parity():
-    rng = random.Random(1)
-    for _ in range(50):
-        a = rand_ints(rng, rng.randint(0, 30))
-        b = rand_ints(rng, rng.randint(0, 30))
-        assert kpy.conv(a, b) == kcy.conv(a, b)
 
 
 def schoolbook_trunc(a, b, n):
@@ -71,7 +53,7 @@ def test_conv_trunc_matches_schoolbook():
     for _ in range(4):
         cases.append((rand_ints(rng, 800, 5), rand_ints(rng, 800, 5), rng.randint(700, 1700)))
     for a, b, n in cases:
-        assert kpy.conv_trunc(a, b, n) == schoolbook_trunc(a, b, n), (a, b, n)
+        assert backend.conv_trunc(a, b, n) == schoolbook_trunc(a, b, n), (a, b, n)
 
 
 @st.composite
@@ -93,59 +75,7 @@ def operands(draw):
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(operands(), operands(), st.integers(-3, 1700))
 def test_conv_trunc_property(a, b, n):
-    assert kpy.conv_trunc(a, b, n) == schoolbook_trunc(a, b, n)
-
-
-@needs_ext
-def test_divexact_parity():
-    rng = random.Random(3)
-    for _ in range(50):
-        q = rand_ints(rng, rng.randint(1, 20))
-        j = rng.randint(1, 12)
-        p = kpy.conv(q, [1, -j])
-        assert kpy.divexact_linear(p, j) == kcy.divexact_linear(p, j) == q
-        broken = list(p)
-        broken[-1] += 1
-        assert kpy.divexact_linear(broken, j) is None
-        assert kcy.divexact_linear(broken, j) is None
-
-
-@needs_ext
-def test_eval_geom_inv_parity():
-    rng = random.Random(4)
-    for _ in range(50):
-        nums = rand_ints(rng, rng.randint(1, 20))
-        j = rng.randint(1, 12)
-        assert kpy.eval_at_inv(nums, j) == kcy.eval_at_inv(nums, j)
-        e = rng.randint(1, 6)
-        n = rng.randint(0, 25)
-        assert kpy.geom_coeffs(j, e, n) == kcy.geom_coeffs(j, e, n)
-        f = rand_ints(rng, rng.randint(1, 15), bits=8)
-        if f[0]:
-            assert kpy.series_inv_cleared(f, n) == kcy.series_inv_cleared(f, n)
-        den = rng.randint(1, 1 << 30)
-        assert kpy.content_gcd(nums, den) == kcy.content_gcd(nums, den)
-
-
-def _backend_of(env_value):
-    import os
-
-    code = "import thetares.backend as b; print(b.BACKEND)"
-    env = dict(os.environ, THETARES_BACKEND=env_value)
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True, env=env,
-    )
-    return out.stdout.strip()
-
-
-def test_env_var_forces_pure_python():
-    assert _backend_of("py") == "py"
-
-
-@needs_ext
-def test_env_var_forces_compiled():
-    assert _backend_of("cy") == "cy"
+    assert backend.conv_trunc(a, b, n) == schoolbook_trunc(a, b, n)
 
 
 def test_geom_coeffs_are_binomials():
@@ -153,5 +83,14 @@ def test_geom_coeffs_are_binomials():
 
     for j in (1, 2, 5):
         for e in (1, 2, 4):
-            got = kpy.geom_coeffs(j, e, 12)
+            got = backend.geom_coeffs(j, e, 12)
             assert got == [comb(i + e - 1, e - 1) * j**i for i in range(12)]
+
+
+def test_benchmark_contract():
+    # perfbench records thetares.BACKEND and wraps these kernels by name
+    assert thetares.BACKEND == "py"
+    for name in ("conv", "conv_trunc", "series_inv_cleared", "eval_at_inv",
+                 "divexact_linear", "content_gcd"):
+        fn = getattr(backend, name)
+        assert inspect.isfunction(fn) and fn.__module__ == "thetares.backend", name
