@@ -316,6 +316,18 @@ def cmd_qseries_dump(config: RunConfig, series: str | None) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+# every flag a subcommand may take; each subcommand registers only those it reads
+_FLAGS = {
+    "--family": dict(help="canonical family string, e.g. mult:0,0,2 or poly:1:[(0,1,1)]"),
+    "--m-max": dict(dest="m_max", type=int, default=0, help="last sequence index to compute"),
+    "--trunc": dict(type=int, default=DEFAULT_TRUNC, help="q-series truncation for oracles"),
+    "--format": dict(choices=("json", "csv", "pretty"), default="pretty"),
+    "--cache-dir": dict(help=f"entry cache directory (or ${CACHE_ENV})"),
+    "--normalize-delta": dict(action="store_true", help="divide 256*Delta coefficients "
+                                                        "by 256 (prints Ramanujan tau directly)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetares",
@@ -324,38 +336,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family=True, m_max=True):
-        if family:
-            p.add_argument("--family", help="canonical family string, e.g. "
-                                            "mult:0,0,2 or poly:1:[(0,1,1)]")
-        if m_max:
-            p.add_argument("--m-max", dest="m_max", type=int, default=0,
-                           help="last sequence index to compute")
-        p.add_argument("--trunc", type=int, default=DEFAULT_TRUNC,
-                       help="q-series truncation for oracles")
-        p.add_argument("--format", choices=("json", "csv", "pretty"),
-                       default="pretty")
-        p.add_argument("--cache-dir", help=f"entry cache directory "
-                                           f"(or ${CACHE_ENV})")
-        p.add_argument("--normalize-delta", action="store_true",
-                       help="divide 256*Delta coefficients by 256 "
-                            "(prints Ramanujan tau directly)")
+    def add(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
 
-    common(sub.add_parser("compute", help="compute and print sequence entries"))
-    common(sub.add_parser("residues", help="residue table against the oracle"))
+    add(sub.add_parser("compute", help="compute and print sequence entries"),
+        "--family", "--m-max", "--format", "--cache-dir")
+    add(sub.add_parser("residues", help="residue table against the oracle"),
+        "--family", "--m-max", "--trunc", "--format", "--cache-dir", "--normalize-delta")
 
     scan = sub.add_parser("scan", help="number-theoretic scans")
     scan.add_argument("--kind", required=True,
                       choices=("two-squares", "squares", "lehmer", "perfect-odd"))
-    common(scan, family=False)
+    add(scan, "--m-max", "--format", "--cache-dir")
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    common(verify, family=False)
+    add(verify, "--m-max", "--format")
 
     dump = sub.add_parser("qseries-dump", help="dump a base q-series as JSON")
     dump.add_argument("--series", help="theta3, theta4, x, y, u, t or delta")
-    common(dump, m_max=False)
+    add(dump, "--family", "--trunc")
     return parser
 
 

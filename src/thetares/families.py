@@ -116,13 +116,6 @@ class Family:
             return Fraction(1 if m == 0 else 0)
         return self.p1u().coeff(m)
 
-    def weight_product(self, n: int) -> Rat:
-        """prod_{t<n} (t+1)(t+w): the factorial weight of the n-th u-side term."""
-        out = Fraction(1)
-        for t in range(n):
-            out *= (t + 1) * (t + self.w)
-        return out
-
     def recovered_from_residue(self, m: int, residue: Rat) -> Rat:
         """Invert the residue identity: the q-expansion coefficient of the
         family's form at the pole parameter, from the residue of entry m.

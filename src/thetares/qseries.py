@@ -176,11 +176,6 @@ class QSeries:
             raise ValueError("shift must be nonnegative")
         return QSeries._make((0,) * s + tuple(self._nums), self._den)
 
-    def truncate(self, trunc: int) -> "QSeries":
-        if trunc > self.trunc:
-            raise TruncationError(f"cannot extend truncation {self.trunc} to {trunc}")
-        return QSeries._make(tuple(self._nums[: trunc + 1]), self._den)
-
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -193,7 +188,7 @@ class QSeries:
         return s
 
     def __str__(self) -> str:
-        shown = ", ".join(str(c) for c in self.coeffs[: min(9, self.trunc + 1)])
+        shown = ", ".join(format_rationals(self._nums[:9], self._den))
         tail = ", ..." if self.trunc >= 9 else ""
         return f"q-series[{shown}{tail}] (trunc {self.trunc})"
 

@@ -60,18 +60,6 @@ class RatFunc:
             den[j] = e
         self._num, self._den = _reduce(num, den)
 
-    @classmethod
-    def _raw(cls, num: Poly, den: tuple) -> "RatFunc":
-        # caller promises num is reduced against den and den is sorted
-        f = object.__new__(cls)
-        f._num = num
-        f._den = den
-        return f
-
-    @classmethod
-    def const(cls, value) -> "RatFunc":
-        return cls(Poly([value]))
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -83,18 +71,11 @@ class RatFunc:
         """Denominator as ((j, e), ...) sorted by j."""
         return self._den
 
-    @property
-    def den(self) -> dict:
-        return dict(self._den)
-
     def pole_order(self, j: int) -> int:
         for jj, e in self._den:
             if jj == j:
                 return e
         return 0
-
-    def is_poly(self) -> bool:
-        return not self._den
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -106,59 +87,6 @@ class RatFunc:
 
     def __hash__(self):
         return hash((self._num, self._den))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        da = dict(self._den)
-        db = dict(other._den)
-        merged = {j: max(da.get(j, 0), db.get(j, 0)) for j in set(da) | set(db)}
-        na = self._num * _complement(merged, da)
-        nb = other._num * _complement(merged, db)
-        return RatFunc(na + nb, merged)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc._raw(-self._num, self._den)
-
-    def __mul__(self, other) -> "RatFunc":
-        if isinstance(other, Poly):
-            return RatFunc(self._num * other, dict(self._den))
-        c = Fraction(other)
-        if not c:
-            return RatFunc._raw(Poly(), ())
-        return RatFunc._raw(self._num * c, self._den)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def diff(self) -> "RatFunc":
-        """Exact derivative; each denominator exponent rises by at most one."""
-        num, den = self._num, self._den
-        if not den:
-            return RatFunc._raw(num.diff(), ())
-        facs = [edge_factor(j) for j, _ in den]
-        n = len(facs)
-        # prefix/suffix products give every "all factors but one" in O(n) mults
-        pre = [None] * (n + 1)
-        suf = [None] * (n + 1)
-        pre[0] = Poly([1])
-        suf[n] = Poly([1])
-        for i in range(n):
-            pre[i + 1] = pre[i] * facs[i]
-        for i in range(n - 1, -1, -1):
-            suf[i] = suf[i + 1] * facs[i]
-        acc = num.diff() * pre[n]
-        for i, (j, e) in enumerate(den):
-            acc = acc + num * (pre[i] * suf[i + 1]) * (e * j)
-        # the sum cannot vanish at any 1/j, so the result is already reduced
-        return RatFunc._raw(acc, tuple((j, e + 1) for j, e in den))
 
     # -- poles, residues, expansion -----------------------------------------
 
@@ -228,11 +156,3 @@ class RatFunc:
     def __repr__(self) -> str:
         return f"RatFunc('{self}')"
 
-
-def _complement(target: dict, have: dict) -> Poly:
-    out = Poly([1])
-    for j, e in target.items():
-        d = e - have.get(j, 0)
-        if d:
-            out = out * edge_factor(j, d)
-    return out

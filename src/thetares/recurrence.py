@@ -18,8 +18,9 @@ Two coupled computations per family:
   theta^2 e = P / (D L^2) with P = L theta M - (A + theta L) M.  Each step
   (`rec_step`) writes the new numerator over D L^2 (1 - s v) directly: five
   products of the large numerator by the small L and A, and one reduction.
-  `relation_defect` checks a step the slow way, through generic `RatFunc`
-  arithmetic;
+  `relation_defect` checks a step independently: it substitutes Taylor
+  coefficients at v = 0 into the literal form of G, up to a degree bound
+  past which a nonzero relation cannot vanish;
 
 * the u-side: polynomials phi_0, phi_1, ... from a three-term relation,
   whose factorially weighted coefficients resum to the same numbers.
@@ -42,7 +43,6 @@ from .families import DELTA256, THETA, THETA2, THETA4, Family
 from .rational import Poly, Rat
 from .ratfunc import RatFunc, edge_factor
 
-_V = Poly([0, 1])
 _U2U = Poly([0, -1, 1])  # u^2 - u
 _QUARTER = Fraction(1, 4)
 
@@ -58,19 +58,6 @@ class TheoryViolationError(ArithmeticError):
             f"entry {m} of family {family} has a pole of order {order} "
             f"at v = 1/{family.edge(m)}; at most a simple pole is possible"
         )
-
-
-def _g_operator(family: Family, m: int, e: RatFunc) -> RatFunc:
-    """(m-1-beta) e - v e' + (w-1)/4 v (v e)' + 1/4 v (v (v e)')', through
-    generic `RatFunc` derivatives and sums: the reference for `rec_step`."""
-    ve_d = (e * _V).diff()
-    vve_d = (ve_d * _V).diff()
-    out = e * (m - 1 - family.beta)
-    out = out - e.diff() * _V
-    w1 = (family.w - 1) / 4
-    if w1:
-        out = out + ve_d * _V * w1
-    return out + vve_d * _V * _QUARTER
 
 
 def _edge_terms(factors: tuple):
@@ -154,15 +141,52 @@ def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
     return entry
 
 
-def relation_defect(family: Family, m: int, entry: RatFunc, prev: RatFunc | None) -> RatFunc:
-    """v times the m-th relation, evaluated on a candidate pair; exactly
-    zero iff the pair satisfies the recurrence.  Shares no arithmetic with
-    the fused step in `rec_step`."""
+def relation_defect(family: Family, m: int, entry: RatFunc,
+                    prev: RatFunc | None) -> tuple | None:
+    """Check a candidate pair against the m-th relation
+    R = e_m (1 - s v) + v G_m(e_{m-1}) - rhs_m through its Taylor
+    coefficients at v = 0: None when R vanishes identically, else the
+    first nonzero coefficient as (index, value).
+
+    G is transcribed from the paper's literal form, not the theta-form of
+    `rec_step`, and the two share no arithmetic: the coefficient of v^n in
+    G_m(e) is (m-1-beta-n) e_n + ((w-1) n + n^2)/4 e_{n-1}.
+
+    Finitely many coefficients decide it.  Let D'_m be e_m's denominator
+    with one factor (1 - s v) removed if it has one, L = prod (1 - j v)
+    over the f distinct factors of e_{m-1}, and Y = lcm(D'_m, D_{m-1} L^2)
+    (Y = D'_0 for m = 0).  Each theta = v d/dv takes a numerator over D L^k
+    to one over D L^(k+1) and raises its degree by at most f, so
+    v G D_{m-1} L^2 is a polynomial of degree <= deg N_{m-1} + 2f + 2.
+    Hence R Y is a polynomial of degree at most
+
+        K = max(deg N_m + 1 + deg Y - deg D'_m,
+                deg N_{m-1} + 2 + deg Y - deg D_{m-1},  (m > 0 only)
+                deg Y),
+
+    counting deg 0 = -1.  Every factor (1 - j v) is a unit at v = 0, so
+    R = 0 iff R Y = 0 iff the coefficients of R up to v^K vanish.
+    """
     s = family.edge(m)
-    lhs = entry * Poly([1, -s]) if s else entry
-    if m > 0:
-        lhs = lhs + _g_operator(family, m, prev) * _V
-    return lhs - RatFunc.const(family.rhs(m))
+    den = dict(entry.factors)  # D'_m
+    if den.get(s):
+        den[s] -= 1
+    dl2 = {j: e + 2 for j, e in prev.factors} if m else {}  # D_{m-1} L^2
+    deg_y = sum(max(den.get(j, 0), dl2.get(j, 0)) for j in den.keys() | dl2.keys())
+    k = max(len(entry.num.int_coeffs) + deg_y - sum(den.values()), deg_y)
+    if m:
+        deg_d = sum(e for _j, e in prev.factors)
+        k = max(k, len(prev.num.int_coeffs) + 1 + deg_y - deg_d)
+    rel = list(entry.taylor(k))
+    for n in range(k, 0, -1):
+        rel[n] -= s * rel[n - 1]
+    rel[0] -= family.rhs(m)
+    if m:
+        e = prev.taylor(k)
+        c0, w1 = m - 1 - family.beta, family.w - 1
+        for n in range(k):
+            rel[n + 1] += (c0 - n) * e[n] + ((w1 * n + n * n) / 4 * e[n - 1] if n else 0)
+    return next(((n, c) for n, c in enumerate(rel) if c), None)
 
 
 @dataclass

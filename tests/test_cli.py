@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import pytest
 
 from thetares.cli import main
 
@@ -205,3 +206,33 @@ def test_compute_deterministic(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+
+# flags a subcommand would ignore are not registered, so passing one is a
+# usage error rather than silently dropped
+_BASE_ARGV = {
+    "compute": ("compute", "--family", "mult:2,8,8", "--m-max", "1"),
+    "scan": ("scan", "--kind", "lehmer", "--m-max", "2"),
+    "verify": ("verify", "--suite", "golden"),
+    "qseries-dump": ("qseries-dump", "--series", "x"),
+}
+_FLAG_ARGV = {
+    "--trunc": ("--trunc", "8"),
+    "--format": ("--format", "json"),
+    "--cache-dir": ("--cache-dir", "cache"),
+    "--normalize-delta": ("--normalize-delta",),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("compute", "--trunc"), ("compute", "--normalize-delta"),
+    ("scan", "--trunc"), ("scan", "--normalize-delta"),
+    ("verify", "--trunc"), ("verify", "--cache-dir"), ("verify", "--normalize-delta"),
+    ("qseries-dump", "--format"), ("qseries-dump", "--cache-dir"),
+    ("qseries-dump", "--normalize-delta"),
+])
+def test_ignored_flag_is_a_usage_error(capsys, command, flag):
+    code, out, err = run_cli(capsys, *_BASE_ARGV[command], *_FLAG_ARGV[flag])
+    assert code == 2 and not out
+    assert f"unrecognized arguments: {flag}" in err

@@ -1,7 +1,6 @@
 """Family construction, validation and canonical strings."""
 
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -12,6 +11,8 @@ class TestMultiplicative:
     def test_theta_squared(self):
         fam = Family.multiplicative(0, 0, Fraction(1, 2))
         assert fam.w == 1 and fam.a == 0 and fam.b4 == 0 and fam.c4 == 2
+        # the single theta family has the fractional weight w = 1/2
+        assert THETA.w == Fraction(1, 2)
 
     def test_delta(self):
         fam = Family.multiplicative(2, 2, 2)
@@ -82,20 +83,6 @@ class TestCanonicalStrings:
 
 
 class TestWeights:
-    def test_theta2_weight_is_factorial_squared(self):
-        for n in range(8):
-            assert THETA2.weight_product(n) == factorial(n) ** 2
-
-    def test_poly_weight(self):
-        fam = Family.polynomial([(0, 1, 1)])  # k = 1, so (t+1)(t+2) products
-        for n in range(8):
-            assert fam.weight_product(n) == factorial(n) * factorial(n + 1)
-
-    def test_fractional_weight_is_exact(self):
-        # w = 1/2 for the single theta family
-        assert THETA.w == Fraction(1, 2)
-        assert THETA.weight_product(2) == Fraction(1 * 1 * 2 * 3, 2 * 2)
-
     def test_recovered_coefficient_sign(self):
         # (-1)^(m+1) * (m+a) * 16^(m+a) * residue
         assert THETA2.recovered_from_residue(1, Fraction(1, 4)) == 4

@@ -1,8 +1,9 @@
 """Property tests over random admissible families.
 
-Every step of the fused recurrence is checked against the generic
-`RatFunc` reference path (`relation_defect`), the pole at the edge must
-be at most simple, the residue there must recover the family's
+Every step of the fused recurrence is checked by `relation_defect`,
+which substitutes Taylor coefficients at v = 0 into the literal form of
+the relation and shares no arithmetic with the step; the pole at the
+edge must be at most simple, the residue there must recover the family's
 q-expansion coefficient from the independent q-series oracle, and the
 entries' Taylor coefficients must match the u-side resummation.
 """

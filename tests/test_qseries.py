@@ -89,6 +89,11 @@ class TestArithmetic:
         assert QSeries.from_json_dict(f.to_json_dict()) == f
         assert f.to_json_dict() == {"trunc": 3, "coeffs": ["1", "-1/2", "0", "4"]}
 
+    def test_str_past_the_int_digit_limit(self):
+        big = "1" + "0" * 15000
+        f = QSeries.from_json_dict({"trunc": 2, "coeffs": [big, "1/3", "0"]})
+        assert str(f) == f"q-series[{big}, 1/3, 0] (trunc 2)"
+
 
 class TestHalfDegree:
     def test_theta(self):

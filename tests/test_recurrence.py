@@ -71,8 +71,33 @@ class TestRecStep:
         assert len(seq.entries) == 1 and seq.entries[0] == RatFunc(Poly([1]))
 
 
+def _bump(entry, i):
+    """entry with 1 added to the coefficient of v^i of its numerator."""
+    coeffs = list(entry.num.coeffs)
+    coeffs.extend([0] * (i + 1 - len(coeffs)))
+    coeffs[i] += 1
+    return RatFunc(Poly(coeffs), entry.factors)
+
+
+def _raise_exponent(entry, j):
+    """entry with the exponent of its denominator factor (1 - j v) raised by one."""
+    return RatFunc(entry.num, [(jj, e + (jj == j)) for jj, e in entry.factors])
+
+
+@pytest.fixture(scope="module")
+def pairs_to_8():
+    """(family, m, e_m, e_{m-1}) for m <= 8 of theta^2, 256*Delta and P=y."""
+    out = []
+    for family in (THETA2, DELTA256, P_EQ_Y):
+        entries = rec_sequence(family, 8).entries
+        out.extend((family, m, e, entries[m - 1] if m else None) for m, e in enumerate(entries))
+    return out
+
+
 class TestRelationSubstitution:
-    """Re-check computed entries by plugging them back into the relation."""
+    """Re-check computed entries by plugging them back into the relation,
+    and check that any candidate differing from the computed entry is
+    rejected, including changes beyond the degrees the check reads off."""
 
     def test_theta2(self, theta2_seq):
         entries = theta2_seq.entries
@@ -83,18 +108,44 @@ class TestRelationSubstitution:
     def test_delta(self, delta_seq):
         entries = delta_seq.entries
         assert not relation_defect(DELTA256, 0, entries[0], None)
-        for m in range(1, 7):
+        for m in range(1, 9):
             assert not relation_defect(DELTA256, m, entries[m], entries[m - 1])
 
     def test_poly_family(self):
-        seq = rec_sequence(P_EQ_Y, 6)
+        seq = rec_sequence(P_EQ_Y, 8)
         assert not relation_defect(P_EQ_Y, 0, seq.entries[0], None)
-        for m in range(1, 7):
+        for m in range(1, 9):
             assert not relation_defect(P_EQ_Y, m, seq.entries[m], seq.entries[m - 1])
 
     def test_defect_detects_wrong_entry(self, theta2_seq):
-        wrong = theta2_seq.entries[1] * Poly([2])
-        assert relation_defect(THETA2, 1, wrong, theta2_seq.entries[0])
+        # e_1 = -v^2 / (4 (1 - v)); doubling it leaves R = -v^2/4
+        e1 = theta2_seq.entries[1]
+        wrong = RatFunc(e1.num * 2, e1.factors)
+        assert relation_defect(THETA2, 1, wrong, theta2_seq.entries[0]) == (2, Fraction(-1, 4))
+
+    def test_rejects_every_coefficient_perturbation(self, pairs_to_8):
+        for family, m, entry, prev in pairs_to_8:
+            for i in range(len(entry.num.coeffs)):
+                assert relation_defect(family, m, _bump(entry, i), prev), (family, m, i)
+
+    def test_rejects_term_above_degree(self, pairs_to_8):
+        for family, m, entry, prev in pairs_to_8:
+            assert relation_defect(family, m, _bump(entry, len(entry.num.coeffs)), prev)
+
+    def test_rejects_raised_denominator_exponent(self, pairs_to_8):
+        for family, m, entry, prev in pairs_to_8:
+            for j, _e in entry.factors:
+                assert relation_defect(family, m, _raise_exponent(entry, j), prev), (family, m, j)
+
+    def test_rejects_perturbed_previous_entry(self, pairs_to_8):
+        for family, m, entry, prev in pairs_to_8:
+            if m:
+                # the last index lies past the degree bound e_m alone implies,
+                # so only the bound's e_{m-1} term covers it
+                high = (len(entry.num.coeffs) + sum(e for _j, e in entry.factors)
+                        + sum(e + 2 for _j, e in prev.factors))
+                for i in [*range(len(prev.num.coeffs) + 1), high]:
+                    assert relation_defect(family, m, entry, _bump(prev, i)), (family, m, i)
 
 
 class TestStructuralInvariants:
