@@ -37,6 +37,8 @@ from .recurrence import (
     SeqState,
     TheoryViolationError,
     check_perfect_odd,
+    local_residue,
+    local_residue_mod,
     rec_sequence,
     rec_step,
     relation_defect,
@@ -75,6 +77,8 @@ __all__ = [
     "delta_series",
     "dstar",
     "eval_poly",
+    "local_residue",
+    "local_residue_mod",
     "parse_family",
     "r2_count",
     "ramanujan_tau",

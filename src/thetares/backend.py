@@ -98,20 +98,6 @@ def eval_at_inv(nums, j):
     return acc
 
 
-def geom_coeffs(j, e, n):
-    """First ``n`` coefficients of (1 - j*v)**(-e): binomial(i+e-1, e-1)*j**i."""
-    if n <= 0:
-        return []
-    out = [0] * n
-    out[0] = 1
-    c = 1
-    for i in range(1, n):
-        # exact: c picks up the next binomial ratio times j
-        c = c * j * (e + i - 1) // i
-        out[i] = c
-    return out
-
-
 def series_inv_cleared(f, n):
     """Integers G with 1/(sum f_i v^i) = sum G_i / f[0]**(i+1) * v^i.
 

@@ -30,7 +30,9 @@ from .qseries import (
 from .rational import Poly
 from .ratfunc import RatFunc, edge_factor
 from .recurrence import (
+    PRIME,
     SeqState,
+    local_residue_mod,
     rec_sequence,
     residue_report,
     resum_matrix,
@@ -240,14 +242,30 @@ def resum_suite(families=(THETA2, DELTA256), m_max: int = 6, n_max: int = 12,
     return out
 
 
+def _jet_check(family: Family, residues: dict) -> CheckResult:
+    """The local jet mod PRIME against each global residue {m: residue}."""
+    bad = []
+    for m, res in residues.items():
+        jet = local_residue_mod(family, m)
+        if jet != res.numerator * pow(res.denominator, -1, PRIME) % PRIME:
+            bad.append((m, res, jet))
+    return _result(
+        f"{family} local jets agree mod 2^61-1 with the residues for m <= {max(residues)}",
+        not bad,
+        f"first mismatch {bad[0]}" if bad else "",
+    )
+
+
 def residues_suite(theta2_max: int = 30, other_max: int = 15,
                    seqs: dict | None = None) -> list:
     out = []
     seq = (seqs or {}).get(THETA2) or rec_sequence(THETA2, theta2_max)
     seq.extend_to(theta2_max)
     bad = []
+    residues = {}
     for m in range(1, theta2_max + 1):
         report = residue_report(seq, m)
+        residues[m] = report.residue
         if report.pole_order > 1 or report.recovered != r2_count(m):
             bad.append((m, report.recovered, r2_count(m)))
     out.append(_result(
@@ -255,13 +273,16 @@ def residues_suite(theta2_max: int = 30, other_max: int = 15,
         not bad,
         f"first mismatch {bad[0]}" if bad else "",
     ))
+    out.append(_jet_check(THETA2, residues))
 
     for family in (THETA4, THETA, DELTA256):
         seq = (seqs or {}).get(family) or rec_sequence(family, other_max)
         seq.extend_to(other_max)
         bad = []
+        residues = {}
         for m in range(1, other_max + 1):
             report = residue_report(seq, m)
+            residues[m] = report.residue
             oracle = cf_coeff(family, report.pole)
             if report.recovered != oracle:
                 bad.append((m, report.recovered, oracle))
@@ -270,6 +291,7 @@ def residues_suite(theta2_max: int = 30, other_max: int = 15,
             not bad,
             f"first mismatch {bad[0]}" if bad else "",
         ))
+        out.append(_jet_check(family, residues))
     return out
 
 

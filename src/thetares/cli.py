@@ -28,7 +28,6 @@ from .qseries import (
     cf_series,
     delta_series,
     r2_count,
-    ramanujan_tau,
     sigma1,
     t_series,
     theta_series,
@@ -181,12 +180,11 @@ def cmd_scan(config: RunConfig, kind: str) -> int:
     if config.m_max < 1:
         raise ConfigError("--m-max must be at least 1")
     m = config.m_max
-    cache = config.cache()
 
     if kind == "two-squares":
         from .families import THETA2
 
-        found = scan_two_squares(m, cached_sequence(THETA2, m, cache))
+        found = scan_two_squares(m, cached_sequence(THETA2, m, config.cache()))
         oracle = {n for n in range(1, m + 1) if r2_count(n) > 0}
         payload = {
             "kind": kind, "m_max": m,
@@ -198,7 +196,7 @@ def cmd_scan(config: RunConfig, kind: str) -> int:
     elif kind == "squares":
         from .families import THETA
 
-        found = scan_squares(m, cached_sequence(THETA, m, cache))
+        found = scan_squares(m, cached_sequence(THETA, m, config.cache()))
         oracle = {k * k for k in range(1, m + 1) if k * k <= m}
         payload = {
             "kind": kind, "m_max": m,
@@ -208,8 +206,10 @@ def cmd_scan(config: RunConfig, kind: str) -> int:
         }
         passed = not payload["mismatches"]
     elif kind == "lehmer":
-        violations = scan_lehmer(m, cached_sequence(DELTA256, 2 * m, cache))
-        oracle = [k for k in range(m + 1) if ramanujan_tau(k + 1) == 0]
+        # decided by local jets: no entry is built, so the cache is not used
+        violations = scan_lehmer(m)
+        delta = delta_series(2 * m + 2)  # tau(n) is the coefficient of q^(2n)
+        oracle = [k for k in range(m + 1) if delta.coeff(2 * k + 2) == 0]
         payload = {
             "kind": kind, "m_max": m,
             "violations": violations,
@@ -220,7 +220,7 @@ def cmd_scan(config: RunConfig, kind: str) -> int:
     elif kind == "perfect-odd":
         from .families import THETA4
 
-        rows = check_perfect_odd(m, cached_sequence(THETA4, m, cache))
+        rows = check_perfect_odd(m, cached_sequence(THETA4, m, config.cache()))
         mismatches = [
             mm for mm, _res, flag in rows if flag != (sigma1(mm) == 2 * mm)
         ]

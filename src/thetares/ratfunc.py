@@ -112,8 +112,9 @@ class RatFunc:
         cur = list(self._num.int_coeffs[:m])
         cur.extend([0] * (m - len(cur)))
         for j, e in self._den:
-            cur = backend.conv_trunc(cur, backend.geom_coeffs(j, e, m), m)
-            cur.extend([0] * (m - len(cur)))
+            for _ in range(e):  # divide by (1 - j v) in place
+                for i in range(1, m):
+                    cur[i] += j * cur[i - 1]
         den = self._num.int_den
         return tuple(Fraction(c, den) for c in cur)
 

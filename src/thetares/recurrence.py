@@ -30,6 +30,25 @@ q-expansion coefficient c(s) of the family's form up to a sign (see
 `Family.recovered_from_residue`) and the factor s 16^s.  The scans at the
 bottom turn that into membership tests (sums of two squares, perfect
 numbers, squares, vanishing of Ramanujan's tau).
+
+The residue also has a local route that never builds e_m
+(`local_residue`).  Fix m and s = s_m, and write s_k = k + a for the
+earlier pole parameters.  Every pole of e_k sits at some 1/s_j with j <= k,
+so e_0 .. e_{m-1} are regular at v0 = 1/s.  Put v = (1 + t) / s; then
+theta = (1 + t) d/dt has integer coefficients, and
+1 - s_k v = ((s - s_k) - s_k t) / s is a unit in the Taylor jets at
+t = 0 for k < m.  So the relations run on jets: start from e_{-1} = 0
+with 2m + 3 terms; step k forms f_k = rhs_k - v G_k(e_{k-1}), two terms
+shorter than e_{k-1} since G applies theta twice, and divides it by the
+unit 1 - s_k v.  At k = m, 1 - s v = -t, so e_m = -f_m / t with f_m
+regular at t = 0: the pole at v = 1/s is at most simple, whatever the
+family, and Res_{v=1/s} e_m = -f_m(v0) / s needs only the constant term
+of f_m.  The jet costs O(m^2) arithmetic operations, against a global
+prefix whose cost grows like m^5 - m^6.  Every division is by a fixed
+integer (s, s - s_k, 4, the denominators of beta, w and rhs), so the
+same jet runs modulo a large prime p (`local_residue_mod`): a nonzero
+residue mod p proves the pole, and the Lehmer scan falls back to the
+exact jet only on a zero mod p or a divisor that p divides.
 """
 
 from __future__ import annotations
@@ -285,6 +304,87 @@ def residue_report(seq: SeqState, m: int) -> ResidueReport:
     return ResidueReport(m, pole, order, res, family.recovered_from_residue(m, res))
 
 
+# -- local jets at the edge ----------------------------------------------------
+
+PRIME = 2**61 - 1  # the modulus of `local_residue_mod`
+
+
+def _theta_jet(c: list) -> list:
+    """theta = (1 + t) d/dt on a jet in t; one term shorter."""
+    d = [i * x for i, x in enumerate(c)][1:]
+    return [x + y for x, y in zip(d, [0] + d)]
+
+
+def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
+    """Integers (num, den) with Res_{v=1/s} e_m = num / den, both reduced
+    mod ``modulus`` when it is nonzero (derivation in the module docstring).
+
+    Only ring operations on integers run here, so reducing mod p commutes
+    with every step: num / den mod p is the residue mod p whenever p does
+    not divide den, and den = 0 mod p says that some divisor (s, s - s_k,
+    4, or a denominator of beta, w or rhs) is a multiple of p.
+    """
+    s = family.edge(m)
+    if s < 1:
+        raise ValueError(f"entry {m} of family {family} has no edge pole (s = {s})")
+    beta, cw, cw1 = family.beta, family.w / 4, (family.w + 1) / 4
+    q = lcm(beta.denominator, cw.denominator, cw1.denominator, 4)
+    cwq, cw1q, q4 = int(cw * q), int(cw1 * q), q // 4
+    jet, den = [0] * (2 * m + 3), 1  # e_{-1} = 0, as a jet over den
+    for k in range(m + 1):
+        rhs = Fraction(family.rhs(k))
+        rn, rd = rhs.numerator, rhs.denominator
+        c0q = int((k - 1 - beta) * q)
+        t1 = _theta_jet(jet)
+        t2 = _theta_jet(t1)
+        # g = q s G_k(e) = q s (c0 - theta) e
+        #     + (1 + t) q [w/4 + (w+1)/4 theta + 1/4 theta^2] e
+        x = [cwq * e0 + cw1q * e1 + q4 * e2 for e0, e1, e2 in zip(jet, t1, t2)]
+        g = [s * (c0q * e0 - q * e1) + y + z for e0, e1, y, z in zip(jet, t1, x, [0] + x)]
+        # f = rn / rd - v G with v = (1 + t) / s, over den q s^2 rd
+        f = [-rd * (y + z) for y, z in zip(g, [0] + g)]
+        f[0] += rn * den * q * s * s
+        den *= q * s * rd
+        if k == m:  # e_m = f / (1 - s v) = -f / t and dv = dt / s
+            num, den = -f[0], den * s * s
+            break
+        # e_k = s f / (u - s_k t), u = s - s_k: with Q_i = u^(i+1) times
+        # coefficient i of f / (u - s_k t), Q_i = u^i f_i + s_k Q_{i-1}, and
+        # over u^n coefficient i is Q_i u^(n-1-i)
+        u, sk, n = s - family.edge(k), family.edge(k), len(f)
+        pw = [1] * n
+        for i in range(1, n):
+            pw[i] = pw[i - 1] * u % modulus if modulus else pw[i - 1] * u
+        acc, jet = 0, []
+        for fi, p in zip(f, pw):
+            acc = p * fi + sk * acc
+            jet.append(acc)
+        jet = [y * p for y, p in zip(jet, reversed(pw))]
+        den *= pw[-1] * u
+        if modulus:
+            jet, den = [y % modulus for y in jet], den % modulus
+        else:
+            gcd = backend.content_gcd(jet, den)
+            jet, den = [y // gcd for y in jet], den // gcd
+    if modulus:
+        return num % modulus, den % modulus
+    return num, den
+
+
+def local_residue(family: Family, m: int) -> Rat:
+    """Res_{v=1/s} e_m, s = edge(m), from the local jet at v = 1/s: exact,
+    and without the entry e_m itself (see the module docstring)."""
+    num, den = _residue_jet(family, m)
+    return Fraction(num, den)
+
+
+def local_residue_mod(family: Family, m: int) -> int | None:
+    """Res_{v=1/s} e_m mod PRIME, from the same jet reduced mod PRIME; None
+    when PRIME divides one of the jet's divisors."""
+    num, den = _residue_jet(family, m, PRIME)
+    return num * pow(den, -1, PRIME) % PRIME if den else None
+
+
 def _seq_for(family: Family, m_max: int, seq: SeqState | None) -> SeqState:
     if seq is None:
         return rec_sequence(family, m_max)
@@ -306,14 +406,15 @@ def scan_squares(m_max: int, seq: SeqState | None = None) -> set:
     return {m for m in range(1, m_max + 1) if seq.entries[m].pole_order(m) == 1}
 
 
-def scan_lehmer(m_max: int, seq: SeqState | None = None) -> list:
+def scan_lehmer(m_max: int) -> list:
     """m <= m_max where the 256*Delta entry 2m has NO pole at v = 1/(2m+2).
 
     Each such m would be a counterexample witness tau(m+1) = 0; the list
-    is expected to be empty.
+    is expected to be empty.  Each m is decided by the jet mod PRIME; only
+    a zero there, or a divisor PRIME divides, goes to the exact jet.
     """
-    seq = _seq_for(DELTA256, 2 * m_max, seq)
-    return [m for m in range(m_max + 1) if seq.entries[2 * m].pole_order(2 * m + 2) == 0]
+    return [m for m in range(m_max + 1)
+            if not local_residue_mod(DELTA256, 2 * m) and not local_residue(DELTA256, 2 * m)]
 
 
 def check_perfect_odd(m_max: int, seq: SeqState | None = None) -> list:

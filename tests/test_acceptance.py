@@ -133,8 +133,12 @@ def test_criterion_9_number_theoretic_scans(theta2_seq, theta_seq, delta_seq, th
 
     assert scan_squares(16, theta_seq) == {1, 4, 9, 16}
 
-    violations = scan_lehmer(8, delta_seq)
+    violations = scan_lehmer(8)
     assert violations == []
+    # the local jets agree with the global entries' pole orders
+    assert violations == [
+        m for m in range(9) if delta_seq.entries[2 * m].pole_order(2 * m + 2) == 0
+    ]
     assert all(ramanujan_tau(m + 1) != 0 for m in range(9))
 
     rows = check_perfect_odd(31, theta4_seq)

@@ -139,6 +139,14 @@ class TestScan:
         payload = json.loads(out)
         assert code == 0 and payload["violations"] == []
 
+    def test_lehmer_leaves_the_cache_alone(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "scan", "--kind", "lehmer", "--m-max", "4", "--format", "json",
+            "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert list(tmp_path.iterdir()) == []
+
     def test_perfect_odd(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--kind", "perfect-odd", "--m-max", "15",

@@ -1,5 +1,5 @@
 """The integer kernels in ``thetares.backend``: the Kronecker
-``conv_trunc`` against a schoolbook reference, and the binomial series."""
+``conv_trunc`` against a schoolbook reference."""
 
 import inspect
 import random
@@ -76,15 +76,6 @@ def operands(draw):
 @given(operands(), operands(), st.integers(-3, 1700))
 def test_conv_trunc_property(a, b, n):
     assert backend.conv_trunc(a, b, n) == schoolbook_trunc(a, b, n)
-
-
-def test_geom_coeffs_are_binomials():
-    from math import comb
-
-    for j in (1, 2, 5):
-        for e in (1, 2, 4):
-            got = backend.geom_coeffs(j, e, 12)
-            assert got == [comb(i + e - 1, e - 1) * j**i for i in range(12)]
 
 
 def test_benchmark_contract():

@@ -4,8 +4,9 @@ Every step of the fused recurrence is checked by `relation_defect`,
 which substitutes Taylor coefficients at v = 0 into the literal form of
 the relation and shares no arithmetic with the step; the pole at the
 edge must be at most simple, the residue there must recover the family's
-q-expansion coefficient from the independent q-series oracle, and the
-entries' Taylor coefficients must match the u-side resummation.
+q-expansion coefficient from the independent q-series oracle and equal
+the residue of the local jet at the edge (exactly, and mod its prime),
+and the entries' Taylor coefficients must match the u-side resummation.
 """
 
 from fractions import Fraction
@@ -13,7 +14,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetares import Family, cf_coeff, rec_sequence, relation_defect, residue_report, resum_matrix
+from thetares import (
+    Family,
+    cf_coeff,
+    local_residue,
+    local_residue_mod,
+    rec_sequence,
+    relation_defect,
+    residue_report,
+    resum_matrix,
+)
+from thetares.recurrence import PRIME
 
 M_MAX = 8
 
@@ -49,6 +60,10 @@ def test_every_step_satisfies_the_relation_and_the_residue_identity(family):
             assert entry.pole_order(family.edge(m)) <= 1
             report = residue_report(seq, m)
             assert report.recovered == cf_coeff(family, report.pole, trunc=16)
+            res = report.residue
+            assert local_residue(family, m) == res
+            res_mod = res.numerator * pow(res.denominator, -1, PRIME) % PRIME
+            assert local_residue_mod(family, m) == res_mod
     matrix = resum_matrix(family, M_MAX, M_MAX)
     for m, entry in enumerate(seq.entries):
         assert tuple(matrix[m]) == entry.taylor(M_MAX)

@@ -66,6 +66,14 @@ class TestTaylor:
         f = RatFunc(Poly([1]), [(2, 1)])
         assert f.taylor(3) == (1, 2, 4, 8)
 
+    def test_pole_powers_are_binomials(self):
+        from math import comb
+
+        for j in (1, 2, 5):
+            for e in (1, 2, 4):
+                got = RatFunc(Poly([1]), [(j, e)]).taylor(11)
+                assert got == tuple(comb(i + e - 1, e - 1) * j**i for i in range(12))
+
     def test_hand_expansion(self):
         f = RatFunc(Poly([0, 0, Fraction(-1, 4)]), [(1, 1)])
         q = Fraction(-1, 4)

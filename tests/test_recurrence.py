@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from thetares import recurrence
 from thetares import (
     DELTA256,
 
@@ -13,6 +14,8 @@ from thetares import (
     Poly,
     RatFunc,
     check_perfect_odd,
+    local_residue,
+    local_residue_mod,
     rec_sequence,
     rec_step,
     relation_defect,
@@ -284,3 +287,57 @@ class TestScans:
     def test_scan_rejects_wrong_family(self, delta_seq):
         with pytest.raises(ValueError):
             scan_two_squares(3, delta_seq)
+
+
+class TestLocalJets:
+    def test_matches_the_global_residue(self, theta2_seq, delta_seq):
+        p = recurrence.PRIME
+        for seq in (theta2_seq, delta_seq):
+            for m in range(1, len(seq.entries)):
+                res = residue_report(seq, m).residue
+                assert local_residue(seq.family, m) == res
+                assert local_residue_mod(seq.family, m) == (
+                    res.numerator * pow(res.denominator, -1, p) % p)
+
+    def test_initial_entry(self):
+        assert local_residue(DELTA256, 0) == rec_step(DELTA256, 0).residue(2) == Fraction(-1, 2)
+        with pytest.raises(ValueError):
+            local_residue(THETA2, 0)  # a = 0: entry 0 has no pole
+
+    @pytest.fixture
+    def prime_7(self, monkeypatch):
+        """Reduce the scan's jets mod 7 and record every exact fallback."""
+        monkeypatch.setattr(recurrence, "PRIME", 7)
+        calls = []
+
+        def exact(family, m):
+            calls.append(m)
+            return local_residue(family, m)
+
+        monkeypatch.setattr(recurrence, "local_residue", exact)
+        return calls
+
+    def test_false_zero_mod_p_falls_back_to_the_exact_jet(self, prime_7):
+        # tau(3) = 252 = 2^2 3^2 7: the residue -21/32768 of entry 4 is 0 mod 7
+        assert local_residue(DELTA256, 4) == Fraction(-21, 32768)
+        assert local_residue_mod(DELTA256, 4) == 0
+        assert scan_lehmer(2) == []
+        assert prime_7 == [4]
+
+    def test_divisor_divisible_by_p_falls_back_to_the_exact_jet(self, prime_7):
+        # entry 8 sits at v = 1/10, and s - s_1 = 10 - 3 = 7 is no unit mod 7
+        assert local_residue_mod(DELTA256, 8) is None
+        assert scan_lehmer(4) == []
+        assert prime_7 == [4, 8]
+
+    def test_residues_suite_catches_a_wrong_global_residue(self):
+        from thetares.checks import residues_suite
+
+        seq = rec_sequence(THETA2, 6)
+        seq.entries[5] = RatFunc(seq.entries[5].num * 3, seq.entries[5].factors)
+        results = residues_suite(theta2_max=6, other_max=1, seqs={THETA2: seq})
+        failed = [r.name for r in results if not r.passed]
+        assert failed == [
+            "theta^2 residues recover r2(m) for m <= 6",
+            "theta^2 local jets agree mod 2^61-1 with the residues for m <= 6",
+        ]
