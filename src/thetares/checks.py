@@ -31,7 +31,6 @@ from .rational import Poly
 from .ratfunc import RatFunc, edge_factor
 from .recurrence import (
     PRIME,
-    SeqState,
     local_residue_mod,
     rec_sequence,
     residue_report,
@@ -85,10 +84,8 @@ def _laurent_constant(f: RatFunc, j: int) -> Fraction:
     return -g_prime / j
 
 
-def golden_suite(delta_seq: SeqState | None = None,
-                 theta_seq: SeqState | None = None) -> list:
-    delta_seq = delta_seq or rec_sequence(DELTA256, 4)
-    delta_seq.extend_to(4)
+def golden_suite() -> list:
+    delta_seq = rec_sequence(DELTA256, 4)
     entry = delta_seq.entries[4]
     out = []
 
@@ -131,8 +128,7 @@ def golden_suite(delta_seq: SeqState | None = None,
         f"got {laurent}",
     ))
 
-    theta_seq = theta_seq or rec_sequence(THETA, 11)
-    theta_seq.extend_to(11)
+    theta_seq = rec_sequence(THETA, 11)
     out.append(_result(
         "Q11 denominator is (1-v)^21 (1-4v)^15 (1-9v)^5",
         theta_seq.entries[11].factors == Q11_FACTORS,
@@ -221,12 +217,10 @@ def max_three_term_defect(family: Family, n_max: int, trunc: int) -> QSeries | N
     return None
 
 
-def resum_suite(families=(THETA2, DELTA256), m_max: int = 6, n_max: int = 12,
-                seqs: dict | None = None) -> list:
+def resum_suite(families=(THETA2, DELTA256), m_max: int = 6, n_max: int = 12) -> list:
     out = []
     for family in families:
-        seq = (seqs or {}).get(family) or rec_sequence(family, m_max)
-        seq.extend_to(m_max)
+        seq = rec_sequence(family, m_max)
         matrix = resum_matrix(family, m_max, n_max)
         bad = []
         for m in range(m_max + 1):

@@ -16,12 +16,12 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from math import isqrt
 from pathlib import Path
 
 from .cache import SeqCache, cached_sequence
 from .checks import SUITES, run_suite
-from .families import DELTA256, Family, parse_family
+from .families import DELTA256, THETA, THETA2, THETA4, parse_family
 from .qseries import (
     DEFAULT_TRUNC,
     cf_coeff,
@@ -50,67 +50,27 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    family: str = ""
-    m_max: int = 0
-    trunc: int = DEFAULT_TRUNC
-    fmt: str = "pretty"
-    cache_dir: Path | None = None
-    normalize_delta: bool = False
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
-        return RunConfig(
-            family=getattr(args, "family", "") or "",
-            m_max=getattr(args, "m_max", 0),
-            trunc=getattr(args, "trunc", DEFAULT_TRUNC),
-            fmt=getattr(args, "format", "pretty"),
-            cache_dir=Path(cache_dir) if cache_dir else None,
-            normalize_delta=getattr(args, "normalize_delta", False),
-        )
-
-    def cache(self) -> SeqCache | None:
-        return SeqCache(self.cache_dir) if self.cache_dir else None
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _parse_family(config: RunConfig) -> Family:
-    if not config.family:
-        raise ConfigError("--family is required for this command")
-    return parse_family(config.family)
+def _cache(args) -> SeqCache | None:
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    return SeqCache(Path(cache_dir)) if cache_dir else None
 
 
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _norm_factor(config: RunConfig, family: Family) -> int:
-    if not config.normalize_delta:
-        return 1
-    if family != DELTA256:
-        raise ConfigError(
-            "--normalize-delta only applies to the 256*Delta family mult:2,8,8"
-        )
-    return 256
-
-
 # -- compute ---------------------------------------------------------------
 
 
-def cmd_compute(config: RunConfig) -> int:
-    family = _parse_family(config)
-    if config.m_max < 0:
-        raise ConfigError("--m-max must be nonnegative")
-    seq = cached_sequence(family, config.m_max, config.cache())
-    if config.fmt == "json":
+def cmd_compute(args) -> int:
+    family = parse_family(args.family)
+    if args.m_max < 0:
+        raise ValueError("--m-max must be nonnegative")
+    seq = cached_sequence(family, args.m_max, _cache(args))
+    if args.format == "json":
         rows = [{"m": m, **entry.to_json_dict()} for m, entry in enumerate(seq.entries)]
         _emit_json({"family": family.canonical(), "entries": rows})
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["m", "num", "den"])
         for m, entry in enumerate(seq.entries):
@@ -125,22 +85,22 @@ def cmd_compute(config: RunConfig) -> int:
 # -- residues ----------------------------------------------------------------
 
 
-def cmd_residues(config: RunConfig) -> int:
-    family = _parse_family(config)
-    if config.m_max < 1:
-        raise ConfigError("--m-max must be at least 1")
-    if config.trunc < config.m_max + family.alpha:
-        raise ConfigError(
-            f"truncation {config.trunc} does not cover pole parameter "
-            f"{config.m_max + family.alpha}; raise --trunc"
-        )
-    norm = _norm_factor(config, family)
-    seq = cached_sequence(family, config.m_max, config.cache())
+def cmd_residues(args) -> int:
+    family = parse_family(args.family)
+    if args.m_max < 1:
+        raise ValueError("--m-max must be at least 1")
+    if args.normalize_delta and family != DELTA256:
+        raise ValueError("--normalize-delta only applies to the 256*Delta family mult:2,8,8")
+    norm = 256 if args.normalize_delta else 1
+    # coefficient n of a q-series is exact at any truncation >= n, so the
+    # oracle only has to reach the last pole parameter read
+    trunc = family.edge(args.m_max)
+    seq = cached_sequence(family, args.m_max, _cache(args))
     rows = []
     all_match = True
-    for m in range(1, config.m_max + 1):
+    for m in range(1, args.m_max + 1):
         report = residue_report(seq, m)
-        oracle = cf_coeff(family, report.pole, config.trunc) / norm
+        oracle = cf_coeff(family, report.pole, trunc) / norm
         recovered = report.recovered / norm
         match = recovered == oracle
         all_match = all_match and match
@@ -153,9 +113,9 @@ def cmd_residues(config: RunConfig) -> int:
             "oracle": str(oracle),
             "match": match,
         })
-    if config.fmt == "json":
+    if args.format == "json":
         _emit_json({"family": family.canonical(), "rows": rows, "all_match": all_match})
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["m", "pole", "order", "residue", "recovered", "oracle", "match"])
         for row in rows:
@@ -176,71 +136,45 @@ def cmd_residues(config: RunConfig) -> int:
 # -- scans ------------------------------------------------------------------
 
 
-def cmd_scan(config: RunConfig, kind: str) -> int:
-    if config.m_max < 1:
-        raise ConfigError("--m-max must be at least 1")
-    m = config.m_max
+# kind -> (family, scan over its entries, the set the scan must find up to m)
+_SET_SCANS = {
+    "two-squares": (THETA2, scan_two_squares,
+                    lambda m: {n for n in range(1, m + 1) if r2_count(n) > 0}),
+    "squares": (THETA, scan_squares, lambda m: {k * k for k in range(1, isqrt(m) + 1)}),
+}
 
-    if kind == "two-squares":
-        from .families import THETA2
 
-        found = scan_two_squares(m, cached_sequence(THETA2, m, config.cache()))
-        oracle = {n for n in range(1, m + 1) if r2_count(n) > 0}
-        payload = {
-            "kind": kind, "m_max": m,
-            "found": sorted(found),
-            "oracle": sorted(oracle),
-            "mismatches": sorted(found ^ oracle),
-        }
-        passed = not payload["mismatches"]
-    elif kind == "squares":
-        from .families import THETA
+def cmd_scan(args) -> int:
+    if args.m_max < 1:
+        raise ValueError("--m-max must be at least 1")
+    kind, m = args.kind, args.m_max
+    payload = {"kind": kind, "m_max": m}
 
-        found = scan_squares(m, cached_sequence(THETA, m, config.cache()))
-        oracle = {k * k for k in range(1, m + 1) if k * k <= m}
-        payload = {
-            "kind": kind, "m_max": m,
-            "found": sorted(found),
-            "oracle": sorted(oracle),
-            "mismatches": sorted(found ^ oracle),
-        }
-        passed = not payload["mismatches"]
+    if kind in _SET_SCANS:
+        family, scan, oracle_set = _SET_SCANS[kind]
+        found = scan(m, cached_sequence(family, m, _cache(args)))
+        oracle = oracle_set(m)
+        payload.update(found=sorted(found), oracle=sorted(oracle),
+                       mismatches=sorted(found ^ oracle))
     elif kind == "lehmer":
         # decided by local jets: no entry is built, so the cache is not used
         violations = scan_lehmer(m)
         delta = delta_series(2 * m + 2)  # tau(n) is the coefficient of q^(2n)
         oracle = [k for k in range(m + 1) if delta.coeff(2 * k + 2) == 0]
-        payload = {
-            "kind": kind, "m_max": m,
-            "violations": violations,
-            "oracle_tau_zeros": oracle,
-            "mismatches": sorted(set(violations) ^ set(oracle)),
-        }
-        passed = not payload["mismatches"]
-    elif kind == "perfect-odd":
-        from .families import THETA4
+        payload.update(violations=violations, oracle_tau_zeros=oracle,
+                       mismatches=sorted(set(violations) ^ set(oracle)))
+    else:  # perfect-odd
+        rows = check_perfect_odd(m, cached_sequence(THETA4, m, _cache(args)))
+        payload.update(
+            rows=[{"m": mm, "residue": str(res), "is_perfect": flag} for mm, res, flag in rows],
+            perfect=[mm for mm, _res, flag in rows if flag],
+            mismatches=[mm for mm, _res, flag in rows if flag != (sigma1(mm) == 2 * mm)],
+        )
 
-        rows = check_perfect_odd(m, cached_sequence(THETA4, m, config.cache()))
-        mismatches = [
-            mm for mm, _res, flag in rows if flag != (sigma1(mm) == 2 * mm)
-        ]
-        payload = {
-            "kind": kind, "m_max": m,
-            "rows": [
-                {"m": mm, "residue": str(res), "is_perfect": flag}
-                for mm, res, flag in rows
-            ],
-            "perfect": [mm for mm, _res, flag in rows if flag],
-            "mismatches": mismatches,
-        }
-        passed = not mismatches
-    else:
-        raise ConfigError(f"unknown scan kind {kind!r}")
-
-    payload["passed"] = passed
-    if config.fmt == "json":
+    passed = payload["passed"] = not payload["mismatches"]
+    if args.format == "json":
         _emit_json(payload)
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         if kind == "perfect-odd":
             writer.writerow(["m", "residue", "is_perfect"])
@@ -261,15 +195,19 @@ def cmd_scan(config: RunConfig, kind: str) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def cmd_verify(config: RunConfig, suite: str) -> int:
+def cmd_verify(args) -> int:
     kwargs = {}
-    if suite == "residues" and config.m_max:
-        kwargs = {"theta2_max": config.m_max, "other_max": min(config.m_max, 15)}
-    results = run_suite(suite, **kwargs)
+    if args.m_max is not None:
+        if args.suite != "residues":
+            raise ValueError("--m-max only applies to --suite residues")
+        if args.m_max < 1:
+            raise ValueError("--m-max must be at least 1")
+        kwargs = {"theta2_max": args.m_max, "other_max": min(args.m_max, 15)}
+    results = run_suite(args.suite, **kwargs)
     passed = all(r.passed for r in results)
-    if config.fmt == "json":
+    if args.format == "json":
         _emit_json({
-            "suite": suite,
+            "suite": args.suite,
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail}
                 for r in results
@@ -281,34 +219,29 @@ def cmd_verify(config: RunConfig, suite: str) -> int:
             marker = "PASS" if r.passed else "FAIL"
             tail = f" ({r.detail})" if r.detail else ""
             print(f"{marker}  {r.name}{tail}")
-        print(f"suite {suite}: {'PASS' if passed else 'FAIL'}")
+        print(f"suite {args.suite}: {'PASS' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_MISMATCH
 
 
 # -- qseries-dump -----------------------------------------------------------------
 
 
-def cmd_qseries_dump(config: RunConfig, series: str | None) -> int:
-    trunc = config.trunc
-    if config.family:
-        qs = cf_series(parse_family(config.family), trunc)
-    elif series:
-        makers = {
-            "theta3": lambda: theta_series(3, trunc),
-            "theta4": lambda: theta_series(4, trunc),
-            "x": lambda: xy_series(trunc)[0],
-            "y": lambda: xy_series(trunc)[1],
-            "u": lambda: u_series(trunc),
-            "t": lambda: t_series(trunc),
-            "delta": lambda: delta_series(trunc),
-        }
-        if series not in makers:
-            raise ConfigError(
-                f"unknown series {series!r}; choose from {sorted(makers)}"
-            )
-        qs = makers[series]()
+_SERIES = {
+    "theta3": lambda trunc: theta_series(3, trunc),
+    "theta4": lambda trunc: theta_series(4, trunc),
+    "x": lambda trunc: xy_series(trunc)[0],
+    "y": lambda trunc: xy_series(trunc)[1],
+    "u": u_series,
+    "t": t_series,
+    "delta": delta_series,
+}
+
+
+def cmd_qseries_dump(args) -> int:
+    if args.series:
+        qs = _SERIES[args.series](args.trunc)
     else:
-        raise ConfigError("qseries-dump needs --series or --family")
+        qs = cf_series(parse_family(args.family), args.trunc)
     _emit_json(qs.to_json_dict())
     return EXIT_OK
 
@@ -316,15 +249,14 @@ def cmd_qseries_dump(config: RunConfig, series: str | None) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
-# every flag a subcommand may take; each subcommand registers only those it reads
+_FAMILY_HELP = "canonical family string, e.g. mult:0,0,2 or poly:1:[(0,1,1)]"
+
+# flags several subcommands share; each subcommand registers only those it reads
 _FLAGS = {
-    "--family": dict(help="canonical family string, e.g. mult:0,0,2 or poly:1:[(0,1,1)]"),
+    "--family": dict(required=True, help=_FAMILY_HELP),
     "--m-max": dict(dest="m_max", type=int, default=0, help="last sequence index to compute"),
-    "--trunc": dict(type=int, default=DEFAULT_TRUNC, help="q-series truncation for oracles"),
     "--format": dict(choices=("json", "csv", "pretty"), default="pretty"),
     "--cache-dir": dict(help=f"entry cache directory (or ${CACHE_ENV})"),
-    "--normalize-delta": dict(action="store_true", help="divide 256*Delta coefficients "
-                                                        "by 256 (prints Ramanujan tau directly)"),
 }
 
 
@@ -336,53 +268,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(p, *flags):
+    def add(name, run, *flags, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    add(sub.add_parser("compute", help="compute and print sequence entries"),
-        "--family", "--m-max", "--format", "--cache-dir")
-    add(sub.add_parser("residues", help="residue table against the oracle"),
-        "--family", "--m-max", "--trunc", "--format", "--cache-dir", "--normalize-delta")
+    add("compute", cmd_compute, "--family", "--m-max", "--format", "--cache-dir",
+        help="compute and print sequence entries")
+    residues = add("residues", cmd_residues, "--family", "--m-max", "--format", "--cache-dir",
+                   help="residue table against the oracle")
+    residues.add_argument("--normalize-delta", action="store_true",
+                          help="divide 256*Delta coefficients by 256 "
+                               "(prints Ramanujan tau directly)")
 
-    scan = sub.add_parser("scan", help="number-theoretic scans")
+    scan = add("scan", cmd_scan, "--m-max", "--format", "--cache-dir",
+               help="number-theoretic scans")
     scan.add_argument("--kind", required=True,
                       choices=("two-squares", "squares", "lehmer", "perfect-odd"))
-    add(scan, "--m-max", "--format", "--cache-dir")
 
-    verify = sub.add_parser("verify", help="run a verification suite")
+    verify = add("verify", cmd_verify, help="run a verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    add(verify, "--m-max", "--format")
+    verify.add_argument("--m-max", dest="m_max", type=int,
+                        help="last index of the residues suite (theta^2; the others stop at 15)")
+    verify.add_argument("--format", choices=("json", "pretty"), default="pretty")
 
-    dump = sub.add_parser("qseries-dump", help="dump a base q-series as JSON")
-    dump.add_argument("--series", help="theta3, theta4, x, y, u, t or delta")
-    add(dump, "--family", "--trunc")
+    dump = add("qseries-dump", cmd_qseries_dump, help="dump a base q-series as JSON")
+    source = dump.add_mutually_exclusive_group(required=True)
+    source.add_argument("--series", choices=sorted(_SERIES))
+    source.add_argument("--family", help=_FAMILY_HELP)
+    dump.add_argument("--trunc", type=int, default=DEFAULT_TRUNC,
+                      help="q-series truncation (default %(default)s)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    config = RunConfig.from_args(args)
     try:
-        if args.command == "compute":
-            return cmd_compute(config)
-        if args.command == "residues":
-            return cmd_residues(config)
-        if args.command == "scan":
-            return cmd_scan(config, args.kind)
-        if args.command == "verify":
-            return cmd_verify(config, args.suite)
-        if args.command == "qseries-dump":
-            return cmd_qseries_dump(config, args.series)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except TheoryViolationError as exc:
         print(f"theory violation: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except ValueError as exc:  # ConfigError, FamilyError, bad parameters
+    except ValueError as exc:  # FamilyError, bad parameters
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

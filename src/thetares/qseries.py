@@ -229,6 +229,8 @@ def theta_series(kind: int, trunc: int) -> QSeries:
     version with sign (-1)^n (kind 4)."""
     if kind not in (3, 4):
         raise ValueError("theta kind must be 3 or 4")
+    if trunc < 0:
+        raise ValueError("truncation must be nonnegative")
     nums = [0] * (trunc + 1)
     nums[0] = 1
     n = 1

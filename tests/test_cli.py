@@ -7,6 +7,7 @@ import json
 import pytest
 
 from thetares.cli import main
+from thetares.qseries import cf_coeff
 
 
 def run_cli(capsys, *argv):
@@ -93,13 +94,21 @@ class TestResidues:
         )
         assert code == 2
 
-    def test_truncation_must_cover_poles(self, capsys):
-        code, _, err = run_cli(
-            capsys, "residues", "--family", "mult:2,8,8", "--m-max", "4",
-            "--trunc", "5",
+    def test_oracle_truncation_is_the_last_pole(self, capsys, monkeypatch):
+        truncs = []
+
+        def recording_cf_coeff(family, n, trunc=None):
+            truncs.append(trunc)
+            return cf_coeff(family, n, trunc)
+
+        monkeypatch.setattr("thetares.cli.cf_coeff", recording_cf_coeff)
+        code, out, _ = run_cli(
+            capsys, "residues", "--family", "mult:2,8,8", "--m-max", "6",
+            "--format", "json",
         )
-        assert code == 2
-        assert "trunc" in err
+        assert code == 0 and json.loads(out)["all_match"] is True
+        # a = 2: the poles of entries 1..6 sit at v = 1/3 .. 1/8
+        assert truncs == [6 + 2] * 6
 
     def test_theta_family_square_rows(self, capsys):
         # mult:0,0,1 is the single theta constant (c = 1/4): nonzero rows
@@ -183,6 +192,23 @@ class TestVerify:
         payload = json.loads(out)
         assert code == 0 and payload["passed"] is True
 
+    @pytest.mark.parametrize("suite", ["golden", "identities", "resum"])
+    def test_m_max_with_another_suite_is_a_usage_error(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--m-max", "5")
+        assert code == 2 and not out
+        assert "--m-max" in err
+
+    @pytest.mark.parametrize("m_max", ["0", "-3"])
+    def test_residues_m_max_below_one_is_a_usage_error(self, capsys, m_max):
+        code, out, err = run_cli(capsys, "verify", "--suite", "residues", "--m-max", m_max)
+        assert code == 2 and not out
+        assert "--m-max" in err
+
+    def test_csv_format_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "golden", "--format", "csv")
+        assert code == 2 and not out
+        assert "invalid choice: 'csv'" in err
+
 
 class TestQSeriesDump:
     def test_x_series(self, capsys):
@@ -203,6 +229,24 @@ class TestQSeriesDump:
         code, _, _ = run_cli(capsys, "qseries-dump", "--series", "zeta", "--trunc", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("source", [
+        ("--series", "theta3"), ("--series", "theta4"), ("--series", "x"),
+        ("--series", "y"), ("--series", "u"), ("--series", "t"),
+        ("--series", "delta"), ("--family", "mult:0,0,2"),
+        ("--family", "poly:1:[(1,0,1/3),(0,1,-2/7)]"),
+    ])
+    def test_negative_trunc_is_a_usage_error(self, capsys, source):
+        code, out, err = run_cli(capsys, "qseries-dump", *source, "--trunc", "-1")
+        assert code == 2 and not out
+        assert err.startswith("error:")
+
+    def test_series_and_family_are_exclusive(self, capsys):
+        code, out, err = run_cli(
+            capsys, "qseries-dump", "--series", "x", "--family", "mult:0,0,2",
+        )
+        assert code == 2 and not out
+        assert "not allowed with argument" in err
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "qseries-dump", "--series", "delta", "--trunc", "16")
         _, second, _ = run_cli(capsys, "qseries-dump", "--series", "delta", "--trunc", "16")
@@ -221,6 +265,7 @@ def test_compute_deterministic(capsys):
 # usage error rather than silently dropped
 _BASE_ARGV = {
     "compute": ("compute", "--family", "mult:2,8,8", "--m-max", "1"),
+    "residues": ("residues", "--family", "mult:2,8,8", "--m-max", "1"),
     "scan": ("scan", "--kind", "lehmer", "--m-max", "2"),
     "verify": ("verify", "--suite", "golden"),
     "qseries-dump": ("qseries-dump", "--series", "x"),
@@ -235,6 +280,7 @@ _FLAG_ARGV = {
 
 @pytest.mark.parametrize("command,flag", [
     ("compute", "--trunc"), ("compute", "--normalize-delta"),
+    ("residues", "--trunc"),
     ("scan", "--trunc"), ("scan", "--normalize-delta"),
     ("verify", "--trunc"), ("verify", "--cache-dir"), ("verify", "--normalize-delta"),
     ("qseries-dump", "--format"), ("qseries-dump", "--cache-dir"),

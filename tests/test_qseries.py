@@ -44,6 +44,11 @@ class TestTheta:
         with pytest.raises(ValueError):
             theta_series(2, 4)
 
+    @pytest.mark.parametrize("kind", [3, 4])
+    def test_negative_trunc(self, kind):
+        with pytest.raises(ValueError, match="nonnegative"):
+            theta_series(kind, -1)
+
 
 class TestXY:
     def test_x_expansion(self):
