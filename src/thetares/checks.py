@@ -31,6 +31,7 @@ from .rational import Poly
 from .ratfunc import RatFunc, edge_factor
 from .recurrence import (
     PRIME,
+    local_residue,
     local_residue_mod,
     rec_sequence,
     residue_report,
@@ -237,14 +238,18 @@ def resum_suite(families=(THETA2, DELTA256), m_max: int = 6, n_max: int = 12) ->
 
 
 def _jet_check(family: Family, residues: dict) -> CheckResult:
-    """The local jet mod PRIME against each global residue {m: residue}."""
+    """The local jet, exactly (the route ``thetares residues`` prints) and
+    mod PRIME (the route the scans decide by), against each global residue
+    {m: residue}."""
     bad = []
     for m, res in residues.items():
+        exact = local_residue(family, m)
         jet = local_residue_mod(family, m)
-        if jet != res.numerator * pow(res.denominator, -1, PRIME) % PRIME:
-            bad.append((m, res, jet))
+        if exact != res or jet != res.numerator * pow(res.denominator, -1, PRIME) % PRIME:
+            bad.append((m, res, exact, jet))
     return _result(
-        f"{family} local jets agree mod 2^61-1 with the residues for m <= {max(residues)}",
+        f"{family} local jets agree exactly and mod 2^61-1 with the residues "
+        f"for m <= {max(residues)}",
         not bad,
         f"first mismatch {bad[0]}" if bad else "",
     )

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .cache import SeqCache, cached_sequence
 from .checks import SUITES, run_suite
-from .families import DELTA256, THETA, THETA2, THETA4, parse_family
+from .families import DELTA256, THETA, parse_family
 from .qseries import (
     DEFAULT_TRUNC,
     cf_coeff,
@@ -37,7 +37,7 @@ from .qseries import (
 from .recurrence import (
     TheoryViolationError,
     check_perfect_odd,
-    residue_report,
+    local_residue,
     scan_lehmer,
     scan_squares,
     scan_two_squares,
@@ -95,20 +95,22 @@ def cmd_residues(args) -> int:
     # coefficient n of a q-series is exact at any truncation >= n, so the
     # oracle only has to reach the last pole parameter read
     trunc = family.edge(args.m_max)
-    seq = cached_sequence(family, args.m_max, _cache(args))
     rows = []
     all_match = True
     for m in range(1, args.m_max + 1):
-        report = residue_report(seq, m)
-        oracle = cf_coeff(family, report.pole, trunc) / norm
-        recovered = report.recovered / norm
+        # the local jet builds no entry and proves the pole at most simple,
+        # so the pole exists exactly when its residue is nonzero
+        res = local_residue(family, m)
+        pole = family.edge(m)
+        oracle = cf_coeff(family, pole, trunc) / norm
+        recovered = family.recovered_from_residue(m, res) / norm
         match = recovered == oracle
         all_match = all_match and match
         rows.append({
             "m": m,
-            "pole": report.pole,
-            "order": report.pole_order,
-            "residue": str(report.residue),
+            "pole": pole,
+            "order": 1 if res else 0,
+            "residue": str(res),
             "recovered": str(recovered),
             "oracle": str(oracle),
             "match": match,
@@ -136,11 +138,14 @@ def cmd_residues(args) -> int:
 # -- scans ------------------------------------------------------------------
 
 
-# kind -> (family, scan over its entries, the set the scan must find up to m)
+# kind -> (scan to m given the parsed flags, the set it must find up to m)
 _SET_SCANS = {
-    "two-squares": (THETA2, scan_two_squares,
+    # decided by local jets: builds no entry, so the cache is not used
+    "two-squares": (lambda m, args: scan_two_squares(m),
                     lambda m: {n for n in range(1, m + 1) if r2_count(n) > 0}),
-    "squares": (THETA, scan_squares, lambda m: {k * k for k in range(1, isqrt(m) + 1)}),
+    # reads the global theta entries, through the cache
+    "squares": (lambda m, args: scan_squares(m, cached_sequence(THETA, m, _cache(args))),
+                lambda m: {k * k for k in range(1, isqrt(m) + 1)}),
 }
 
 
@@ -151,20 +156,19 @@ def cmd_scan(args) -> int:
     payload = {"kind": kind, "m_max": m}
 
     if kind in _SET_SCANS:
-        family, scan, oracle_set = _SET_SCANS[kind]
-        found = scan(m, cached_sequence(family, m, _cache(args)))
+        scan, oracle_set = _SET_SCANS[kind]
+        found = scan(m, args)
         oracle = oracle_set(m)
         payload.update(found=sorted(found), oracle=sorted(oracle),
                        mismatches=sorted(found ^ oracle))
-    elif kind == "lehmer":
-        # decided by local jets: no entry is built, so the cache is not used
+    elif kind == "lehmer":  # decided by local jets, like two-squares
         violations = scan_lehmer(m)
         delta = delta_series(2 * m + 2)  # tau(n) is the coefficient of q^(2n)
         oracle = [k for k in range(m + 1) if delta.coeff(2 * k + 2) == 0]
         payload.update(violations=violations, oracle_tau_zeros=oracle,
                        mismatches=sorted(set(violations) ^ set(oracle)))
     else:  # perfect-odd
-        rows = check_perfect_odd(m, cached_sequence(THETA4, m, _cache(args)))
+        rows = check_perfect_odd(m)  # residues off local jets, like two-squares
         payload.update(
             rows=[{"m": mm, "residue": str(res), "is_perfect": flag} for mm, res, flag in rows],
             perfect=[mm for mm, _res, flag in rows if flag],
@@ -277,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("compute", cmd_compute, "--family", "--m-max", "--format", "--cache-dir",
         help="compute and print sequence entries")
-    residues = add("residues", cmd_residues, "--family", "--m-max", "--format", "--cache-dir",
+    residues = add("residues", cmd_residues, "--family", "--m-max", "--format",
                    help="residue table against the oracle")
     residues.add_argument("--normalize-delta", action="store_true",
                           help="divide 256*Delta coefficients by 256 "

@@ -47,8 +47,8 @@ of f_m.  The jet costs O(m^2) arithmetic operations, against a global
 prefix whose cost grows like m^5 - m^6.  Every division is by a fixed
 integer (s, s - s_k, 4, the denominators of beta, w and rhs), so the
 same jet runs modulo a large prime p (`local_residue_mod`): a nonzero
-residue mod p proves the pole, and the Lehmer scan falls back to the
-exact jet only on a zero mod p or a divisor that p divides.
+residue mod p proves the pole, and the Lehmer and two-squares scans fall
+back to the exact jet only on a zero mod p or a divisor that p divides.
 """
 
 from __future__ import annotations
@@ -385,24 +385,31 @@ def local_residue_mod(family: Family, m: int) -> int | None:
     return num * pow(den, -1, PRIME) % PRIME if den else None
 
 
-def _seq_for(family: Family, m_max: int, seq: SeqState | None) -> SeqState:
-    if seq is None:
-        return rec_sequence(family, m_max)
-    if seq.family != family:
-        raise ValueError(f"scan needs the {family} family, got {seq.family}")
-    return seq.extend_to(m_max)
+def _has_pole(family: Family, m: int) -> bool:
+    """Whether entry m has its (at most simple) pole at v = 1/edge(m),
+    decided by the jet mod PRIME; only a zero there, or a divisor PRIME
+    divides, goes to the exact jet."""
+    return bool(local_residue_mod(family, m) or local_residue(family, m))
 
 
-def scan_two_squares(m_max: int, seq: SeqState | None = None) -> set:
+def scan_two_squares(m_max: int) -> set:
     """n <= m_max whose theta^2 entry has a (simple) pole at v = 1/n;
     these are exactly the sums of two squares."""
-    seq = _seq_for(THETA2, m_max, seq)
-    return {n for n in range(1, m_max + 1) if seq.entries[n].pole_order(n) == 1}
+    return {n for n in range(1, m_max + 1) if _has_pole(THETA2, n)}
 
 
 def scan_squares(m_max: int, seq: SeqState | None = None) -> set:
-    """m <= m_max whose theta entry has a pole at v = 1/m: the squares."""
-    seq = _seq_for(THETA, m_max, seq)
+    """m <= m_max whose theta entry has a pole at v = 1/m: the squares.
+
+    Poles of this weight-1/2 family sit only at squares, and most local
+    jets would have to fall back to exact arithmetic, so this scan reads
+    the global entries (``seq``, extended as needed, or a fresh prefix).
+    """
+    if seq is None:
+        seq = rec_sequence(THETA, m_max)
+    elif seq.family != THETA:
+        raise ValueError(f"scan needs the {THETA} family, got {seq.family}")
+    seq.extend_to(m_max)
     return {m for m in range(1, m_max + 1) if seq.entries[m].pole_order(m) == 1}
 
 
@@ -410,19 +417,17 @@ def scan_lehmer(m_max: int) -> list:
     """m <= m_max where the 256*Delta entry 2m has NO pole at v = 1/(2m+2).
 
     Each such m would be a counterexample witness tau(m+1) = 0; the list
-    is expected to be empty.  Each m is decided by the jet mod PRIME; only
-    a zero there, or a divisor PRIME divides, goes to the exact jet.
+    is expected to be empty.
     """
-    return [m for m in range(m_max + 1)
-            if not local_residue_mod(DELTA256, 2 * m) and not local_residue(DELTA256, 2 * m)]
+    return [m for m in range(m_max + 1) if not _has_pole(DELTA256, 2 * m)]
 
 
-def check_perfect_odd(m_max: int, seq: SeqState | None = None) -> list:
+def check_perfect_odd(m_max: int) -> list:
     """(m, residue, is_perfect) for odd m <= m_max: the theta^4 entry's
-    residue at v = 1/m equals 16^(1-m) exactly when m is a perfect number."""
-    seq = _seq_for(THETA4, m_max, seq)
+    residue at v = 1/m, read off the local jet, equals 16^(1-m) exactly
+    when m is a perfect number."""
     out = []
     for m in range(1, m_max + 1, 2):
-        res = seq.entries[m].residue(m)
+        res = local_residue(THETA4, m)
         out.append((m, res, res == Fraction(1, 16 ** (m - 1))))
     return out

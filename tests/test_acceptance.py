@@ -124,12 +124,14 @@ def test_criterion_8_three_term_relation():
 
 def test_criterion_9_number_theoretic_scans(theta2_seq, theta_seq, delta_seq, theta4_seq):
     # two-squares scan against brute-force enumeration
-    found = scan_two_squares(40, theta2_seq)
+    found = scan_two_squares(40)
     brute = {
         n for n in range(1, 41)
         if any(a * a <= n and _is_square(n - a * a) for a in range(7))
     }
     assert found == brute
+    # the local jets agree with the global entries' pole orders
+    assert found == {n for n in range(1, 41) if theta2_seq.entries[n].pole_order(n) == 1}
 
     assert scan_squares(16, theta_seq) == {1, 4, 9, 16}
 
@@ -141,8 +143,12 @@ def test_criterion_9_number_theoretic_scans(theta2_seq, theta_seq, delta_seq, th
     ]
     assert all(ramanujan_tau(m + 1) != 0 for m in range(9))
 
-    rows = check_perfect_odd(31, theta4_seq)
+    rows = check_perfect_odd(31)
     assert [m for m, _res, flag in rows if flag] == []
+    # the local jets agree with the global entries' residues
+    assert [res for _m, res, _flag in rows] == [
+        residue_report(theta4_seq, m).residue for m in range(1, 32, 2)
+    ]
     assert all(flag == (sigma1(m) == 2 * m) for m, _res, flag in rows)
     report(9, "number-theoretic scans (two-squares 40, squares 16, lehmer 8, perfect-odd 31)")
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from thetares import parse_family, rec_sequence, residue_report
 from thetares.cli import main
 from thetares.qseries import cf_coeff
 
@@ -14,6 +15,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_entries(monkeypatch, tmp_path):
+    """Make building any global entry an error, and point
+    THETARES_CACHE_DIR at a directory that must stay absent."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a global entry was built")
+
+    for target in ("thetares.recurrence.rec_step", "thetares.cache.rec_step",
+                   "thetares.cli.cached_sequence"):
+        monkeypatch.setattr(target, refuse)
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("THETARES_CACHE_DIR", str(cache_dir))
+    return cache_dir
 
 
 class TestCompute:
@@ -122,6 +138,37 @@ class TestResidues:
         nonzero = [row["m"] for row in payload["rows"] if row["recovered"] != "0"]
         assert nonzero == [1, 4, 9]
 
+    def test_builds_no_entry(self, capsys, no_entries):
+        code, out, _ = run_cli(
+            capsys, "residues", "--family", "mult:2,8,8", "--m-max", "8",
+            "--format", "json",
+        )
+        assert code == 0 and json.loads(out)["all_match"] is True
+        assert not no_entries.exists()
+
+    @pytest.mark.parametrize("text", [
+        "mult:0,0,2", "mult:0,0,1", "mult:0,0,4", "mult:2,8,8", "mult:1,0,0",
+        "mult:1,2,3", "poly:1:[(1,0,1/3),(0,1,-2/7)]",
+    ])
+    def test_rows_equal_the_global_route(self, capsys, text):
+        m_max = 12
+        family = parse_family(text)
+        seq = rec_sequence(family, m_max)
+        expected = []
+        for m in range(1, m_max + 1):
+            report = residue_report(seq, m)
+            oracle = cf_coeff(family, report.pole, family.edge(m_max))
+            expected.append({
+                "m": m, "pole": report.pole, "order": report.pole_order,
+                "residue": str(report.residue), "recovered": str(report.recovered),
+                "oracle": str(oracle), "match": report.recovered == oracle,
+            })
+        code, out, _ = run_cli(
+            capsys, "residues", "--family", text, "--m-max", str(m_max), "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["rows"] == expected
+
 
 class TestScan:
     def test_two_squares(self, capsys):
@@ -155,6 +202,28 @@ class TestScan:
         )
         assert code == 0 and json.loads(out)["passed"] is True
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["two-squares", "perfect-odd"])
+    def test_jet_scans_build_no_entry(self, capsys, no_entries, kind):
+        code, out, _ = run_cli(
+            capsys, "scan", "--kind", kind, "--m-max", "9", "--format", "json",
+            "--cache-dir", str(no_entries),
+        )
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert not no_entries.exists()
+
+    def test_squares_reads_the_cache(self, capsys, monkeypatch, tmp_path):
+        argv = ("scan", "--kind", "squares", "--m-max", "9", "--format", "json",
+                "--cache-dir", str(tmp_path))
+        code, first, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(list(tmp_path.iterdir())) == 10  # entries 0..9
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an entry was recomputed")
+
+        monkeypatch.setattr("thetares.cache.rec_step", refuse)
+        code, second, _ = run_cli(capsys, *argv)
+        assert code == 0 and second == first
 
     def test_perfect_odd(self, capsys):
         code, out, _ = run_cli(
@@ -280,7 +349,7 @@ _FLAG_ARGV = {
 
 @pytest.mark.parametrize("command,flag", [
     ("compute", "--trunc"), ("compute", "--normalize-delta"),
-    ("residues", "--trunc"),
+    ("residues", "--trunc"), ("residues", "--cache-dir"),
     ("scan", "--trunc"), ("scan", "--normalize-delta"),
     ("verify", "--trunc"), ("verify", "--cache-dir"), ("verify", "--normalize-delta"),
     ("qseries-dump", "--format"), ("qseries-dump", "--cache-dir"),

@@ -286,7 +286,7 @@ class TestScans:
 
     def test_scan_rejects_wrong_family(self, delta_seq):
         with pytest.raises(ValueError):
-            scan_two_squares(3, delta_seq)
+            scan_squares(3, delta_seq)
 
 
 class TestLocalJets:
@@ -339,5 +339,18 @@ class TestLocalJets:
         failed = [r.name for r in results if not r.passed]
         assert failed == [
             "theta^2 residues recover r2(m) for m <= 6",
-            "theta^2 local jets agree mod 2^61-1 with the residues for m <= 6",
+            "theta^2 local jets agree exactly and mod 2^61-1 with the residues for m <= 6",
+        ]
+
+    def test_residues_suite_catches_a_wrong_exact_jet(self, monkeypatch):
+        # the residue `thetares residues` prints, off by a factor of 2: the
+        # mod-p comparison alone would not see it
+        from thetares import checks
+
+        monkeypatch.setattr(checks, "local_residue", lambda family, m: 2 * local_residue(family, m))
+        results = checks.residues_suite(theta2_max=4, other_max=2)
+        failed = [r.name for r in results if not r.passed]
+        assert failed == [
+            f"{family} local jets agree exactly and mod 2^61-1 with the residues for m <= {m}"
+            for family, m in (("theta^2", 4), ("theta^4", 2), ("theta", 2), ("256*Delta", 2))
         ]
