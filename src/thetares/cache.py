@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .families import Family
 from .ratfunc import RatFunc
-from .recurrence import SeqState, rec_step
+from .recurrence import rec_sequence
 
 CACHE_FORMAT = 1
 
@@ -70,26 +70,6 @@ class SeqCache:
                 pass
             raise
 
-    def load_prefix(self, family: Family, m_max: int) -> list:
-        """Longest consecutive run of valid entries 0, 1, ... up to m_max."""
-        entries = []
-        for m in range(m_max + 1):
-            entry = self.read(family, m)
-            if entry is None:
-                break
-            entries.append(entry)
-        return entries
 
-
-def cached_sequence(family: Family, m_max: int, cache: SeqCache | None = None) -> SeqState:
-    """rec_sequence with optional persistence."""
-    if cache is None:
-        return SeqState(family).extend_to(m_max)
-    entries = cache.load_prefix(family, m_max)
-    while len(entries) <= m_max:
-        m = len(entries)
-        prev = entries[-1] if m else None
-        entry = rec_step(family, m, prev)
-        cache.write(family, m, entry)
-        entries.append(entry)
-    return SeqState(family, entries)
+# the builder reads and writes through a SeqCache; the name stays for callers
+cached_sequence = rec_sequence

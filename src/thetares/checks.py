@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import prod
 
 from .families import DELTA256, THETA, THETA2, THETA4, Family
@@ -257,36 +258,24 @@ def _jet_check(family: Family, residues: dict) -> CheckResult:
 
 def residues_suite(theta2_max: int = 30, other_max: int = 15,
                    seqs: dict | None = None) -> list:
+    """Global residues against the q-series oracle, and the local jets
+    against the global residues; ``seqs`` may supply any family's prefix."""
     out = []
-    seq = (seqs or {}).get(THETA2) or rec_sequence(THETA2, theta2_max)
-    seq.extend_to(theta2_max)
-    bad = []
-    residues = {}
-    for m in range(1, theta2_max + 1):
-        report = residue_report(seq, m)
-        residues[m] = report.residue
-        if report.pole_order > 1 or report.recovered != r2_count(m):
-            bad.append((m, report.recovered, r2_count(m)))
-    out.append(_result(
-        f"theta^2 residues recover r2(m) for m <= {theta2_max}",
-        not bad,
-        f"first mismatch {bad[0]}" if bad else "",
-    ))
-    out.append(_jet_check(THETA2, residues))
-
-    for family in (THETA4, THETA, DELTA256):
-        seq = (seqs or {}).get(family) or rec_sequence(family, other_max)
-        seq.extend_to(other_max)
+    runs = [(THETA2, theta2_max, r2_count, "residues recover r2(m)")]
+    runs += [(family, other_max, partial(cf_coeff, family), "residues recover q-coefficients")
+             for family in (THETA4, THETA, DELTA256)]
+    for family, m_max, oracle, name in runs:
+        seq = (seqs or {}).get(family) or rec_sequence(family, m_max)
         bad = []
         residues = {}
-        for m in range(1, other_max + 1):
+        for m in range(1, m_max + 1):
             report = residue_report(seq, m)
             residues[m] = report.residue
-            oracle = cf_coeff(family, report.pole)
-            if report.recovered != oracle:
-                bad.append((m, report.recovered, oracle))
+            expected = oracle(report.pole)
+            if report.recovered != expected:
+                bad.append((m, report.recovered, expected))
         out.append(_result(
-            f"{family} residues recover q-coefficients for m <= {other_max}",
+            f"{family} {name} for m <= {m_max}",
             not bad,
             f"first mismatch {bad[0]}" if bad else "",
         ))

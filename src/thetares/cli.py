@@ -19,9 +19,9 @@ import sys
 from math import isqrt
 from pathlib import Path
 
-from .cache import SeqCache, cached_sequence
+from .cache import SeqCache
 from .checks import SUITES, run_suite
-from .families import DELTA256, THETA, parse_family
+from .families import DELTA256, parse_family
 from .qseries import (
     DEFAULT_TRUNC,
     cf_coeff,
@@ -38,6 +38,7 @@ from .recurrence import (
     TheoryViolationError,
     check_perfect_odd,
     local_residue,
+    rec_sequence,
     scan_lehmer,
     scan_squares,
     scan_two_squares,
@@ -66,7 +67,7 @@ def cmd_compute(args) -> int:
     family = parse_family(args.family)
     if args.m_max < 0:
         raise ValueError("--m-max must be nonnegative")
-    seq = cached_sequence(family, args.m_max, _cache(args))
+    seq = rec_sequence(family, args.m_max, _cache(args))
     if args.format == "json":
         rows = [{"m": m, **entry.to_json_dict()} for m, entry in enumerate(seq.entries)]
         _emit_json({"family": family.canonical(), "entries": rows})
@@ -144,12 +145,14 @@ _SET_SCANS = {
     "two-squares": (lambda m, args: scan_two_squares(m),
                     lambda m: {n for n in range(1, m + 1) if r2_count(n) > 0}),
     # reads the global theta entries, through the cache
-    "squares": (lambda m, args: scan_squares(m, cached_sequence(THETA, m, _cache(args))),
+    "squares": (lambda m, args: scan_squares(m, _cache(args)),
                 lambda m: {k * k for k in range(1, isqrt(m) + 1)}),
 }
 
 
 def cmd_scan(args) -> int:
+    if args.cache_dir is not None and args.kind != "squares":
+        raise ValueError("--cache-dir only applies to --kind squares")
     if args.m_max < 1:
         raise ValueError("--m-max must be at least 1")
     kind, m = args.kind, args.m_max

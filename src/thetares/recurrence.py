@@ -208,26 +208,37 @@ def relation_defect(family: Family, m: int, entry: RatFunc,
     return next(((n, c) for n, c in enumerate(rel) if c), None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeqState:
-    """A computed prefix of one family's v-side sequence."""
+    """A computed prefix e_0..e_M of one family's v-side sequence."""
 
     family: Family
     entries: list = field(default_factory=list)
 
-    def extend_to(self, m_max: int) -> "SeqState":
-        while len(self.entries) <= m_max:
-            m = len(self.entries)
-            prev = self.entries[-1] if m else None
-            self.entries.append(rec_step(self.family, m, prev))
-        return self
 
+def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
+    """Entries 0..m_max, computed in order.
 
-def rec_sequence(family: Family, m_max: int) -> SeqState:
-    """Entries 0..m_max, computed in order."""
+    With a ``cache`` (a `thetares.cache.SeqCache`), the longest run of
+    valid cached entries 0, 1, ... is read first, and each entry computed
+    after it is written as soon as it exists, so an interrupted run keeps
+    its progress.
+    """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    return SeqState(family).extend_to(m_max)
+    entries = []
+    while cache is not None and len(entries) <= m_max:
+        entry = cache.read(family, len(entries))
+        if entry is None:
+            break
+        entries.append(entry)
+    while len(entries) <= m_max:
+        m = len(entries)
+        entry = rec_step(family, m, entries[-1] if m else None)
+        if cache is not None:
+            cache.write(family, m, entry)
+        entries.append(entry)
+    return SeqState(family, entries)
 
 
 # -- the u-side -----------------------------------------------------------
@@ -290,10 +301,11 @@ class ResidueReport:
 
 
 def residue_report(seq: SeqState, m: int) -> ResidueReport:
-    """Pole data of entry m and the q-expansion coefficient it encodes."""
-    if m < 1:
-        raise ValueError("the residue identity applies for m >= 1")
-    seq.extend_to(m)
+    """Pole data of entry m of the prefix ``seq`` and the q-expansion
+    coefficient it encodes; the prefix is read, never extended."""
+    if not 1 <= m < len(seq.entries):
+        raise ValueError(f"the residue identity needs 1 <= m <= {len(seq.entries) - 1} "
+                         f"(the given prefix), got m = {m}")
     family = seq.family
     entry = seq.entries[m]
     pole = family.edge(m)
@@ -398,19 +410,15 @@ def scan_two_squares(m_max: int) -> set:
     return {n for n in range(1, m_max + 1) if _has_pole(THETA2, n)}
 
 
-def scan_squares(m_max: int, seq: SeqState | None = None) -> set:
+def scan_squares(m_max: int, cache=None) -> set:
     """m <= m_max whose theta entry has a pole at v = 1/m: the squares.
 
     Poles of this weight-1/2 family sit only at squares, and most local
     jets would have to fall back to exact arithmetic, so this scan reads
-    the global entries (``seq``, extended as needed, or a fresh prefix).
+    the global entries (`rec_sequence`, through ``cache`` when given).
     """
-    if seq is None:
-        seq = rec_sequence(THETA, m_max)
-    elif seq.family != THETA:
-        raise ValueError(f"scan needs the {THETA} family, got {seq.family}")
-    seq.extend_to(m_max)
-    return {m for m in range(1, m_max + 1) if seq.entries[m].pole_order(m) == 1}
+    entries = rec_sequence(THETA, m_max, cache).entries
+    return {m for m in range(1, m_max + 1) if entries[m].pole_order(m) == 1}
 
 
 def scan_lehmer(m_max: int) -> list:

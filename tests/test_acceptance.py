@@ -122,7 +122,7 @@ def test_criterion_8_three_term_relation():
         assert max_three_term_defect(family, 6, 40) is None
     report(8, "three-term relation for P=y and theta^2, n <= 6 (trunc 40)")
 
-def test_criterion_9_number_theoretic_scans(theta2_seq, theta_seq, delta_seq, theta4_seq):
+def test_criterion_9_number_theoretic_scans(theta2_seq, delta_seq, theta4_seq):
     # two-squares scan against brute-force enumeration
     found = scan_two_squares(40)
     brute = {
@@ -133,7 +133,7 @@ def test_criterion_9_number_theoretic_scans(theta2_seq, theta_seq, delta_seq, th
     # the local jets agree with the global entries' pole orders
     assert found == {n for n in range(1, 41) if theta2_seq.entries[n].pole_order(n) == 1}
 
-    assert scan_squares(16, theta_seq) == {1, 4, 9, 16}
+    assert scan_squares(16) == {1, 4, 9, 16}
 
     violations = scan_lehmer(8)
     assert violations == []

@@ -2,7 +2,10 @@
 
 import json
 
-from thetares import DELTA256, THETA2, Poly, RatFunc, __version__, rec_sequence
+import pytest
+
+from thetares import DELTA256, THETA2, Poly, RatFunc, __version__, rec_sequence, rec_step
+from thetares import recurrence
 from thetares.cache import SeqCache, cached_sequence
 from thetares.cli import main
 
@@ -99,6 +102,39 @@ def test_distinct_families_do_not_collide(tmp_path):
     cached_sequence(THETA2, 1, cache)
     cached_sequence(DELTA256, 1, cache)
     assert cache.read(THETA2, 1) != cache.read(DELTA256, 1)
+
+
+def test_interrupted_run_keeps_its_progress(tmp_path, monkeypatch):
+    cache = SeqCache(tmp_path)
+
+    def step(family, m, prev=None):
+        if m == 3:
+            raise RuntimeError("interrupted")
+        return rec_step(family, m, prev)
+
+    monkeypatch.setattr(recurrence, "rec_step", step)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cached_sequence(THETA2, 5, cache)
+    assert [cache.read(THETA2, m) is not None for m in range(4)] == [True] * 3 + [False]
+
+
+def test_forged_cached_factor_is_a_theory_violation(tmp_path, capsys):
+    # a cached theta^2 entry 3 with an extra factor (1 - 4v), the next edge:
+    # entry 4, built on it, would have a pole of order 4 at v = 1/4
+    def compute(m_max):
+        return main(["compute", "--family", "mult:0,0,2", "--m-max", str(m_max),
+                     "--format", "json", "--cache-dir", str(tmp_path)])
+
+    assert compute(3) == 0
+    capsys.readouterr()
+    path = SeqCache(tmp_path).entry_path(THETA2, 3)
+    data = json.loads(path.read_text())
+    data["entry"]["den"].append([4, 1])
+    path.write_text(json.dumps(data))
+    assert compute(4) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("theory violation: entry 4 ")
 
 
 def test_cli_uses_cache_dir(tmp_path, capsys):

@@ -17,6 +17,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _csv(*rows):
+    return "".join(f"{row}\r\n" for row in rows)
+
+
+def _lines(*lines):
+    return "".join(f"{line}\n" for line in lines)
+
+
 @pytest.fixture
 def no_entries(monkeypatch, tmp_path):
     """Make building any global entry an error, and point
@@ -24,9 +32,7 @@ def no_entries(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("a global entry was built")
 
-    for target in ("thetares.recurrence.rec_step", "thetares.cache.rec_step",
-                   "thetares.cli.cached_sequence"):
-        monkeypatch.setattr(target, refuse)
+    monkeypatch.setattr("thetares.recurrence.rec_step", refuse)
     cache_dir = tmp_path / "cache"
     monkeypatch.setenv("THETARES_CACHE_DIR", str(cache_dir))
     return cache_dir
@@ -138,6 +144,20 @@ class TestResidues:
         nonzero = [row["m"] for row in payload["rows"] if row["recovered"] != "0"]
         assert nonzero == [1, 4, 9]
 
+    def test_pretty_table(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "residues", "--family", "mult:0,0,2", "--m-max", "6", "--format", "pretty",
+        )
+        assert code == 0 and out == _lines(
+            "   m  pole order                  residue        recovered           oracle match",
+            "   1     1     1                      1/4                4                4 yes",
+            "   2     2     1                   -1/128                4                4 yes",
+            "   3     3     0                        0                0                0 yes",
+            "   4     4     1                 -1/65536                4                4 yes",
+            "   5     5     1                 1/655360                8                8 yes",
+            "   6     6     0                        0                0                0 yes",
+        )
+
     def test_builds_no_entry(self, capsys, no_entries):
         code, out, _ = run_cli(
             capsys, "residues", "--family", "mult:2,8,8", "--m-max", "8",
@@ -170,6 +190,33 @@ class TestResidues:
         assert json.loads(out)["rows"] == expected
 
 
+# exact csv and pretty output of every scan kind; json is checked by field
+_SCAN_TEXT = {
+    ("two-squares", 10, "csv"): _csv("found", 1, 2, 4, 5, 8, 9, 10),
+    ("two-squares", 10, "pretty"): _lines(
+        "found: [1, 2, 4, 5, 8, 9, 10]", "kind: two-squares", "m_max: 10",
+        "mismatches: []", "oracle: [1, 2, 4, 5, 8, 9, 10]", "passed: True"),
+    ("squares", 10, "csv"): _csv("found", 1, 4, 9),
+    ("squares", 10, "pretty"): _lines(
+        "found: [1, 4, 9]", "kind: squares", "m_max: 10", "mismatches: []",
+        "oracle: [1, 4, 9]", "passed: True"),
+    ("lehmer", 4, "csv"): _csv("violations"),
+    ("lehmer", 4, "pretty"): _lines(
+        "kind: lehmer", "m_max: 4", "mismatches: []", "oracle_tau_zeros: []",
+        "passed: True", "violations: []"),
+    ("perfect-odd", 10, "csv"): _csv(
+        "m,residue,is_perfect", "1,1/2,false", "3,1/384,false", "5,3/327680,false",
+        "7,1/29360128,false", "9,13/77309411328,false"),
+    ("perfect-odd", 10, "pretty"): _lines(
+        "kind: perfect-odd", "m_max: 10", "mismatches: []", "passed: True", "perfect: []",
+        "rows: [{'m': 1, 'residue': '1/2', 'is_perfect': False}, "
+        "{'m': 3, 'residue': '1/384', 'is_perfect': False}, "
+        "{'m': 5, 'residue': '3/327680', 'is_perfect': False}, "
+        "{'m': 7, 'residue': '1/29360128', 'is_perfect': False}, "
+        "{'m': 9, 'residue': '13/77309411328', 'is_perfect': False}]"),
+}
+
+
 class TestScan:
     def test_two_squares(self, capsys):
         code, out, _ = run_cli(
@@ -195,10 +242,10 @@ class TestScan:
         payload = json.loads(out)
         assert code == 0 and payload["violations"] == []
 
-    def test_lehmer_leaves_the_cache_alone(self, capsys, tmp_path):
+    def test_lehmer_leaves_the_cache_alone(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("THETARES_CACHE_DIR", str(tmp_path / "cache"))
         code, out, _ = run_cli(
             capsys, "scan", "--kind", "lehmer", "--m-max", "4", "--format", "json",
-            "--cache-dir", str(tmp_path / "cache"),
         )
         assert code == 0 and json.loads(out)["passed"] is True
         assert list(tmp_path.iterdir()) == []
@@ -207,7 +254,6 @@ class TestScan:
     def test_jet_scans_build_no_entry(self, capsys, no_entries, kind):
         code, out, _ = run_cli(
             capsys, "scan", "--kind", kind, "--m-max", "9", "--format", "json",
-            "--cache-dir", str(no_entries),
         )
         assert code == 0 and json.loads(out)["passed"] is True
         assert not no_entries.exists()
@@ -221,7 +267,7 @@ class TestScan:
         def refuse(*args, **kwargs):
             raise AssertionError("an entry was recomputed")
 
-        monkeypatch.setattr("thetares.cache.rec_step", refuse)
+        monkeypatch.setattr("thetares.recurrence.rec_step", refuse)
         code, second, _ = run_cli(capsys, *argv)
         assert code == 0 and second == first
 
@@ -236,6 +282,13 @@ class TestScan:
     def test_unknown_kind_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--kind", "nonsense", "--m-max", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("kind,m_max,fmt", list(_SCAN_TEXT))
+    def test_exact_text(self, capsys, kind, m_max, fmt):
+        code, out, _ = run_cli(
+            capsys, "scan", "--kind", kind, "--m-max", str(m_max), "--format", fmt,
+        )
+        assert code == 0 and out == _SCAN_TEXT[kind, m_max, fmt]
 
 
 class TestVerify:
@@ -331,11 +384,14 @@ def test_compute_deterministic(capsys):
 
 
 # flags a subcommand would ignore are not registered, so passing one is a
-# usage error rather than silently dropped
+# usage error rather than silently dropped; scan registers --cache-dir for
+# --kind squares alone and rejects it with the three kinds decided by jets
 _BASE_ARGV = {
     "compute": ("compute", "--family", "mult:2,8,8", "--m-max", "1"),
     "residues": ("residues", "--family", "mult:2,8,8", "--m-max", "1"),
     "scan": ("scan", "--kind", "lehmer", "--m-max", "2"),
+    "scan-two-squares": ("scan", "--kind", "two-squares", "--m-max", "2"),
+    "scan-perfect-odd": ("scan", "--kind", "perfect-odd", "--m-max", "2"),
     "verify": ("verify", "--suite", "golden"),
     "qseries-dump": ("qseries-dump", "--series", "x"),
 }
@@ -350,7 +406,8 @@ _FLAG_ARGV = {
 @pytest.mark.parametrize("command,flag", [
     ("compute", "--trunc"), ("compute", "--normalize-delta"),
     ("residues", "--trunc"), ("residues", "--cache-dir"),
-    ("scan", "--trunc"), ("scan", "--normalize-delta"),
+    ("scan", "--trunc"), ("scan", "--normalize-delta"), ("scan", "--cache-dir"),
+    ("scan-two-squares", "--cache-dir"), ("scan-perfect-odd", "--cache-dir"),
     ("verify", "--trunc"), ("verify", "--cache-dir"), ("verify", "--normalize-delta"),
     ("qseries-dump", "--format"), ("qseries-dump", "--cache-dir"),
     ("qseries-dump", "--normalize-delta"),
@@ -358,4 +415,7 @@ _FLAG_ARGV = {
 def test_ignored_flag_is_a_usage_error(capsys, command, flag):
     code, out, err = run_cli(capsys, *_BASE_ARGV[command], *_FLAG_ARGV[flag])
     assert code == 2 and not out
-    assert f"unrecognized arguments: {flag}" in err
+    if command.startswith("scan") and flag == "--cache-dir":
+        assert err == "error: --cache-dir only applies to --kind squares\n"
+    else:
+        assert f"unrecognized arguments: {flag}" in err

@@ -13,6 +13,8 @@ from thetares import (
     Family,
     Poly,
     RatFunc,
+    SeqState,
+    TheoryViolationError,
     check_perfect_odd,
     local_residue,
     local_residue_mod,
@@ -262,6 +264,18 @@ class TestResidueReport:
         with pytest.raises(ValueError):
             residue_report(theta2_seq, 0)
 
+    def test_reads_only_the_given_prefix(self):
+        seq = rec_sequence(THETA2, 2)
+        with pytest.raises(ValueError):
+            residue_report(seq, 3)
+        assert len(seq.entries) == 3
+
+    def test_double_edge_pole_is_a_theory_violation(self):
+        seq = SeqState(THETA2, [rec_step(THETA2, 0), RatFunc(Poly([1]), [(1, 2)])])
+        with pytest.raises(TheoryViolationError) as info:
+            residue_report(seq, 1)
+        assert (info.value.m, info.value.order) == (1, 2)
+
 
 class TestScans:
     def test_two_squares_small(self):
@@ -283,10 +297,6 @@ class TestScans:
         assert m9[0] == 9
         assert m9[1] == Fraction(8 * 13, 9 * 16**9)
         assert m9[2] is False
-
-    def test_scan_rejects_wrong_family(self, delta_seq):
-        with pytest.raises(ValueError):
-            scan_squares(3, delta_seq)
 
 
 class TestLocalJets:
