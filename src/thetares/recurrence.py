@@ -38,17 +38,44 @@ so e_0 .. e_{m-1} are regular at v0 = 1/s.  Put v = (1 + t) / s; then
 theta = (1 + t) d/dt has integer coefficients, and
 1 - s_k v = ((s - s_k) - s_k t) / s is a unit in the Taylor jets at
 t = 0 for k < m.  So the relations run on jets: start from e_{-1} = 0
-with 2m + 3 terms; step k forms f_k = rhs_k - v G_k(e_{k-1}), two terms
-shorter than e_{k-1} since G applies theta twice, and divides it by the
-unit 1 - s_k v.  At k = m, 1 - s v = -t, so e_m = -f_m / t with f_m
-regular at t = 0: the pole at v = 1/s is at most simple, whatever the
+with 2m + 3 terms; step k forms f_k = rhs_k - v G_k(e_{k-1}) and divides
+it by the unit 1 - s_k v.  At k = m, 1 - s v = -t, so e_m = -f_m / t with
+f_m regular at t = 0: the pole at v = 1/s is at most simple, whatever the
 family, and Res_{v=1/s} e_m = -f_m(v0) / s needs only the constant term
 of f_m.  The jet costs O(m^2) arithmetic operations, against a global
-prefix whose cost grows like m^5 - m^6.  Every division is by a fixed
-integer (s, s - s_k, 4, the denominators of beta, w and rhs), so the
-same jet runs modulo a large prime p (`local_residue_mod`): a nonzero
-residue mod p proves the pole, and the Lehmer and two-squares scans fall
-back to the exact jet only on a zero mod p or a divisor that p divides.
+prefix whose cost grows like m^5 - m^6.
+
+With e_{k-1} = c / den, q = lcm(4, the denominators of beta, w/4 and
+(w+1)/4), cwq = q w/4, cw1q = q (w+1)/4, q4 = q/4, B = s q and rd the
+denominator of rhs_k, f_k over den q s^2 rd has the integer coefficients
+
+    f_i = rd (sum_{j=-2..2} P_j(i) c_{i+j} - A (c_{i-1} + c_i)),
+    c_{-1} = c_{-2} = 0,  A = s q (k - 1 - beta),
+
+plus the rhs term at t^0: a five-point stencil, two terms shorter than c
+since G applies theta twice.  Its rows are
+
+    P_-2(i) = (2 cw1q - cwq - 4 q4) + (4 q4 - cw1q) i - q4 i^2
+    P_-1(i) = (-B + 3 cw1q - 2 cwq - 5 q4) + (B - 3 cw1q + 9 q4) i - 4 q4 i^2
+    P_0(i)  = -cwq + (2 B - 3 cw1q + 3 q4) i - 6 q4 i^2
+    P_+1(i) = (B - cw1q - q4) + (B - cw1q - 5 q4) i - 4 q4 i^2
+    P_+2(i) = -q4 (i + 1) (i + 2).
+
+They come from theta, v = (1 + t) / s and the terms of G that do not
+involve m, so one set serves every step of the jet; only the relation's
+m - 1 - beta (in A) and its rhs (in rd) change with k.
+
+Every division is by a fixed integer (s, s - s_k, 4, the denominators of
+beta, w and rhs).  The unit division takes no modular inverse: it
+multiplies by powers of u = s - s_k and moves u^n into den, so the same
+jet runs modulo a large prime p (`local_residue_mod`), and a divisor
+that p divides still shows as den = 0 mod p.  A nonzero residue mod p
+proves the pole, and the Lehmer and two-squares scans fall back to the
+exact jet only on a zero mod p or on den = 0 mod p.  The exact jet takes
+the content of (c, den) against the step's new unit power u^n, not the
+whole of den: any common divisor keeps num / den exact, since
+`local_residue` returns Fraction(num, den), and the gcd runs against a
+short integer.
 """
 
 from __future__ import annotations
@@ -321,12 +348,6 @@ def residue_report(seq: SeqState, m: int) -> ResidueReport:
 PRIME = 2**61 - 1  # the modulus of `local_residue_mod`
 
 
-def _theta_jet(c: list) -> list:
-    """theta = (1 + t) d/dt on a jet in t; one term shorter."""
-    d = [i * x for i, x in enumerate(c)][1:]
-    return [x + y for x, y in zip(d, [0] + d)]
-
-
 def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
     """Integers (num, den) with Res_{v=1/s} e_m = num / den, both reduced
     mod ``modulus`` when it is nonzero (derivation in the module docstring).
@@ -341,22 +362,28 @@ def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
         raise ValueError(f"entry {m} of family {family} has no edge pole (s = {s})")
     beta, cw, cw1 = family.beta, family.w / 4, (family.w + 1) / 4
     q = lcm(beta.denominator, cw.denominator, cw1.denominator, 4)
-    cwq, cw1q, q4 = int(cw * q), int(cw1 * q), q // 4
+    cwq, cw1q, q4, bq, b = int(cw * q), int(cw1 * q), q // 4, int(beta * q), s * q
+    # the stencil rows P_-2 .. P_2, one entry per coefficient of f_0
+    idx = range(2 * m + 1)
+    rows = (
+        [2 * cw1q - cwq - 4 * q4 + (4 * q4 - cw1q - q4 * i) * i for i in idx],
+        [-b + 3 * cw1q - 2 * cwq - 5 * q4 + (b - 3 * cw1q + 9 * q4 - 4 * q4 * i) * i
+         for i in idx],
+        [-cwq + (2 * b - 3 * cw1q + 3 * q4 - 6 * q4 * i) * i for i in idx],
+        [b - cw1q - q4 + (b - cw1q - 5 * q4 - 4 * q4 * i) * i for i in idx],
+        [-q4 * (i + 1) * (i + 2) for i in idx],
+    )
+    rhs = [Fraction(family.rhs(k)) for k in range(m + 1)]
     jet, den = [0] * (2 * m + 3), 1  # e_{-1} = 0, as a jet over den
-    for k in range(m + 1):
-        rhs = Fraction(family.rhs(k))
-        rn, rd = rhs.numerator, rhs.denominator
-        c0q = int((k - 1 - beta) * q)
-        t1 = _theta_jet(jet)
-        t2 = _theta_jet(t1)
-        # g = q s G_k(e) = q s (c0 - theta) e
-        #     + (1 + t) q [w/4 + (w+1)/4 theta + 1/4 theta^2] e
-        x = [cwq * e0 + cw1q * e1 + q4 * e2 for e0, e1, e2 in zip(jet, t1, t2)]
-        g = [s * (c0q * e0 - q * e1) + y + z for e0, e1, y, z in zip(jet, t1, x, [0] + x)]
-        # f = rn / rd - v G with v = (1 + t) / s, over den q s^2 rd
-        f = [-rd * (y + z) for y, z in zip(g, [0] + g)]
+    for k, r in enumerate(rhs):
+        rn, rd, a = r.numerator, r.denominator, s * ((k - 1) * q - bq)
+        # f = rhs_k - v G_k(e) over den q s^2 rd: the stencil on the jet c
+        c = [0, 0, *jet]
+        f = [rd * (pm2 * cm2 + (pm1 - a) * cm1 + (p0 - a) * c0 + pp1 * cp1 + pp2 * cp2)
+             for pm2, pm1, p0, pp1, pp2, cm2, cm1, c0, cp1, cp2
+             in zip(*rows, c, c[1:], c[2:], c[3:], c[4:])]
         f[0] += rn * den * q * s * s
-        den *= q * s * rd
+        den *= b * rd
         if k == m:  # e_m = f / (1 - s v) = -f / t and dv = dt / s
             num, den = -f[0], den * s * s
             break
@@ -372,11 +399,13 @@ def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
             acc = p * fi + sk * acc
             jet.append(acc)
         jet = [y * p for y, p in zip(jet, reversed(pw))]
-        den *= pw[-1] * u
+        unit = pw[-1] * u
+        den *= unit
         if modulus:
             jet, den = [y % modulus for y in jet], den % modulus
-        else:
-            gcd = backend.content_gcd(jet, den)
+        else:  # any divisor of the new unit power keeps num / den exact; the
+            # tail, with the fewest forced factors u, cuts the gcd down soonest
+            gcd = backend.content_gcd(reversed(jet), unit)
             jet, den = [y // gcd for y in jet], den // gcd
     if modulus:
         return num % modulus, den % modulus

@@ -17,6 +17,8 @@ from thetares import (
     Family,
 
     check_perfect_odd,
+    local_residue,
+    local_residue_mod,
     r2_count,
     ramanujan_tau,
     rec_sequence,
@@ -35,6 +37,7 @@ from thetares.checks import (
     max_three_term_defect,
 )
 from thetares.ratfunc import edge_factor
+from thetares.recurrence import PRIME
 
 @pytest.fixture(scope="module")
 def theta2_seq():
@@ -86,13 +89,18 @@ def test_criterion_3_golden_q11(theta_seq):
     report(3, "golden Q11 denominator (1-v)^21 (1-4v)^15 (1-9v)^5")
 
 def test_criterion_4_theta2_residues_to_30(theta2_seq):
-    for m in range(1, 31):
+    for m in range(1, 41):
         rep = residue_report(theta2_seq, m)
         assert rep.pole_order <= 1
         sign = (-1) ** (m - 1)
         assert sign * m * 16**m * rep.residue == rep.recovered
         assert rep.recovered == r2_count(m)  # dual oracle self-checks
-    report(4, "theta^2 residues recover r2(m), m <= 30")
+        # the paper's formula read off the exact local jet; the zeros (m not
+        # a sum of two squares) are the two-squares scan's exact fallbacks
+        res = local_residue(THETA2, m)
+        assert res == rep.residue == Fraction(sign * r2_count(m), m * 16**m)
+        assert local_residue_mod(THETA2, m) == res.numerator * pow(res.denominator, -1, PRIME) % PRIME
+    report(4, "theta^2 residues recover r2(m), global and local jets, m <= 40")
 
 def test_criterion_5_multiplicative_residues_to_15(theta4_seq, theta_seq, delta_seq):
     from thetares import cf_coeff

@@ -309,6 +309,13 @@ class TestLocalJets:
                 assert local_residue_mod(seq.family, m) == (
                     res.numerator * pow(res.denominator, -1, p) % p)
 
+    def test_mod_p_matches_exact_at_depth(self):
+        # no global 256*Delta entry reaches this depth: mod p against exact
+        p = recurrence.PRIME
+        for m in range(0, 41, 2):
+            res = local_residue(DELTA256, m)
+            assert local_residue_mod(DELTA256, m) == res.numerator * pow(res.denominator, -1, p) % p
+
     def test_initial_entry(self):
         assert local_residue(DELTA256, 0) == rec_step(DELTA256, 0).residue(2) == Fraction(-1, 2)
         with pytest.raises(ValueError):
