@@ -66,16 +66,23 @@ involve m, so one set serves every step of the jet; only the relation's
 m - 1 - beta (in A) and its rhs (in rd) change with k.
 
 Every division is by a fixed integer (s, s - s_k, 4, the denominators of
-beta, w and rhs).  The unit division takes no modular inverse: it
-multiplies by powers of u = s - s_k and moves u^n into den, so the same
-jet runs modulo a large prime p (`local_residue_mod`), and a divisor
-that p divides still shows as den = 0 mod p.  A nonzero residue mod p
-proves the pole, and the Lehmer and two-squares scans fall back to the
-exact jet only on a zero mod p or on den = 0 mod p.  The exact jet takes
-the content of (c, den) against the step's new unit power u^n, not the
-whole of den: any common divisor keeps num / den exact, since
-`local_residue` returns Fraction(num, den), and the gcd runs against a
-short integer.
+beta, w and rhs).  Dividing f by the unit u - s_k t, u = s - s_k, gives
+y_i = (f_i + s_k y_{i-1}) / u.  The exact jet first divides by u
+directly; when every y_i is an integer it keeps y over the same den.
+Otherwise the step takes the power route: it forms the integers
+u^n y_i = Q_i u^(n-1-i) from Q_i = u^i f_i + s_k Q_{i-1}, moves u^n into
+den, and takes the content of (c, den) against that new u^n (any common
+divisor keeps num / den exact, since `local_residue` returns
+Fraction(num, den)).  The two routes give the same (num, den): when y is
+integral, every u^n y_i is a multiple of u^n, so the content is u^n
+itself and the power route also leaves y over den.  The power route is
+taken only by steps where some y_i is not an integer, mostly at i = 0,
+where f_0 is no multiple of u.  The mod-p jet (`local_residue_mod`, p a
+large prime) takes the power route on every step, with no modular
+inverse, so a divisor that p divides still shows as den = 0 mod p.  A
+nonzero residue mod p proves the pole, and the Lehmer and two-squares
+scans fall back to the exact jet only on a zero mod p or on den = 0
+mod p.
 """
 
 from __future__ import annotations
@@ -387,10 +394,24 @@ def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
         if k == m:  # e_m = f / (1 - s v) = -f / t and dv = dt / s
             num, den = -f[0], den * s * s
             break
-        # e_k = s f / (u - s_k t), u = s - s_k: with Q_i = u^(i+1) times
-        # coefficient i of f / (u - s_k t), Q_i = u^i f_i + s_k Q_{i-1}, and
-        # over u^n coefficient i is Q_i u^(n-1-i)
+        # e_k = s f / (u - s_k t), u = s - s_k: coefficient i of y = f / (u - s_k t)
+        # is y_i = (f_i + s_k y_{i-1}) / u.  The exact jet divides by u directly
+        # and keeps y over den when no remainder appears: the power route
+        # below gives the same (num, den) then
         u, sk, n = s - family.edge(k), family.edge(k), len(f)
+        if not modulus:
+            y, yi = [], 0
+            for fi in f:
+                yi, rem = divmod(fi + sk * yi, u)
+                if rem:
+                    break
+                y.append(yi)
+            else:
+                jet = y
+                continue
+        # the power route (every mod-p step, and exact steps with a remainder):
+        # with Q_i = u^(i+1) y_i = u^i f_i + s_k Q_{i-1}, coefficient i over u^n
+        # is Q_i u^(n-1-i)
         pw = [1] * n
         for i in range(1, n):
             pw[i] = pw[i - 1] * u % modulus if modulus else pw[i - 1] * u

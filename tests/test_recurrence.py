@@ -7,7 +7,7 @@ import pytest
 from thetares import recurrence
 from thetares import (
     DELTA256,
-
+    THETA,
     THETA2,
     THETA4,
     Family,
@@ -18,6 +18,8 @@ from thetares import (
     check_perfect_odd,
     local_residue,
     local_residue_mod,
+    parse_family,
+    r2_count,
     rec_sequence,
     rec_step,
     relation_defect,
@@ -315,6 +317,36 @@ class TestLocalJets:
         for m in range(0, 41, 2):
             res = local_residue(DELTA256, m)
             assert local_residue_mod(DELTA256, m) == res.numerator * pow(res.denominator, -1, p) % p
+
+    def test_paper_formula_deep(self):
+        # zeros (63) and nonzeros, with steps that divide by the unit directly
+        # and steps that fall back to its powers
+        p = recurrence.PRIME
+        for m in (63, 64, 65, 97, 100):
+            res = local_residue(THETA2, m)
+            assert res == Fraction((-1) ** (m - 1) * r2_count(m), m * 16**m)
+            assert local_residue_mod(THETA2, m) == res.numerator * pow(res.denominator, -1, p) % p
+
+    def test_exact_jet_matches_the_power_route_mod_p(self):
+        # the mod-p jet divides by unit powers on every step, the exact jet
+        # by the unit itself where it can: both must give the same residue
+        families = [THETA2, THETA4, THETA, DELTA256] + [
+            parse_family(spec)
+            for spec in ("mult:1,0,0", "mult:2,8,8", "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]")
+        ]
+        checked = dict.fromkeys((7, 10007, recurrence.PRIME), 0)
+        for family in families:
+            for m in range(21):
+                if family.edge(m) < 1:
+                    continue
+                res = local_residue(family, m)
+                for p in checked:
+                    num, den = recurrence._residue_jet(family, m, p)
+                    if den:
+                        assert num * pow(den, -1, p) % p == (
+                            res.numerator * pow(res.denominator, -1, p) % p)
+                        checked[p] += 1
+        assert all(checked.values())
 
     def test_initial_entry(self):
         assert local_residue(DELTA256, 0) == rec_step(DELTA256, 0).residue(2) == Fraction(-1, 2)
