@@ -105,7 +105,6 @@ def series_inv_cleared(f, n):
     normalisation.
     """
     f0 = f[0]
-    lf = len(f)
     if n <= 0:
         return []
     g = [0] * n
@@ -113,13 +112,14 @@ def series_inv_cleared(f, n):
     pw = [1] * n  # pw[t] = f0**t
     for t in range(1, n):
         pw[t] = pw[t - 1] * f0
+    # only the nonzero terms of f, in order of t: theta series are sparse
+    terms = [(t, f[t] * pw[t - 1]) for t in range(1, min(n, len(f))) if f[t]]
     for i in range(1, n):
         acc = 0
-        tmax = min(i, lf - 1)
-        for t in range(1, tmax + 1):
-            ft = f[t]
-            if ft:
-                acc += ft * g[i - t] * pw[t - 1]
+        for t, c in terms:
+            if t > i:
+                break
+            acc += c * g[i - t]
         g[i] = -acc
     return g
 

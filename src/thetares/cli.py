@@ -51,11 +51,6 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 
-def _cache(args) -> SeqCache | None:
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    return SeqCache(Path(cache_dir)) if cache_dir else None
-
-
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -67,7 +62,9 @@ def cmd_compute(args) -> int:
     family = parse_family(args.family)
     if args.m_max < 0:
         raise ValueError("--m-max must be nonnegative")
-    seq = rec_sequence(family, args.m_max, _cache(args))
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    cache = SeqCache(Path(cache_dir)) if cache_dir else None
+    seq = rec_sequence(family, args.m_max, cache)
     if args.format == "json":
         rows = [{"m": m, **entry.to_json_dict()} for m, entry in enumerate(seq.entries)]
         _emit_json({"family": family.canonical(), "entries": rows})
@@ -139,20 +136,16 @@ def cmd_residues(args) -> int:
 # -- scans ------------------------------------------------------------------
 
 
-# kind -> (scan to m given the parsed flags, the set it must find up to m)
+# kind -> (scan to m, the set it must find up to m); every scan kind is
+# decided by local jets, builds no entry and leaves the cache alone
 _SET_SCANS = {
-    # decided by local jets: builds no entry, so the cache is not used
-    "two-squares": (lambda m, args: scan_two_squares(m),
+    "two-squares": (scan_two_squares,
                     lambda m: {n for n in range(1, m + 1) if r2_count(n) > 0}),
-    # reads the global theta entries, through the cache
-    "squares": (lambda m, args: scan_squares(m, _cache(args)),
-                lambda m: {k * k for k in range(1, isqrt(m) + 1)}),
+    "squares": (scan_squares, lambda m: {k * k for k in range(1, isqrt(m) + 1)}),
 }
 
 
 def cmd_scan(args) -> int:
-    if args.cache_dir is not None and args.kind != "squares":
-        raise ValueError("--cache-dir only applies to --kind squares")
     if args.m_max < 1:
         raise ValueError("--m-max must be at least 1")
     kind, m = args.kind, args.m_max
@@ -160,7 +153,7 @@ def cmd_scan(args) -> int:
 
     if kind in _SET_SCANS:
         scan, oracle_set = _SET_SCANS[kind]
-        found = scan(m, args)
+        found = scan(m)
         oracle = oracle_set(m)
         payload.update(found=sorted(found), oracle=sorted(oracle),
                        mismatches=sorted(found ^ oracle))
@@ -263,7 +256,6 @@ _FLAGS = {
     "--family": dict(required=True, help=_FAMILY_HELP),
     "--m-max": dict(dest="m_max", type=int, default=0, help="last sequence index to compute"),
     "--format": dict(choices=("json", "csv", "pretty"), default="pretty"),
-    "--cache-dir": dict(help=f"entry cache directory (or ${CACHE_ENV})"),
 }
 
 
@@ -282,15 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    add("compute", cmd_compute, "--family", "--m-max", "--format", "--cache-dir",
-        help="compute and print sequence entries")
+    compute = add("compute", cmd_compute, "--family", "--m-max", "--format",
+                  help="compute and print sequence entries")
+    compute.add_argument("--cache-dir", help=f"entry cache directory (or ${CACHE_ENV})")
     residues = add("residues", cmd_residues, "--family", "--m-max", "--format",
                    help="residue table against the oracle")
     residues.add_argument("--normalize-delta", action="store_true",
                           help="divide 256*Delta coefficients by 256 "
                                "(prints Ramanujan tau directly)")
 
-    scan = add("scan", cmd_scan, "--m-max", "--format", "--cache-dir",
+    scan = add("scan", cmd_scan, "--m-max", "--format",
                help="number-theoretic scans")
     scan.add_argument("--kind", required=True,
                       choices=("two-squares", "squares", "lehmer", "perfect-odd"))

@@ -78,11 +78,12 @@ integral, every u^n y_i is a multiple of u^n, so the content is u^n
 itself and the power route also leaves y over den.  The power route is
 taken only by steps where some y_i is not an integer, mostly at i = 0,
 where f_0 is no multiple of u.  The mod-p jet (`local_residue_mod`, p a
-large prime) takes the power route on every step, with no modular
-inverse, so a divisor that p divides still shows as den = 0 mod p.  A
-nonzero residue mod p proves the pole, and the Lehmer and two-squares
-scans fall back to the exact jet only on a zero mod p or on den = 0
-mod p.
+large prime) multiplies by u^-1 mod p instead and keeps y over den, so
+it builds no powers of u; when p divides u it stops with den = 0, and
+a divisor s, 4 or a denominator that p divides shows as den = 0 mod p
+too.  A nonzero residue mod p proves the pole, and the Lehmer and
+two-squares scans fall back to the exact jet only on a zero mod p or on
+den = 0 mod p.
 """
 
 from __future__ import annotations
@@ -359,10 +360,10 @@ def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
     """Integers (num, den) with Res_{v=1/s} e_m = num / den, both reduced
     mod ``modulus`` when it is nonzero (derivation in the module docstring).
 
-    Only ring operations on integers run here, so reducing mod p commutes
-    with every step: num / den mod p is the residue mod p whenever p does
-    not divide den, and den = 0 mod p says that some divisor (s, s - s_k,
-    4, or a denominator of beta, w or rhs) is a multiple of p.
+    Mod p every step is a ring operation or a product with u^-1, so
+    num / den mod p is the residue mod p whenever p does not divide den,
+    and den = 0 mod p says that some divisor (s, s - s_k, 4, or a
+    denominator of beta, w or rhs) is a multiple of p.
     """
     s = family.edge(m)
     if s < 1:
@@ -395,39 +396,44 @@ def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
             num, den = -f[0], den * s * s
             break
         # e_k = s f / (u - s_k t), u = s - s_k: coefficient i of y = f / (u - s_k t)
-        # is y_i = (f_i + s_k y_{i-1}) / u.  The exact jet divides by u directly
-        # and keeps y over den when no remainder appears: the power route
-        # below gives the same (num, den) then
+        # is y_i = (f_i + s_k y_{i-1}) / u
         u, sk, n = s - family.edge(k), family.edge(k), len(f)
-        if not modulus:
-            y, yi = [], 0
+        if modulus:  # times the inverse of u; p | u leaves no inverse: den = 0
+            if not u % modulus:
+                return 0, 0
+            inv, yi, jet = pow(u, -1, modulus), 0, []
             for fi in f:
-                yi, rem = divmod(fi + sk * yi, u)
-                if rem:
-                    break
-                y.append(yi)
-            else:
-                jet = y
-                continue
-        # the power route (every mod-p step, and exact steps with a remainder):
-        # with Q_i = u^(i+1) y_i = u^i f_i + s_k Q_{i-1}, coefficient i over u^n
-        # is Q_i u^(n-1-i)
+                yi = (fi + sk * yi) * inv % modulus
+                jet.append(yi)
+            den %= modulus
+            continue
+        # the exact jet divides by u directly and keeps y over den when no
+        # remainder appears: the power route below gives the same (num, den) then
+        y, yi = [], 0
+        for fi in f:
+            yi, rem = divmod(fi + sk * yi, u)
+            if rem:
+                break
+            y.append(yi)
+        else:
+            jet = y
+            continue
+        # the power route (exact steps with a remainder): with
+        # Q_i = u^(i+1) y_i = u^i f_i + s_k Q_{i-1}, coefficient i over u^n is
+        # Q_i u^(n-1-i)
         pw = [1] * n
         for i in range(1, n):
-            pw[i] = pw[i - 1] * u % modulus if modulus else pw[i - 1] * u
+            pw[i] = pw[i - 1] * u
         acc, jet = 0, []
         for fi, p in zip(f, pw):
             acc = p * fi + sk * acc
             jet.append(acc)
         jet = [y * p for y, p in zip(jet, reversed(pw))]
         unit = pw[-1] * u
-        den *= unit
-        if modulus:
-            jet, den = [y % modulus for y in jet], den % modulus
-        else:  # any divisor of the new unit power keeps num / den exact; the
-            # tail, with the fewest forced factors u, cuts the gcd down soonest
-            gcd = backend.content_gcd(reversed(jet), unit)
-            jet, den = [y // gcd for y in jet], den // gcd
+        # any divisor of the new unit power keeps num / den exact; the tail,
+        # with the fewest forced factors u, cuts the gcd down soonest
+        gcd = backend.content_gcd(reversed(jet), unit)
+        jet, den = [y // gcd for y in jet], den * unit // gcd
     if modulus:
         return num % modulus, den % modulus
     return num, den
@@ -460,15 +466,14 @@ def scan_two_squares(m_max: int) -> set:
     return {n for n in range(1, m_max + 1) if _has_pole(THETA2, n)}
 
 
-def scan_squares(m_max: int, cache=None) -> set:
+def scan_squares(m_max: int) -> set:
     """m <= m_max whose theta entry has a pole at v = 1/m: the squares.
 
-    Poles of this weight-1/2 family sit only at squares, and most local
-    jets would have to fall back to exact arithmetic, so this scan reads
-    the global entries (`rec_sequence`, through ``cache`` when given).
+    Poles of this weight-1/2 family sit only at squares, so nearly every
+    residue mod PRIME would be zero and go to the exact jet anyway: the
+    scan reads the exact jet alone.
     """
-    entries = rec_sequence(THETA, m_max, cache).entries
-    return {m for m in range(1, m_max + 1) if entries[m].pole_order(m) == 1}
+    return {m for m in range(1, m_max + 1) if local_residue(THETA, m)}
 
 
 def scan_lehmer(m_max: int) -> list:

@@ -242,34 +242,13 @@ class TestScan:
         payload = json.loads(out)
         assert code == 0 and payload["violations"] == []
 
-    def test_lehmer_leaves_the_cache_alone(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("THETARES_CACHE_DIR", str(tmp_path / "cache"))
-        code, out, _ = run_cli(
-            capsys, "scan", "--kind", "lehmer", "--m-max", "4", "--format", "json",
-        )
-        assert code == 0 and json.loads(out)["passed"] is True
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("kind", ["two-squares", "perfect-odd"])
+    @pytest.mark.parametrize("kind", ["two-squares", "perfect-odd", "squares", "lehmer"])
     def test_jet_scans_build_no_entry(self, capsys, no_entries, kind):
         code, out, _ = run_cli(
             capsys, "scan", "--kind", kind, "--m-max", "9", "--format", "json",
         )
         assert code == 0 and json.loads(out)["passed"] is True
         assert not no_entries.exists()
-
-    def test_squares_reads_the_cache(self, capsys, monkeypatch, tmp_path):
-        argv = ("scan", "--kind", "squares", "--m-max", "9", "--format", "json",
-                "--cache-dir", str(tmp_path))
-        code, first, _ = run_cli(capsys, *argv)
-        assert code == 0 and len(list(tmp_path.iterdir())) == 10  # entries 0..9
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("an entry was recomputed")
-
-        monkeypatch.setattr("thetares.recurrence.rec_step", refuse)
-        code, second, _ = run_cli(capsys, *argv)
-        assert code == 0 and second == first
 
     def test_perfect_odd(self, capsys):
         code, out, _ = run_cli(
@@ -382,16 +361,13 @@ def test_compute_deterministic(capsys):
     assert first == second
 
 
-
 # flags a subcommand would ignore are not registered, so passing one is a
-# usage error rather than silently dropped; scan registers --cache-dir for
-# --kind squares alone and rejects it with the three kinds decided by jets
+# usage error rather than silently dropped; only compute reads --cache-dir
 _BASE_ARGV = {
     "compute": ("compute", "--family", "mult:2,8,8", "--m-max", "1"),
     "residues": ("residues", "--family", "mult:2,8,8", "--m-max", "1"),
     "scan": ("scan", "--kind", "lehmer", "--m-max", "2"),
-    "scan-two-squares": ("scan", "--kind", "two-squares", "--m-max", "2"),
-    "scan-perfect-odd": ("scan", "--kind", "perfect-odd", "--m-max", "2"),
+    "scan-squares": ("scan", "--kind", "squares", "--m-max", "2"),
     "verify": ("verify", "--suite", "golden"),
     "qseries-dump": ("qseries-dump", "--series", "x"),
 }
@@ -407,7 +383,7 @@ _FLAG_ARGV = {
     ("compute", "--trunc"), ("compute", "--normalize-delta"),
     ("residues", "--trunc"), ("residues", "--cache-dir"),
     ("scan", "--trunc"), ("scan", "--normalize-delta"), ("scan", "--cache-dir"),
-    ("scan-two-squares", "--cache-dir"), ("scan-perfect-odd", "--cache-dir"),
+    ("scan-squares", "--cache-dir"),
     ("verify", "--trunc"), ("verify", "--cache-dir"), ("verify", "--normalize-delta"),
     ("qseries-dump", "--format"), ("qseries-dump", "--cache-dir"),
     ("qseries-dump", "--normalize-delta"),
@@ -415,7 +391,4 @@ _FLAG_ARGV = {
 def test_ignored_flag_is_a_usage_error(capsys, command, flag):
     code, out, err = run_cli(capsys, *_BASE_ARGV[command], *_FLAG_ARGV[flag])
     assert code == 2 and not out
-    if command.startswith("scan") and flag == "--cache-dir":
-        assert err == "error: --cache-dir only applies to --kind squares\n"
-    else:
-        assert f"unrecognized arguments: {flag}" in err
+    assert f"unrecognized arguments: {flag}" in err

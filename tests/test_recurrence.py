@@ -1,6 +1,7 @@
 """The v-side and u-side recurrences and everything built on them."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -286,6 +287,11 @@ class TestScans:
         assert 3 not in scan_two_squares(3)
 
     def test_squares_small(self):
+        # the global entries are the reference: scan_squares reads only jets
+        entries = rec_sequence(THETA, 30).entries
+        found = scan_squares(30)
+        assert found == {k * k for k in range(1, 6)}
+        assert found == {m for m in range(1, 31) if entries[m].pole_order(m) == 1}
         assert scan_squares(10) == {1, 4, 9}
         assert scan_squares(3) == {1}
 
@@ -327,21 +333,29 @@ class TestLocalJets:
             assert res == Fraction((-1) ** (m - 1) * r2_count(m), m * 16**m)
             assert local_residue_mod(THETA2, m) == res.numerator * pow(res.denominator, -1, p) % p
 
-    def test_exact_jet_matches_the_power_route_mod_p(self):
-        # the mod-p jet divides by unit powers on every step, the exact jet
-        # by the unit itself where it can: both must give the same residue
+    def test_exact_jet_matches_the_jet_mod_p(self):
+        # the mod-p jet multiplies by the inverse of each unit, the exact jet
+        # divides by the unit itself where it can: both must give the same
+        # residue, and den = 0 mod p exactly when p divides one of the jet's
+        # divisors, which is when `local_residue_mod` returns None
         families = [THETA2, THETA4, THETA, DELTA256] + [
             parse_family(spec)
             for spec in ("mult:1,0,0", "mult:2,8,8", "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]")
         ]
         checked = dict.fromkeys((7, 10007, recurrence.PRIME), 0)
         for family in families:
+            q = lcm(family.beta.denominator, (family.w / 4).denominator,
+                    ((family.w + 1) / 4).denominator, 4)
             for m in range(21):
-                if family.edge(m) < 1:
+                s = family.edge(m)
+                if s < 1:
                     continue
+                divisors = [s, q, *(s - family.edge(k) for k in range(m)),
+                            *(Fraction(family.rhs(k)).denominator for k in range(m + 1))]
                 res = local_residue(family, m)
                 for p in checked:
                     num, den = recurrence._residue_jet(family, m, p)
+                    assert (den == 0) == any(d % p == 0 for d in divisors)
                     if den:
                         assert num * pow(den, -1, p) % p == (
                             res.numerator * pow(res.denominator, -1, p) % p)
