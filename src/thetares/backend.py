@@ -99,14 +99,15 @@ def eval_at_inv(nums, j):
 
 
 def series_inv_cleared(f, n):
-    """Integers G with 1/(sum f_i v^i) = sum G_i / f[0]**(i+1) * v^i.
+    """The first n terms of 1/(sum f_i v^i), cleared over f[0]**n: integers
+    (h, f[0]**n) with 1/(sum f_i v^i) = sum h_i / f[0]**n * v^i + O(v^n).
 
     Requires f[0] != 0; the caller handles its own outer denominator and
     normalisation.
     """
     f0 = f[0]
     if n <= 0:
-        return []
+        return [], 1
     g = [0] * n
     g[0] = 1
     pw = [1] * n  # pw[t] = f0**t
@@ -121,7 +122,8 @@ def series_inv_cleared(f, n):
                 break
             acc += c * g[i - t]
         g[i] = -acc
-    return g
+    # g_i / f0**(i+1) = g_i f0**(n-1-i) / f0**n
+    return [g[i] * pw[n - 1 - i] for i in range(n)], pw[-1] * f0
 
 
 def content_gcd(nums, den):

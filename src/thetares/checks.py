@@ -219,19 +219,23 @@ def max_three_term_defect(family: Family, n_max: int, trunc: int) -> QSeries | N
     return None
 
 
-def resum_suite(families=(THETA2, DELTA256), m_max: int = 6, n_max: int = 12) -> list:
+RESUM_FAMILIES = (THETA2, DELTA256)
+RESUM_M, RESUM_N = 6, 12  # entries m <= RESUM_M, Taylor columns i <= RESUM_N
+
+
+def resum_suite() -> list:
     out = []
-    for family in families:
-        seq = rec_sequence(family, m_max)
-        matrix = resum_matrix(family, m_max, n_max)
+    for family in RESUM_FAMILIES:
+        seq = rec_sequence(family, RESUM_M)
+        matrix = resum_matrix(family, RESUM_M, RESUM_N)
         bad = []
-        for m in range(m_max + 1):
-            taylor = seq.entries[m].taylor(n_max)
-            for i in range(n_max + 1):
+        for m in range(RESUM_M + 1):
+            taylor = seq.entries[m].taylor(RESUM_N)
+            for i in range(RESUM_N + 1):
                 if matrix[m][i] != taylor[i]:
                     bad.append((m, i, matrix[m][i], taylor[i]))
         out.append(_result(
-            f"resummation equivalence for {family} (m <= {m_max}, i <= {n_max})",
+            f"resummation equivalence for {family} (m <= {RESUM_M}, i <= {RESUM_N})",
             not bad,
             f"first mismatch {bad[0]}" if bad else "",
         ))
@@ -256,16 +260,17 @@ def _jet_check(family: Family, residues: dict) -> CheckResult:
     )
 
 
-def residues_suite(theta2_max: int = 30, other_max: int = 15,
-                   seqs: dict | None = None) -> list:
+def residues_suite(theta2_max: int = 30) -> list:
     """Global residues against the q-series oracle, and the local jets
-    against the global residues; ``seqs`` may supply any family's prefix."""
+    against the global residues: theta^2 to ``theta2_max``, the other
+    three families to min(theta2_max, 15)."""
     out = []
+    other_max = min(theta2_max, 15)
     runs = [(THETA2, theta2_max, r2_count, "residues recover r2(m)")]
     runs += [(family, other_max, partial(cf_coeff, family), "residues recover q-coefficients")
              for family in (THETA4, THETA, DELTA256)]
     for family, m_max, oracle, name in runs:
-        seq = (seqs or {}).get(family) or rec_sequence(family, m_max)
+        seq = rec_sequence(family, m_max)
         bad = []
         residues = {}
         for m in range(1, m_max + 1):
@@ -289,11 +294,3 @@ SUITES = {
     "resum": resum_suite,
     "residues": residues_suite,
 }
-
-
-def run_suite(name: str, **kwargs) -> list:
-    try:
-        suite = SUITES[name]
-    except KeyError:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}") from None
-    return suite(**kwargs)

@@ -20,7 +20,7 @@ from math import isqrt
 from pathlib import Path
 
 from .cache import SeqCache
-from .checks import SUITES, run_suite
+from .checks import SUITES
 from .families import DELTA256, parse_family
 from .qseries import (
     DEFAULT_TRUNC,
@@ -63,7 +63,10 @@ def cmd_compute(args) -> int:
     if args.m_max < 0:
         raise ValueError("--m-max must be nonnegative")
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    cache = SeqCache(Path(cache_dir)) if cache_dir else None
+    try:
+        cache = SeqCache(Path(cache_dir)) if cache_dir else None
+    except OSError as exc:  # a regular file in the way, no permission, ...
+        raise ValueError(f"unusable cache directory {cache_dir!r}: {exc.strerror}") from None
     seq = rec_sequence(family, args.m_max, cache)
     if args.format == "json":
         rows = [{"m": m, **entry.to_json_dict()} for m, entry in enumerate(seq.entries)]
@@ -202,8 +205,8 @@ def cmd_verify(args) -> int:
             raise ValueError("--m-max only applies to --suite residues")
         if args.m_max < 1:
             raise ValueError("--m-max must be at least 1")
-        kwargs = {"theta2_max": args.m_max, "other_max": min(args.m_max, 15)}
-    results = run_suite(args.suite, **kwargs)
+        kwargs = {"theta2_max": args.m_max}
+    results = SUITES[args.suite](**kwargs)
     passed = all(r.passed for r in results)
     if args.format == "json":
         _emit_json({

@@ -141,12 +141,16 @@ class Family:
 
 
 _POLY_RE = re.compile(r"^poly:(\d+):\[(.*)\]$")
-_MONO_RE = re.compile(r"\((\d+),(\d+),(-?\d+(?:/\d+)?)\)")
+_MONO = r"\((\d+),(\d+),(-?\d+(?:/\d+)?)\)"
+_MONO_RE = re.compile(_MONO)
+# the whole list: monomials separated by commas, whitespace around each
+_MONO_LIST_RE = re.compile(rf"\s*{_MONO}\s*(?:,\s*{_MONO}\s*)*")
 
 
 def parse_family(text: str) -> Family:
     """Parse the canonical family string ("mult:a,4b,4c" or
-    "poly:k:[(i,j,coeff),...]")."""
+    "poly:k:[(i,j,coeff),...]": monomials separated by commas, with
+    optional whitespace around each; anything else raises FamilyError)."""
     text = text.strip()
     if text.startswith("mult:"):
         parts = text[5:].split(",")
@@ -161,12 +165,13 @@ def parse_family(text: str) -> Family:
         return Family.multiplicative(a, Fraction(b4, 4), Fraction(c4, 4))
     match = _POLY_RE.match(text)
     if match:
-        k = int(match.group(1))
-        mons = [
-            (int(i), int(j), Fraction(c)) for i, j, c in _MONO_RE.findall(match.group(2))
-        ]
-        if not mons:
+        k, body = int(match.group(1)), match.group(2)
+        if not _MONO_LIST_RE.fullmatch(body):
             raise FamilyError(f"malformed polynomial family {text!r}")
+        try:
+            mons = [(int(i), int(j), Fraction(c)) for i, j, c in _MONO_RE.findall(body)]
+        except ZeroDivisionError:
+            raise FamilyError(f"zero denominator in polynomial family {text!r}") from None
         family = Family.polynomial(mons)
         if family.k != k:
             raise FamilyError(f"declared degree {k} but monomials have degree {family.k}")

@@ -20,7 +20,16 @@ from math import isqrt, lcm
 
 from . import backend
 from .families import Family
-from .rational import Poly, Rat, _as_rat, format_rationals, parse_rationals
+from .rational import (
+    Poly,
+    Rat,
+    _as_rat,
+    canonical,
+    clear,
+    format_rationals,
+    parse_rationals,
+    power,
+)
 
 DEFAULT_TRUNC = 128
 
@@ -44,15 +53,14 @@ class QSeries:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs, trunc: int | None = None):
-        fracs = [_as_rat(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in fracs))
-        nums = [c.numerator * (den // c.denominator) for c in fracs]
+        nums, den = clear([_as_rat(c).as_integer_ratio() for c in coeffs])
         self._nums, self._den = _fit(nums, den, trunc)
 
     @classmethod
-    def _make(cls, nums: tuple, den: int) -> "QSeries":
+    def _make(cls, nums, den: int) -> "QSeries":
+        # the length of nums is part of the value: no zeros are stripped
         s = object.__new__(cls)
-        s._nums, s._den = _normalize_fixed(list(nums), den)
+        s._nums, s._den = canonical(nums, den)
         return s
 
     @classmethod
@@ -102,13 +110,13 @@ class QSeries:
         if isinstance(other, QSeries):
             m, den, fa, fb = self._common(other)
             nums = [self._nums[i] * fa + other._nums[i] * fb for i in range(m)]
-            return QSeries._make(tuple(nums), den)
+            return QSeries._make(nums, den)
         c = _as_rat(other)
         den = lcm(self._den, c.denominator)
         f = den // self._den
         nums = [n * f for n in self._nums]
         nums[0] += c.numerator * (den // c.denominator)
-        return QSeries._make(tuple(nums), den)
+        return QSeries._make(nums, den)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -117,64 +125,48 @@ class QSeries:
         if isinstance(other, QSeries):
             m, den, fa, fb = self._common(other)
             nums = [self._nums[i] * fa - other._nums[i] * fb for i in range(m)]
-            return QSeries._make(tuple(nums), den)
+            return QSeries._make(nums, den)
         return self.__add__(-_as_rat(other))
 
     def __neg__(self):
-        return QSeries._make(tuple(-c for c in self._nums), self._den)
+        return QSeries._make([-c for c in self._nums], self._den)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
             m = min(len(self._nums), len(other._nums))
             nums = backend.conv_trunc(list(self._nums), list(other._nums), m)
             nums.extend([0] * (m - len(nums)))
-            return QSeries._make(tuple(nums), self._den * other._den)
+            return QSeries._make(nums, self._den * other._den)
         c = _as_rat(other)
         return QSeries._make(
-            tuple(n * c.numerator for n in self._nums), self._den * c.denominator
+            [n * c.numerator for n in self._nums], self._den * c.denominator
         )
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __pow__(self, e: int) -> "QSeries":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("series powers must be nonnegative integers")
-        out = QSeries.const(1, self.trunc)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return power(self, e, QSeries.const(1, self.trunc))
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; needs a nonzero constant term."""
         if not self._nums[0]:
             raise ZeroDivisionError("cannot invert a q-series with zero constant term")
-        n = len(self._nums)
-        g = backend.series_inv_cleared(list(self._nums), n)
-        f0 = self._nums[0]
-        # 1/(N/d) = d * sum g_i / f0^(i+1) q^i, cleared over f0^n
-        pw = [1] * n  # pw[t] = f0**t
-        for t in range(1, n):
-            pw[t] = pw[t - 1] * f0
-        nums = [self._den * g[i] * pw[n - 1 - i] for i in range(n)]
-        return QSeries._make(tuple(nums), pw[n - 1] * f0)
+        # 1/(N/d) = d/N, with 1/N cleared over f0^n by the kernel
+        nums, den = backend.series_inv_cleared(list(self._nums), len(self._nums))
+        return QSeries._make([self._den * c for c in nums], den)
 
     def halfdeg(self) -> "QSeries":
         """Coefficient n multiplied by n/2: the operator (1/2 pi i) d/d tau."""
         return QSeries._make(
-            tuple(i * c for i, c in enumerate(self._nums)), 2 * self._den
+            [i * c for i, c in enumerate(self._nums)], 2 * self._den
         )
 
     def shift(self, s: int) -> "QSeries":
         """Multiply by q**s; the known window grows to trunc + s."""
         if s < 0:
             raise ValueError("shift must be nonnegative")
-        return QSeries._make((0,) * s + tuple(self._nums), self._den)
+        return QSeries._make((0,) * s + self._nums, self._den)
 
     # -- serialization ---------------------------------------------------------
 
@@ -205,19 +197,7 @@ def _fit(nums: list, den: int, trunc: int | None):
         raise ValueError("truncation must be nonnegative")
     nums = nums[: trunc + 1]
     nums.extend([0] * (trunc + 1 - len(nums)))
-    return _normalize_fixed(nums, den)
-
-
-def _normalize_fixed(nums: list, den: int):
-    # like Poly normalisation but the length is part of the value
-    if den < 0:
-        den = -den
-        nums = [-c for c in nums]
-    g = backend.content_gcd(nums, den)
-    if g > 1:
-        den //= g
-        nums = [c // g for c in nums]
-    return tuple(nums), den
+    return canonical(nums, den)
 
 
 # -- base series ---------------------------------------------------------------
@@ -237,7 +217,7 @@ def theta_series(kind: int, trunc: int) -> QSeries:
     while n * n <= trunc:
         nums[n * n] = 2 if (kind == 3 or n % 2 == 0) else -2
         n += 1
-    return QSeries._make(tuple(nums), 1)
+    return QSeries._make(nums, 1)
 
 
 @lru_cache(maxsize=None)
@@ -252,7 +232,7 @@ def xy_series(trunc: int):
     while n * n + n <= trunc - 1:
         nums[n * n + n] = 1
         n += 1
-    inner = QSeries._make(tuple(nums), 1)
+    inner = QSeries._make(nums, 1)
     y = (inner**4 * 16).shift(1)
     return x, y
 
@@ -296,7 +276,7 @@ def delta_series(trunc: int) -> QSeries:
         if not hit:
             break
         j += 1
-    euler = QSeries._make(tuple(nums), 1)
+    euler = QSeries._make(nums, 1)
     return (euler**24).shift(2)
 
 
@@ -332,10 +312,8 @@ def cf_series(family: Family, trunc: int) -> QSeries:
     return out
 
 
-def cf_coeff(family: Family, n: int, trunc: int | None = None) -> Rat:
+def cf_coeff(family: Family, n: int, trunc: int = DEFAULT_TRUNC) -> Rat:
     """Coefficient of q^n in the family's form."""
-    if trunc is None:
-        trunc = DEFAULT_TRUNC
     if n > trunc:
         raise TruncationError(f"coefficient {n} beyond truncation {trunc}")
     return cf_series(family, trunc).coeff(n)

@@ -10,10 +10,13 @@ string ``str(Fraction)`` gives: "p/q" fully reduced with q > 1, or "p".
 they work on integer numerators over one shared denominator and never
 build a ``Fraction``.
 
-A :class:`Poly` keeps its coefficients as integer numerators over one
+Every exact value in the package (a :class:`Poly`, a q-series, a list
+of wire strings) is kept in one cleared form: integer numerators over one
 shared positive denominator with gcd(content, denominator) = 1, so the
 hot operations (convolution, synthetic division, root tests) run on
-plain ints through :mod:`thetares.backend`.
+plain ints through :mod:`thetares.backend`.  This module owns that form:
+:func:`clear` puts values over one denominator, :func:`canonical` reduces
+it, and :func:`power` raises any such value by repeated squaring.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ def _format_int(n: int, limit: int) -> str:
 
 
 def parse_rationals(strings) -> tuple:
-    """Wire strings "p" or "p/q" -> (numerators, den).
+    """Wire strings "p" or "p/q" -> (numerators, den), cleared by :func:`clear`.
 
     den is the lcm of the q's and the i-th value is numerators[i] / den;
     the input need not be reduced.  Raises ValueError for a malformed
@@ -86,8 +89,7 @@ def parse_rationals(strings) -> tuple:
         if q <= 0:
             raise ValueError(f"denominator must be positive in {s[:32]!r}")
         pairs.append((_parse_int(p, limit), q))
-    den = lcm(*(q for _, q in pairs))
-    return [p * (den // q) for p, q in pairs], den
+    return clear(pairs)
 
 
 def format_rationals(nums, den: int) -> list:
@@ -104,15 +106,17 @@ def format_rationals(nums, den: int) -> list:
     return out
 
 
-def _normalize(nums: list, den: int):
-    """Canonical cleared form: trailing zeros stripped, den > 0,
-    gcd(content, den) = 1; the zero polynomial is ((), 1)."""
+def clear(pairs: list) -> tuple:
+    """(numerator, denominator) pairs -> (numerators over their lcm, the lcm)."""
+    den = lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
+
+
+def canonical(nums, den: int) -> tuple:
+    """The cleared form of nums / den: den > 0, gcd(content, den) = 1, and
+    den = 1 when every numerator is 0.  Returns (tuple of numerators, den)."""
     if den == 0:
-        raise ZeroDivisionError("polynomial denominator is zero")
-    while nums and nums[-1] == 0:
-        nums.pop()
-    if not nums:
-        return (), 1
+        raise ZeroDivisionError("denominator is zero")
     if den < 0:
         den = -den
         nums = [-c for c in nums]
@@ -121,6 +125,28 @@ def _normalize(nums: list, den: int):
         den //= g
         nums = [c // g for c in nums]
     return tuple(nums), den
+
+
+def power(base, e: int, one):
+    """base**e by repeated squaring, starting from the unit ``one``."""
+    if not isinstance(e, int) or e < 0:
+        raise ValueError("powers must be nonnegative integers")
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
+def _normalize(nums: list, den: int):
+    """Trailing zeros stripped, then :func:`canonical`; the zero polynomial
+    is ((), 1)."""
+    while nums and nums[-1] == 0:
+        nums.pop()
+    return canonical(nums, den)
 
 
 class Poly:
@@ -133,13 +159,8 @@ class Poly:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
-        fracs = [_as_rat(c) for c in coeffs]
-        if fracs:
-            den = lcm(*(c.denominator for c in fracs))
-            nums = [c.numerator * (den // c.denominator) for c in fracs]
-        else:
-            den, nums = 1, []
-        self._nums, self._den = _normalize(nums, den)
+        self._nums, self._den = _normalize(
+            *clear([_as_rat(c).as_integer_ratio() for c in coeffs]))
 
     @classmethod
     def _make(cls, nums: tuple, den: int) -> "Poly":
@@ -250,17 +271,7 @@ class Poly:
         return self.__mul__(Fraction(c.denominator, c.numerator))
 
     def __pow__(self, e: int) -> "Poly":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        out = Poly([1])
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return power(self, e, Poly._make((1,), 1))
 
     # -- calculus and evaluation ------------------------------------------
 

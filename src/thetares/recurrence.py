@@ -70,8 +70,9 @@ beta, w and rhs).  Dividing f by the unit u - s_k t, u = s - s_k, gives
 y_i = (f_i + s_k y_{i-1}) / u.  The exact jet first divides by u
 directly; when every y_i is an integer it keeps y over the same den.
 Otherwise the step takes the power route: it forms the integers
-u^n y_i = Q_i u^(n-1-i) from Q_i = u^i f_i + s_k Q_{i-1}, moves u^n into
-den, and takes the content of (c, den) against that new u^n (any common
+z_i = u^n y_i = u^(n-1) f_i + s_k z_{i-1} / u in one pass (z_{i-1} is a
+multiple of u^(n-i), so the division is exact), moves u^n into den, and
+takes the content of (c, den) against that new u^n (any common
 divisor keeps num / den exact, since `local_residue` returns
 Fraction(num, den)).  The two routes give the same (num, den): when y is
 integral, every u^n y_i is a multiple of u^n, so the content is u^n
@@ -418,18 +419,13 @@ def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
         else:
             jet = y
             continue
-        # the power route (exact steps with a remainder): with
-        # Q_i = u^(i+1) y_i = u^i f_i + s_k Q_{i-1}, coefficient i over u^n is
-        # Q_i u^(n-1-i)
-        pw = [1] * n
-        for i in range(1, n):
-            pw[i] = pw[i - 1] * u
-        acc, jet = 0, []
-        for fi, p in zip(f, pw):
-            acc = p * fi + sk * acc
-            jet.append(acc)
-        jet = [y * p for y, p in zip(jet, reversed(pw))]
-        unit = pw[-1] * u
+        # the power route (exact steps with a remainder): coefficient i over
+        # u^n is z_i = u^n y_i = u^(n-1) f_i + s_k z_{i-1} / u, an exact division
+        un1, zi, jet = u ** (n - 1), 0, []
+        for fi in f:
+            zi = un1 * fi + sk * (zi // u)
+            jet.append(zi)
+        unit = un1 * u
         # any divisor of the new unit power keeps num / den exact; the tail,
         # with the fewest forced factors u, cuts the gcd down soonest
         gcd = backend.content_gcd(reversed(jet), unit)

@@ -63,6 +63,25 @@ class TestCompute:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("family", ["poly:1:[(0,1,1),(-1,2,1)]", "poly:1:[(1,0,1/0)]"])
+    def test_malformed_poly_family(self, capsys, family):
+        code, out, err = run_cli(capsys, "residues", "--family", family, "--m-max", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_cache_dir_that_is_a_file(self, capsys, monkeypatch, tmp_path, via_env):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        argv = ["compute", "--family", "mult:0,0,2", "--m-max", "1"]
+        if via_env:
+            monkeypatch.setenv("THETARES_CACHE_DIR", str(blocker))
+        else:
+            argv += ["--cache-dir", str(blocker)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: unusable cache directory {str(blocker)!r}: ")
+
     def test_missing_family(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--m-max", "1")
         assert code == 2
@@ -119,7 +138,7 @@ class TestResidues:
     def test_oracle_truncation_is_the_last_pole(self, capsys, monkeypatch):
         truncs = []
 
-        def recording_cf_coeff(family, n, trunc=None):
+        def recording_cf_coeff(family, n, trunc):
             truncs.append(trunc)
             return cf_coeff(family, n, trunc)
 

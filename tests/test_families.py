@@ -71,13 +71,23 @@ class TestCanonicalStrings:
         for fam in (THETA2, THETA, THETA4, DELTA256):
             assert parse_family(fam.canonical()) == fam
 
+    def test_poly_whitespace_around_monomials(self):
+        assert parse_family(" poly:1:[ (0,1,1) ,\t(1,0,-2/3) ] ") == Family.polynomial(
+            [(0, 1, 1), (1, 0, Fraction(-2, 3))])
+
     def test_poly_round_trip(self):
         fam = Family.polynomial([(0, 2, Fraction(1, 2)), (1, 1, -3)])
         assert fam.canonical() == "poly:2:[(0,2,1/2),(1,1,-3)]"
         assert parse_family(fam.canonical()) == fam
 
     def test_malformed_rejected(self):
-        for bad in ("mult:1,2", "mult:a,b,c", "poly:1:[]", "nope", "poly:2:[(0,1,1)]"):
+        bad_strings = (
+            "mult:1,2", "mult:a,b,c", "poly:1:[]", "nope", "poly:2:[(0,1,1)]",
+            # every character of the list must belong to a monomial or a separator
+            "poly:1:[(0,1,1),(-1,2,1)]", "poly:1:[(0,1,1),garbage]",
+            "poly:1:[(0,1,1);(1,0,2)]", "poly:1:[(0,1,1),]", "poly:1:[(1,0,1/0)]",
+        )
+        for bad in bad_strings:
             with pytest.raises(FamilyError):
                 parse_family(bad)
 

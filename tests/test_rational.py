@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_poly, rand_rat
-from thetares import NonDivisibleError, Poly, Rat
+from thetares import NonDivisibleError, Poly, QSeries, Rat
+from thetares.rational import canonical, clear
 
 
 class TestRat:
@@ -29,6 +30,28 @@ class TestRat:
     def test_string_round_trip(self):
         for text in ("-21/32768", "4", "0", "1/2"):
             assert str(Rat(text)) == text
+
+
+class TestClearedForm:
+    """The one clearing, canonical-form and powering code behind Poly,
+    QSeries and the wire codec."""
+
+    def test_clear(self):
+        assert clear([]) == ([], 1)
+        assert clear([(1, 2), (-1, 3), (5, 1)]) == ([3, -2, 30], 6)
+
+    def test_canonical(self):
+        assert canonical([4, -6, 0], -8) == ((-2, 3, 0), 4)
+        assert canonical([0, 0], -7) == ((0, 0), 1)
+        assert canonical([], 5) == ((), 1)
+        with pytest.raises(ZeroDivisionError):
+            canonical([1], 0)
+
+    @pytest.mark.parametrize("e", [-1, 1.0])
+    def test_power_needs_a_nonnegative_int(self, e):
+        for base in (Poly([1, 1]), QSeries([1, 1])):
+            with pytest.raises(ValueError):
+                base**e
 
 
 class TestPolyBasics:

@@ -393,12 +393,14 @@ class TestLocalJets:
         assert scan_lehmer(4) == []
         assert prime_7 == [4, 8]
 
-    def test_residues_suite_catches_a_wrong_global_residue(self):
-        from thetares.checks import residues_suite
+    def test_residues_suite_catches_a_wrong_global_residue(self, monkeypatch):
+        from thetares import checks
 
         seq = rec_sequence(THETA2, 6)
         seq.entries[5] = RatFunc(seq.entries[5].num * 3, seq.entries[5].factors)
-        results = residues_suite(theta2_max=6, other_max=1, seqs={THETA2: seq})
+        monkeypatch.setattr(checks, "rec_sequence", lambda family, m_max: (
+            seq if family == THETA2 else rec_sequence(family, m_max)))
+        results = checks.residues_suite(theta2_max=6)
         failed = [r.name for r in results if not r.passed]
         assert failed == [
             "theta^2 residues recover r2(m) for m <= 6",
@@ -411,9 +413,9 @@ class TestLocalJets:
         from thetares import checks
 
         monkeypatch.setattr(checks, "local_residue", lambda family, m: 2 * local_residue(family, m))
-        results = checks.residues_suite(theta2_max=4, other_max=2)
+        results = checks.residues_suite(theta2_max=4)
         failed = [r.name for r in results if not r.passed]
         assert failed == [
-            f"{family} local jets agree exactly and mod 2^61-1 with the residues for m <= {m}"
-            for family, m in (("theta^2", 4), ("theta^4", 2), ("theta", 2), ("256*Delta", 2))
+            f"{family} local jets agree exactly and mod 2^61-1 with the residues for m <= 4"
+            for family in ("theta^2", "theta^4", "theta", "256*Delta")
         ]
