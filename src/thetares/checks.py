@@ -21,11 +21,11 @@ from .qseries import (
     cf_series,
     delta_series,
     dstar,
+    eval_homogeneous,
     r2_count,
     ramanujan_tau,
     t_series,
     theta_series,
-    u_series,
     xy_series,
 )
 from .rational import Poly
@@ -179,34 +179,12 @@ def identities_suite(jacobi_trunc: int = 128, identity_trunc: int = 64,
 
 
 def max_three_term_defect(family: Family, n_max: int, trunc: int) -> QSeries | None:
-    """First nonzero defect of (n+1)(n+w) g_{n+1} + 2 D* g_n + xy g_{n-1}/4,
-    where g_n is the weight-(w+2n) form attached to the n-th u-side
-    polynomial; None when the relation holds for all n <= n_max."""
-    phis = upoly_sequence(family, n_max + 1)
+    """First nonzero defect of (n+1)(n+w) g_{n+1} + 2 D* g_n + xy g_{n-1}/4
+    (g_n from :func:`three_term_forms`); None when it holds for all n <= n_max."""
+    # gs[n + 1] = g_n, with gs[0] = g_{-1} = 0
+    gs = [QSeries.zero(trunc)] + three_term_forms(family, n_max + 1, trunc)
     x, y = xy_series(trunc)
-    u = u_series(trunc)
     w = family.w
-
-    # running product F * x^n (multiplicative F) or x^(n+k) (P of degree k)
-    if family.kind == "mult":
-        xpow = cf_series(family, trunc)
-    else:
-        xpow = x**family.k
-    # u^0 .. u^deg once, so each phi_n(u) is a scalar combination of them
-    upow = [QSeries.const(1, trunc)]
-    for _ in range(max(len(p.int_coeffs) for p in phis) - 1):
-        upow.append(upow[-1] * u)
-    # gs[n + 1] = g_n = xpow * phi_n(u), with gs[0] = g_{-1} = 0
-    gs = [QSeries.zero(trunc)]
-    for n, phi in enumerate(phis):
-        if n:
-            xpow = xpow * x
-        phi_u = QSeries.zero(trunc)
-        for i, c in enumerate(phi.coeffs):
-            if c:
-                phi_u = phi_u + upow[i] * c
-        gs.append(xpow * phi_u)
-
     xy4 = x * y * Fraction(1, 4)
     for n in range(n_max + 1):
         defect = (
@@ -217,6 +195,28 @@ def max_three_term_defect(family: Family, n_max: int, trunc: int) -> QSeries | N
         if defect:
             return defect
     return None
+
+
+def three_term_forms(family: Family, n_max: int, trunc: int) -> list:
+    """g_0 .. g_{n_max}, the weight-(w+2n) forms g_n = base x^(n+head) phi_n(y/x):
+    base = F, head = 0 for a multiplicative family F; base = 1, head = k for
+    P of degree k.  Each is base x^(n+head-d) times :func:`eval_homogeneous`
+    of phi_n, d = deg phi_n <= n + head (phi_0 has degree 0 or k, each step
+    adds at most one), so u = y/x is never formed; theta^2's phi_1 is zero."""
+    phis = upoly_sequence(family, n_max)
+    x, y = xy_series(trunc)
+    base, head = (cf_series(family, trunc), 0) if family.kind == "mult" else (1, family.k)
+    # x^0 .. x^(n_max+head), shared by every Horner pass and cofactor
+    xpow = [QSeries.const(1, trunc)]
+    for _ in range(n_max + head):
+        xpow.append(xpow[-1] * x)
+    gs = []
+    for n, phi in enumerate(phis):
+        g = eval_homogeneous(phi, xpow, y) * base
+        if phi and n + head > phi.degree:
+            g = g * xpow[n + head - phi.degree]
+        gs.append(g)
+    return gs
 
 
 RESUM_FAMILIES = (THETA2, DELTA256)

@@ -134,7 +134,7 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, QSeries):
             m = min(len(self._nums), len(other._nums))
-            nums = backend.conv_trunc(list(self._nums), list(other._nums), m)
+            nums = backend.conv_trunc(self._nums, other._nums, m)
             nums.extend([0] * (m - len(nums)))
             return QSeries._make(nums, self._den * other._den)
         c = _as_rat(other)
@@ -280,12 +280,31 @@ def delta_series(trunc: int) -> QSeries:
     return (euler**24).shift(2)
 
 
+def eval_homogeneous(p: Poly, xpow, y: QSeries) -> QSeries:
+    """x^d p(y/x) = sum_i c_i x^(d-i) y^i, d = deg p, by one Horner pass in y
+    on cleared numerators: h = c_d, then h <- h y + c_i x^(d-i) down to
+    i = 0, with x^j = ``xpow[j]`` (integer coefficients) and a denominator e
+    of y carried as e^(d-i).  x is never inverted and the result is put in
+    canonical form once; it truncates to the shortest series used."""
+    cs = p.int_coeffs
+    d = len(cs) - 1
+    if any(xpow[j]._den != 1 for j in range(1, d + 1)):
+        raise ValueError("the powers of x must have integer coefficients")
+    m = min([len(y._nums)] + [len(xpow[j]._nums) for j in range(1, d + 1)])
+    h = [cs[d] if cs else 0] + [0] * (m - 1)
+    ep = 1  # y._den ** (d - i)
+    for i in range(d - 1, -1, -1):
+        h = backend.conv_trunc(h, y._nums, m)  # m terms: len(h) = m <= len(y)
+        ep *= y._den
+        c = cs[i] * ep
+        if c:
+            h = [a + c * b for a, b in zip(h, xpow[d - i]._nums)]
+    return QSeries._make(h, p.int_den * ep)
+
+
 def eval_poly(p: Poly, s: QSeries) -> QSeries:
-    """p(s) by Horner's rule."""
-    out = QSeries.zero(s.trunc)
-    for c in reversed(p.coeffs):
-        out = out * s + c
-    return out
+    """p(s): :func:`eval_homogeneous` at x = 1."""
+    return eval_homogeneous(p, [QSeries.const(1, s.trunc)] * len(p.int_coeffs), s)
 
 
 @lru_cache(maxsize=None)

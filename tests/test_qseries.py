@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from thetares import checks
+from thetares.qseries import eval_homogeneous
 from thetares import (
     DELTA256,
     THETA2,
@@ -19,6 +20,7 @@ from thetares import (
     dstar,
     eval_poly,
     Poly,
+    parse_family,
     r2_count,
     ramanujan_tau,
     sigma1,
@@ -195,28 +197,78 @@ class TestEvalPoly:
         direct = QSeries.const(1, 10) - u * 2 + u * u * Fraction(1, 3)
         assert eval_poly(p, u) == direct
 
+    def test_horner_at_a_rational_series(self):
+        s = u_series(10) * Fraction(2, 3)
+        p = Poly([Fraction(1, 5), -2, 0, 7])
+        direct = QSeries.const(Fraction(1, 5), 10) - s * 2 + s * s * s * 7
+        assert eval_poly(p, s) == direct
+        assert eval_poly(Poly(), s) == QSeries.zero(10)
 
-def direct_three_term_defect(family, phis, n, trunc):
-    """Defect of the three-term relation at n, each g_k built from scratch
-    as base * x^(k+head) * phi_k(u)."""
-    x, y = xy_series(trunc)
+    def test_homogeneous_is_x_power_times_poly_of_u(self):
+        x, y = xy_series(24)
+        xpow = [x**j for j in range(4)]
+        p = Poly([Fraction(-2, 7), 0, 3, Fraction(1, 2)])
+        assert eval_homogeneous(p, xpow, y) == x**3 * eval_poly(p, u_series(24))
+
+    def test_homogeneous_needs_integral_x_powers(self):
+        x, y = xy_series(8)
+        with pytest.raises(ValueError):
+            eval_homogeneous(Poly([1, 1]), [x, x * Fraction(1, 2)], y)
+
+
+def direct_forms(family, phis, trunc):
+    """g_k = base * x^(k+head) * sum_i c_i u^i, each built from scratch
+    through u = y/x and its powers, without Horner's rule; g_{-1} = 0 is
+    the last entry, so index -1 reads it."""
+    x, _ = xy_series(trunc)
     u = u_series(trunc)
     if family.kind == "mult":
         base, head = cf_series(family, trunc), 0
     else:
         base, head = QSeries.const(1, trunc), family.k
+    forms = []
+    for k, phi in enumerate(phis):
+        phi_u = QSeries.zero(trunc)
+        for i, c in enumerate(phi.coeffs):
+            phi_u = phi_u + u**i * c
+        forms.append(base * x ** (k + head) * phi_u)
+    return forms + [QSeries.zero(trunc)]
 
-    def g(k):
-        if k < 0:
-            return QSeries.zero(trunc)
-        return base * x ** (k + head) * eval_poly(phis[k], u)
 
+def direct_three_term_defect(family, phis, n, trunc):
+    """Defect of the three-term relation at n, from :func:`direct_forms`."""
+    x, y = xy_series(trunc)
+    g = direct_forms(family, phis[:n + 2], trunc)
     w = family.w
-    return (g(n + 1) * ((n + 1) * (n + w)) + dstar(g(n), w + 2 * n) * 2
-            + x * y * Fraction(1, 4) * g(n - 1))
+    return (g[n + 1] * ((n + 1) * (n + w)) + dstar(g[n], w + 2 * n) * 2
+            + x * y * Fraction(1, 4) * g[n - 1])
+
+
+# one of each admissible kind: weight 1/2, odd a, every b4/c4 parity,
+# rational and integral P of degree 1 and 2, and P = x, whose phi_0 is 1
+ADMISSIBLE = [
+    "mult:0,0,1", "mult:0,0,4", "mult:2,8,8", "mult:1,0,0", "mult:0,1,3",
+    "mult:1,4,4", "poly:1:[(1,0,1/3),(0,1,-2/7)]",
+    "poly:2:[(2,0,1),(1,1,-3/5),(0,2,7)]", "poly:1:[(1,0,1)]",
+]
+RATIONAL_DEG2 = "poly:2:[(2,0,1),(1,1,-3/5),(0,2,7)]"
 
 
 class TestThreeTermDefect:
+    @pytest.mark.parametrize("text", ADMISSIBLE)
+    def test_relation_holds(self, text):
+        assert checks.max_three_term_defect(parse_family(text), 6, 40) is None
+
+    @pytest.mark.parametrize("family", [Family.polynomial([(0, 1, 1)]), THETA2,
+                                        parse_family(RATIONAL_DEG2)],
+                             ids=["P=y", "theta^2", "rational-deg2"])
+    def test_forms_equal_the_u_route(self, family):
+        phis = upoly_sequence(family, 7)
+        forms = checks.three_term_forms(family, 7, 30)
+        assert forms == direct_forms(family, phis, 30)[:-1]
+        if family == THETA2:
+            assert not phis[1] and not forms[1]
+
     @pytest.mark.parametrize("family", [Family.polynomial([(0, 1, 1)]), THETA2],
                              ids=["P=y", "theta^2"])
     @pytest.mark.parametrize("k", [0, 3, 5])
@@ -230,6 +282,25 @@ class TestThreeTermDefect:
         defect = checks.max_three_term_defect(family, 5, 30)
         assert defect
         phis = scaled(family, 6)
+        direct = (direct_three_term_defect(family, phis, n, 30) for n in range(6))
+        assert defect == next(d for d in direct if d)
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_one_interior_coefficient_is_caught(self, monkeypatch, k):
+        # c_1 of phi_k moves by 1/3 and nothing else does, so a Horner
+        # that paired c_i with the wrong power of x would give another defect
+        family = parse_family(RATIONAL_DEG2)
+
+        def bumped(fam, n_max):
+            phis = upoly_sequence(fam, n_max)
+            assert phis[k].degree >= 2
+            phis[k] = phis[k] + Poly([0, Fraction(1, 3)])
+            return phis
+
+        monkeypatch.setattr(checks, "upoly_sequence", bumped)
+        defect = checks.max_three_term_defect(family, 5, 30)
+        assert defect
+        phis = bumped(family, 6)
         direct = (direct_three_term_defect(family, phis, n, 30) for n in range(6))
         assert defect == next(d for d in direct if d)
 
