@@ -3,9 +3,10 @@
 Entries for large m are expensive (degrees grow quadratically with big
 coefficients), so the CLI persists them one file per (family, m) under a
 versioned header.  Coefficients are stored in the wire format of
-:mod:`thetares.rational`.  Files that fail any validation are
-recomputed, never trusted; writes go through a temporary file and an
-atomic rename.
+:mod:`thetares.rational`.  A file that fails to parse or whose header
+(format, engine, family, m) differs is a miss, and `rec_sequence` also
+checks each entry's denominator; it recomputes and rewrites what fails.
+Writes go through a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import tempfile
 from pathlib import Path
 
+from . import __version__
 from .families import Family
 from .ratfunc import RatFunc
 from .recurrence import rec_sequence
@@ -39,7 +41,7 @@ class SeqCache:
         path = self.entry_path(family, m)
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-            if data.get("format") != CACHE_FORMAT:
+            if data.get("format") != CACHE_FORMAT or data.get("engine") != __version__:
                 return None
             if data.get("family") != family.canonical() or data.get("m") != m:
                 return None
@@ -48,8 +50,6 @@ class SeqCache:
             return None
 
     def write(self, family: Family, m: int, entry: RatFunc) -> None:
-        from . import __version__
-
         data = {
             "format": CACHE_FORMAT,
             "engine": __version__,

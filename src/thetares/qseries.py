@@ -27,7 +27,6 @@ from .rational import (
     canonical,
     clear,
     format_rationals,
-    parse_rationals,
     power,
 )
 
@@ -54,7 +53,16 @@ class QSeries:
 
     def __init__(self, coeffs, trunc: int | None = None):
         nums, den = clear([_as_rat(c).as_integer_ratio() for c in coeffs])
-        self._nums, self._den = _fit(nums, den, trunc)
+        # cut or zero-pad to trunc + 1 terms (default: as many as given)
+        if trunc is None:
+            if not nums:
+                raise ValueError("a q-series needs at least the constant term")
+            trunc = len(nums) - 1
+        if trunc < 0:
+            raise ValueError("truncation must be nonnegative")
+        nums = nums[: trunc + 1]
+        nums.extend([0] * (trunc + 1 - len(nums)))
+        self._nums, self._den = canonical(nums, den)
 
     @classmethod
     def _make(cls, nums, den: int) -> "QSeries":
@@ -118,9 +126,6 @@ class QSeries:
         nums[0] += c.numerator * (den // c.denominator)
         return QSeries._make(nums, den)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
         if isinstance(other, QSeries):
             m, den, fa, fb = self._common(other)
@@ -141,9 +146,6 @@ class QSeries:
         return QSeries._make(
             [n * c.numerator for n in self._nums], self._den * c.denominator
         )
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __pow__(self, e: int) -> "QSeries":
         return power(self, e, QSeries.const(1, self.trunc))
@@ -173,31 +175,12 @@ class QSeries:
     def to_json_dict(self) -> dict:
         return {"trunc": self.trunc, "coeffs": format_rationals(self._nums, self._den)}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QSeries":
-        s = object.__new__(cls)
-        s._nums, s._den = _fit(*parse_rationals(data["coeffs"]), int(data["trunc"]))
-        return s
-
     def __str__(self) -> str:
         shown = ", ".join(format_rationals(self._nums[:9], self._den))
         tail = ", ..." if self.trunc >= 9 else ""
         return f"q-series[{shown}{tail}] (trunc {self.trunc})"
 
     __repr__ = __str__
-
-
-def _fit(nums: list, den: int, trunc: int | None):
-    # cut or zero-pad to trunc + 1 terms (default: as many as given)
-    if trunc is None:
-        if not nums:
-            raise ValueError("a q-series needs at least the constant term")
-        trunc = len(nums) - 1
-    if trunc < 0:
-        raise ValueError("truncation must be nonnegative")
-    nums = nums[: trunc + 1]
-    nums.extend([0] * (trunc + 1 - len(nums)))
-    return canonical(nums, den)
 
 
 # -- base series ---------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Every sequence this package computes lives in this shape, so the
 denominator is kept factored and never expanded: pole orders are read
-off the factor list, residues reduce to two exact evaluations, and
-reduction is nothing but root tests at v = 1/j.  Values are immutable
-and fully reduced (no factor of the denominator divides the numerator).
+off the factor list and residues reduce to two exact evaluations.
+Values are immutable and fully reduced (no factor of the denominator
+divides the numerator): the public constructor reduces by root tests at
+each v = 1/j, `RatFunc._make` trusts its caller (the recurrence).
 """
 
 from __future__ import annotations
@@ -45,12 +46,9 @@ class RatFunc:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, num, factors=()):
-        if not isinstance(num, Poly):
-            num = Poly(num)
-        pairs = factors.items() if isinstance(factors, dict) else factors
+    def __init__(self, num: Poly, factors=()):
         den = {}
-        for j, e in pairs:
+        for j, e in factors:
             if not isinstance(j, int) or j < 1:
                 raise ValueError(f"factor index must be a positive integer, got {j!r}")
             if not isinstance(e, int) or e < 1:
@@ -59,6 +57,13 @@ class RatFunc:
                 raise ValueError(f"duplicate factor index {j}")
             den[j] = e
         self._num, self._den = _reduce(num, den)
+
+    @classmethod
+    def _make(cls, num: Poly, factors: tuple) -> "RatFunc":
+        # caller promises reduced form: factors sorted by j, none dividing num
+        f = object.__new__(cls)
+        f._num, f._den = num, factors
+        return f
 
     # -- inspection --------------------------------------------------------
 
@@ -118,17 +123,6 @@ class RatFunc:
         den = self._num.int_den
         return tuple(Fraction(c, den) for c in cur)
 
-    def __call__(self, point) -> Rat:
-        """Exact evaluation away from the poles."""
-        r = Fraction(point)
-        val = Fraction(1)
-        for j, e in self._den:
-            fac = 1 - j * r
-            if not fac:
-                raise ZeroDivisionError(f"evaluation at the pole v = 1/{j}")
-            val *= fac**e
-        return self._num(r) / val
-
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -139,9 +133,10 @@ class RatFunc:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RatFunc":
-        return cls(
+        # as stored, not reduced: rec_sequence checks a cached entry's shape
+        return cls._make(
             Poly.from_strings(data["num"]),
-            [(int(j), int(e)) for j, e in data["den"]],
+            tuple((int(j), int(e)) for j, e in data["den"]),
         )
 
     def __str__(self) -> str:

@@ -263,9 +263,6 @@ class Poly:
             [n * c.numerator for n in self._nums], self._den * c.denominator
         )
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __truediv__(self, other):
         c = _as_rat(other)
         return self.__mul__(Fraction(c.denominator, c.numerator))

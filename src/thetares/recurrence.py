@@ -17,7 +17,10 @@ Two coupled computations per family:
   Then theta e = M / (D L) with M = L theta N - A N, and
   theta^2 e = P / (D L^2) with P = L theta M - (A + theta L) M.  Each step
   (`rec_step`) writes the new numerator over D L^2 (1 - s v) directly: five
-  products of the large numerator by the small L and A, and one reduction.
+  products of the large numerator by the small L and A, and one root test.
+  Every old pole 1/j gains exactly 2 in order (v/4 (1+theta)^2 adds
+  e_j (e_j + 1) (j v)^2 / 4 times its top term, the rest at most order
+  e_j + 1), so only (1 - s v) can cancel, once at most (see below).
   `relation_defect` checks a step independently: it substitutes Taylor
   coefficients at v = 0 into the literal form of G, up to a degree bound
   past which a nonzero relation cannot vanish;
@@ -103,7 +106,7 @@ _QUARTER = Fraction(1, 4)
 
 
 class TheoryViolationError(ArithmeticError):
-    """A computed entry has a pole that should be at most simple."""
+    """An entry has a pole at its edge that should be at most simple."""
 
     def __init__(self, family: Family, m: int, order: int):
         self.family = family
@@ -147,6 +150,12 @@ def _combo(coeffs, lists) -> list:
     return out
 
 
+def _initial(family: Family) -> RatFunc:
+    """e_0 = rhs_0 / (1 - s v), s = edge(0), with no factor when s = 0."""
+    s, num = family.edge(0), Poly([family.rhs(0)])
+    return RatFunc._make(num, ((s, 1),) if s and num else ())
+
+
 def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
     """The m-th entry of the family's v-side sequence.
 
@@ -157,11 +166,12 @@ def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
     if m == 0:
         if prev is not None:
             raise ValueError("the initial entry takes no previous entry")
-        s = family.edge(0)
-        return RatFunc(Poly([family.rhs(0)]), [(s, 1)] if s else [])
+        return _initial(family)
     if prev is None:
         raise ValueError(f"entry {m} needs entry {m - 1}")
     s = family.edge(m)
+    if prev.factors and prev.factors[-1][0] >= s:
+        raise ValueError(f"entry {m - 1} has no pole at v = 1/j, j >= {s}: {prev.factors}")
     ell, a1, a2 = _edge_terms(prev.factors)
     n = list(prev.num.int_coeffs)
     # theta(N L) = L theta N + N theta L, and A_1 = A + theta L, hence
@@ -182,18 +192,18 @@ def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
         (-int(c0 * q), q, -int(cw * q), -int(cw1 * q), -(q // 4)),
         ([0] + nl2, [0] + ml, [0, 0] + nl2, [0, 0] + ml, [0, 0] + p),
     )
-    den = {j: e + 2 for j, e in prev.factors}
+    factors = tuple((j, e + 2) for j, e in prev.factors)  # reduced by theorem
     if rhs:
         dl2 = [1]
-        for j, e in den.items():
+        for j, e in factors:
             dl2 = backend.conv(dl2, list(edge_factor(j, e).int_coeffs))
         t = _combo((1, int(rhs * q) * prev.num.int_den), (t, dl2))
-    den[s] = den.get(s, 0) + 1
-    entry = RatFunc(Poly.from_cleared(t, q * prev.num.int_den), den)
-    order = entry.pole_order(s)
-    if order > 1:
-        raise TheoryViolationError(family, m, order)
-    return entry
+    num = Poly.from_cleared(t, q * prev.num.int_den)
+    if backend.eval_at_inv(num.int_coeffs, s):
+        factors += ((s, 1),)
+    else:
+        num = num.divexact_linear(s)
+    return RatFunc._make(num, factors)
 
 
 def relation_defect(family: Family, m: int, entry: RatFunc,
@@ -252,20 +262,34 @@ class SeqState:
     entries: list = field(default_factory=list)
 
 
+def _fits(family: Family, m: int, entry: RatFunc, prev: RatFunc | None) -> bool:
+    """Whether a cached entry is e_0 (m = 0), or has prev's factors raised
+    by 2, plus (1 - s v) only where the numerator is nonzero at v = 1/s."""
+    if not m:
+        return entry == _initial(family)
+    raised = tuple((j, e + 2) for j, e in prev.factors)
+    if entry.factors == raised:
+        return bool(entry.num) or not raised  # a zero entry has no factors
+    s = family.edge(m)
+    return (entry.factors == raised + ((s, 1),)
+            and backend.eval_at_inv(entry.num.int_coeffs, s) != 0)
+
+
 def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
     """Entries 0..m_max, computed in order.
 
     With a ``cache`` (a `thetares.cache.SeqCache`), the longest run of
-    valid cached entries 0, 1, ... is read first, and each entry computed
-    after it is written as soon as it exists, so an interrupted run keeps
-    its progress.
+    cached entries 0, 1, ... that pass `_fits` is read first, and each
+    entry after it is computed and (re)written as soon as it exists, so an
+    interrupted run keeps its progress.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     entries = []
     while cache is not None and len(entries) <= m_max:
-        entry = cache.read(family, len(entries))
-        if entry is None:
+        m = len(entries)
+        entry = cache.read(family, m)
+        if entry is None or not _fits(family, m, entry, entries[-1] if m else None):
             break
         entries.append(entry)
     while len(entries) <= m_max:

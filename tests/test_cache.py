@@ -5,7 +5,7 @@ import json
 import pytest
 
 from thetares import DELTA256, THETA2, Poly, RatFunc, __version__, rec_sequence, rec_step
-from thetares import recurrence
+from thetares import backend, parse_family, recurrence
 from thetares.cache import SeqCache, cached_sequence
 from thetares.cli import main
 
@@ -118,23 +118,101 @@ def test_interrupted_run_keeps_its_progress(tmp_path, monkeypatch):
     assert [cache.read(THETA2, m) is not None for m in range(4)] == [True] * 3 + [False]
 
 
-def test_forged_cached_factor_is_a_theory_violation(tmp_path, capsys):
-    # a cached theta^2 entry 3 with an extra factor (1 - 4v), the next edge:
-    # entry 4, built on it, would have a pole of order 4 at v = 1/4
-    def compute(m_max):
-        return main(["compute", "--family", "mult:0,0,2", "--m-max", str(m_max),
-                     "--format", "json", "--cache-dir", str(tmp_path)])
+def compute(cache_dir, m_max):
+    return main(["compute", "--family", "mult:0,0,2", "--m-max", str(m_max),
+                 "--format", "json", "--cache-dir", str(cache_dir)])
 
-    assert compute(3) == 0
-    capsys.readouterr()
-    path = SeqCache(tmp_path).entry_path(THETA2, 3)
-    data = json.loads(path.read_text())
-    data["entry"]["den"].append([4, 1])
-    path.write_text(json.dumps(data))
-    assert compute(4) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("theory violation: entry 4 ")
+
+def rerun_with_forged_entry(cache_dir, capsys, forge):
+    """Run theta^2 to m = 4, replace the cached entry 3 by ``forge(entry 3)``
+    and run again: the second run must print what the first printed, and
+    must have recomputed entry 3 and rewritten its file."""
+    assert compute(cache_dir, 4) == 0
+    cold = capsys.readouterr().out
+    path = SeqCache(cache_dir).entry_path(THETA2, 3)
+    good = path.read_bytes()
+    data = json.loads(good)
+    data["entry"] = forge(RatFunc.from_json_dict(data["entry"]))
+    path.write_text(json.dumps(data, sort_keys=True))
+    assert compute(cache_dir, 4) == 0
+    assert capsys.readouterr().out == cold
+    assert path.read_bytes() == good
+
+
+def test_forged_cached_factor_is_a_miss(tmp_path, capsys):
+    # theta^2 entry 3 (factors (1, 5), (2, 3)) with an extra factor
+    # (1 - 4v), the next edge; built on, it would give entry 4 a double pole
+    def forge(entry):
+        return {"num": entry.num.to_strings(), "den": [[1, 5], [2, 3], [4, 1]]}
+
+    rerun_with_forged_entry(tmp_path, capsys, forge)
+
+
+def test_cancellable_old_factor_is_a_miss(tmp_path, capsys):
+    # N (1 - 2v) over (1 - 2v)^4: the reducing constructor would give
+    # entry 3 back, but an old factor must be raised by exactly 2
+    def forge(entry):
+        return {"num": (entry.num * Poly([1, -2])).to_strings(), "den": [[1, 5], [2, 4]]}
+
+    rerun_with_forged_entry(tmp_path, capsys, forge)
+
+
+def test_edge_factor_over_a_root_is_a_miss(tmp_path, capsys):
+    # theta^2 entry 3 has no pole at v = 1/3 (3 is no sum of two squares);
+    # N (1 - 3v) over (1 - 3v) has the shape but a numerator vanishing there
+    def forge(entry):
+        return {"num": (entry.num * Poly([1, -3])).to_strings(),
+                "den": [[1, 5], [2, 3], [3, 1]]}
+
+    rerun_with_forged_entry(tmp_path, capsys, forge)
+
+
+@pytest.mark.parametrize("text", [
+    "poly:1:[(0,1,1)]",  # e_0 = 0, no factors
+    "mult:1,0,0",  # e_0 = 1 / (1 - v), a factor before any step
+])
+def test_prefix_is_read_back_whole(tmp_path, monkeypatch, text):
+    family = parse_family(text)
+    cache = SeqCache(tmp_path)
+    cold = cached_sequence(family, 12, cache)
+
+    def step(family, m, prev=None):
+        raise AssertionError(f"entry {m} was recomputed")
+
+    monkeypatch.setattr(recurrence, "rec_step", step)
+    assert cached_sequence(family, 12, cache).entries == cold.entries
+
+
+def test_one_root_test_per_entry_at_its_edge(tmp_path, monkeypatch):
+    calls = []
+    eval_at_inv = backend.eval_at_inv
+
+    def counted(nums, j):
+        calls.append(j)
+        return eval_at_inv(nums, j)
+
+    monkeypatch.setattr(backend, "eval_at_inv", counted)
+    rec_sequence(THETA2, 20)
+    assert calls == list(range(1, 21))  # entry m of theta^2 has its edge at 1/m
+    cache = SeqCache(tmp_path)
+    cached_sequence(THETA2, 20, cache)
+    calls.clear()
+    warm = cached_sequence(THETA2, 20, cache)
+    # a read tests only an entry that carries the edge factor, there alone
+    assert calls == [m for m in range(1, 21) if warm.entries[m].pole_order(m)]
+
+
+def test_other_engine_version_is_a_miss(tmp_path):
+    cache = SeqCache(tmp_path)
+    cached_sequence(THETA2, 2, cache)
+    path = cache.entry_path(THETA2, 2)
+    good = path.read_bytes()
+    data = json.loads(good)
+    data["engine"] = "0.0.0"
+    path.write_text(json.dumps(data, sort_keys=True))
+    assert cache.read(THETA2, 2) is None
+    cached_sequence(THETA2, 2, cache)
+    assert path.read_bytes() == good
 
 
 def test_cli_uses_cache_dir(tmp_path, capsys):

@@ -86,16 +86,10 @@ class TestTaylor:
         rng = random.Random(11)
         for _ in range(20):
             f = rand_ratfunc(rng)
-            assert f.taylor(0)[0] == f(0)
+            assert f.taylor(0)[0] == f.num.coeff(0)
 
 
 class TestEvaluationAndSerialization:
-    def test_call(self):
-        f = RatFunc(Poly([1]), [(2, 1)])
-        assert f(Fraction(1, 4)) == 2
-        with pytest.raises(ZeroDivisionError):
-            f(Fraction(1, 2))
-
     def test_json_round_trip(self):
         rng = random.Random(404)
         for _ in range(25):

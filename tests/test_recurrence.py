@@ -74,6 +74,13 @@ class TestRecStep:
         with pytest.raises(ValueError):
             rec_step(THETA2, -1)
 
+    def test_previous_entry_with_a_pole_at_or_past_the_edge_is_refused(self):
+        # entry 2 has poles only at v = 1/1 and 1/2; one at 1/3 would
+        # come back in entry 3 as a duplicate factor
+        for j in (3, 4):
+            with pytest.raises(ValueError, match="no pole at"):
+                rec_step(THETA2, 3, RatFunc(Poly([1]), [(1, 2), (j, 1)]))
+
     def test_sequence_m0(self):
         seq = rec_sequence(THETA4, 0)
         assert len(seq.entries) == 1 and seq.entries[0] == RatFunc(Poly([1]))
