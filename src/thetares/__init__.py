@@ -21,7 +21,6 @@ from .qseries import (
     cf_series,
     delta_series,
     dstar,
-    eval_poly,
     r2_count,
     ramanujan_tau,
     sigma1,
@@ -35,7 +34,6 @@ from .ratfunc import HigherOrderPoleError, RatFunc
 from .recurrence import (
     ResidueReport,
     SeqState,
-    TheoryViolationError,
     check_perfect_odd,
     local_residue,
     local_residue_mod,
@@ -69,14 +67,12 @@ __all__ = [
     "THETA",
     "THETA2",
     "THETA4",
-    "TheoryViolationError",
     "TruncationError",
     "cf_coeff",
     "cf_series",
     "check_perfect_odd",
     "delta_series",
     "dstar",
-    "eval_poly",
     "local_residue",
     "local_residue_mod",
     "parse_family",

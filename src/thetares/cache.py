@@ -3,9 +3,10 @@
 Entries for large m are expensive (degrees grow quadratically with big
 coefficients), so the CLI persists them one file per (family, m) under a
 versioned header.  Coefficients are stored in the wire format of
-:mod:`thetares.rational`.  A file that fails to parse or whose header
-(format, engine, family, m) differs is a miss, and `rec_sequence` also
-checks each entry's denominator; it recomputes and rewrites what fails.
+:mod:`thetares.rational`.  A file that fails to parse, holds no JSON
+object, or whose header (format, engine, family, m) differs is a miss,
+and `rec_sequence` also checks each entry's denominator; it recomputes
+and rewrites what fails.
 Writes go through a temporary file and an atomic rename.
 """
 
@@ -41,6 +42,8 @@ class SeqCache:
         path = self.entry_path(family, m)
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(data, dict):
+                return None
             if data.get("format") != CACHE_FORMAT or data.get("engine") != __version__:
                 return None
             if data.get("family") != family.canonical() or data.get("m") != m:

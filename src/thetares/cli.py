@@ -35,7 +35,6 @@ from .qseries import (
     xy_series,
 )
 from .recurrence import (
-    TheoryViolationError,
     check_perfect_odd,
     local_residue,
     rec_sequence,
@@ -313,9 +312,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.run(args)
-    except TheoryViolationError as exc:
-        print(f"theory violation: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except ValueError as exc:  # FamilyError, bad parameters
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

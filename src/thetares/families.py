@@ -72,10 +72,6 @@ class Family:
         return Fraction(self.b4, 4)
 
     @property
-    def c(self) -> Rat:
-        return Fraction(self.c4, 4)
-
-    @property
     def w(self) -> Rat:
         """Weight: 2(a + b + c) for the multiplicative kind, 2k otherwise."""
         if self.kind == "mult":

@@ -102,9 +102,6 @@ class QSeries:
             return self._nums == other._nums and self._den == other._den
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self._nums, self._den))
-
     # -- arithmetic ---------------------------------------------------------
 
     def _common(self, other: "QSeries"):
@@ -115,23 +112,18 @@ class QSeries:
         return m, den, fa, fb
 
     def __add__(self, other):
-        if isinstance(other, QSeries):
-            m, den, fa, fb = self._common(other)
-            nums = [self._nums[i] * fa + other._nums[i] * fb for i in range(m)]
-            return QSeries._make(nums, den)
-        c = _as_rat(other)
-        den = lcm(self._den, c.denominator)
-        f = den // self._den
-        nums = [n * f for n in self._nums]
-        nums[0] += c.numerator * (den // c.denominator)
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        m, den, fa, fb = self._common(other)
+        nums = [self._nums[i] * fa + other._nums[i] * fb for i in range(m)]
         return QSeries._make(nums, den)
 
     def __sub__(self, other):
-        if isinstance(other, QSeries):
-            m, den, fa, fb = self._common(other)
-            nums = [self._nums[i] * fa - other._nums[i] * fb for i in range(m)]
-            return QSeries._make(nums, den)
-        return self.__add__(-_as_rat(other))
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        m, den, fa, fb = self._common(other)
+        nums = [self._nums[i] * fa - other._nums[i] * fb for i in range(m)]
+        return QSeries._make(nums, den)
 
     def __neg__(self):
         return QSeries._make([-c for c in self._nums], self._den)
@@ -283,11 +275,6 @@ def eval_homogeneous(p: Poly, xpow, y: QSeries) -> QSeries:
         if c:
             h = [a + c * b for a, b in zip(h, xpow[d - i]._nums)]
     return QSeries._make(h, p.int_den * ep)
-
-
-def eval_poly(p: Poly, s: QSeries) -> QSeries:
-    """p(s): :func:`eval_homogeneous` at x = 1."""
-    return eval_homogeneous(p, [QSeries.const(1, s.trunc)] * len(p.int_coeffs), s)
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,9 @@ Every sequence this package computes lives in this shape, so the
 denominator is kept factored and never expanded: pole orders are read
 off the factor list and residues reduce to two exact evaluations.
 Values are immutable and fully reduced (no factor of the denominator
-divides the numerator): the public constructor reduces by root tests at
-each v = 1/j, `RatFunc._make` trusts its caller (the recurrence).
+divides the numerator).  The constructor does not reduce: its callers
+already hold reduced data, `recurrence.rec_step` by theorem and the cache
+read through the shape check `recurrence._fits`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import backend
 from .rational import Poly, Rat
 
 
@@ -27,43 +27,16 @@ def edge_factor(j: int, e: int = 1) -> Poly:
     return Poly([1, -j]) ** e
 
 
-def _reduce(num: Poly, den: dict):
-    if not num:
-        return num, ()
-    out = []
-    for j in sorted(den):
-        e = den[j]
-        while e and backend.eval_at_inv(list(num.int_coeffs), j) == 0:
-            num = num.divexact_linear(j)
-            e -= 1
-        if e:
-            out.append((j, e))
-    return num, tuple(out)
-
-
 class RatFunc:
     """num / prod (1 - j*v)**e_j in reduced factored form."""
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, num: Poly, factors=()):
-        den = {}
-        for j, e in factors:
-            if not isinstance(j, int) or j < 1:
-                raise ValueError(f"factor index must be a positive integer, got {j!r}")
-            if not isinstance(e, int) or e < 1:
-                raise ValueError(f"factor exponent must be a positive integer, got {e!r}")
-            if j in den:
-                raise ValueError(f"duplicate factor index {j}")
-            den[j] = e
-        self._num, self._den = _reduce(num, den)
-
-    @classmethod
-    def _make(cls, num: Poly, factors: tuple) -> "RatFunc":
-        # caller promises reduced form: factors sorted by j, none dividing num
-        f = object.__new__(cls)
-        f._num, f._den = num, factors
-        return f
+        """Store ``num`` over ``factors`` ((j, e), ...) as given: the caller
+        promises reduced form, with the j distinct and increasing, every
+        e >= 1, no (1 - j v) dividing ``num``, and no factor on a zero ``num``."""
+        self._num, self._den = num, tuple(factors)
 
     # -- inspection --------------------------------------------------------
 
@@ -89,9 +62,6 @@ class RatFunc:
         if isinstance(other, RatFunc):
             return self._num == other._num and self._den == other._den
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self._num, self._den))
 
     # -- poles, residues, expansion -----------------------------------------
 
@@ -134,7 +104,7 @@ class RatFunc:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RatFunc":
         # as stored, not reduced: rec_sequence checks a cached entry's shape
-        return cls._make(
+        return cls(
             Poly.from_strings(data["num"]),
             tuple((int(j), int(e)) for j, e in data["den"]),
         )

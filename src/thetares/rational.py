@@ -219,9 +219,6 @@ class Poly:
             return self._nums == other._nums and self._den == other._den
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self._nums, self._den))
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":

@@ -105,19 +105,6 @@ _U2U = Poly([0, -1, 1])  # u^2 - u
 _QUARTER = Fraction(1, 4)
 
 
-class TheoryViolationError(ArithmeticError):
-    """An entry has a pole at its edge that should be at most simple."""
-
-    def __init__(self, family: Family, m: int, order: int):
-        self.family = family
-        self.m = m
-        self.order = order
-        super().__init__(
-            f"entry {m} of family {family} has a pole of order {order} "
-            f"at v = 1/{family.edge(m)}; at most a simple pole is possible"
-        )
-
-
 def _edge_terms(factors: tuple):
     """Integer lists L = prod (1 - j v) over the factor indices j, and
     A_t = sum_j (e_j + t) (-j v) L / (1 - j v) for t = 1, 2."""
@@ -153,7 +140,7 @@ def _combo(coeffs, lists) -> list:
 def _initial(family: Family) -> RatFunc:
     """e_0 = rhs_0 / (1 - s v), s = edge(0), with no factor when s = 0."""
     s, num = family.edge(0), Poly([family.rhs(0)])
-    return RatFunc._make(num, ((s, 1),) if s and num else ())
+    return RatFunc(num, ((s, 1),) if s and num else ())
 
 
 def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
@@ -203,7 +190,7 @@ def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
         factors += ((s, 1),)
     else:
         num = num.divexact_linear(s)
-    return RatFunc._make(num, factors)
+    return RatFunc(num, factors)
 
 
 def relation_defect(family: Family, m: int, entry: RatFunc,
@@ -370,9 +357,7 @@ def residue_report(seq: SeqState, m: int) -> ResidueReport:
     entry = seq.entries[m]
     pole = family.edge(m)
     order = entry.pole_order(pole)
-    if order > 1:
-        raise TheoryViolationError(family, m, order)
-    res = entry.residue(pole)
+    res = entry.residue(pole)  # HigherOrderPoleError when order > 1
     return ResidueReport(m, pole, order, res, family.recovered_from_residue(m, res))
 
 

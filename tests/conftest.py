@@ -4,7 +4,7 @@ for exact rationals, polynomials and factored rational functions."""
 import random
 from fractions import Fraction
 
-from thetares import Poly, RatFunc
+from thetares import Poly, RatFunc, backend
 
 
 def rand_rat(rng: random.Random, bound: int = 20) -> Fraction:
@@ -24,6 +24,9 @@ def rand_nonzero_poly(rng: random.Random, max_deg: int = 6, bound: int = 20) -> 
 
 
 def rand_ratfunc(rng: random.Random, max_deg: int = 5, max_factors: int = 3) -> RatFunc:
+    """A reduced value: factors sorted by j, and none at a root 1/j of the
+    numerator (so a zero numerator has none)."""
     num = rand_poly(rng, max_deg)
     indices = rng.sample(range(1, 11), rng.randint(0, max_factors))
-    return RatFunc(num, [(j, rng.randint(1, 3)) for j in indices])
+    return RatFunc(num, [(j, rng.randint(1, 3)) for j in sorted(indices)
+                         if backend.eval_at_inv(num.int_coeffs, j)])

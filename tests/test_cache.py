@@ -149,8 +149,8 @@ def test_forged_cached_factor_is_a_miss(tmp_path, capsys):
 
 
 def test_cancellable_old_factor_is_a_miss(tmp_path, capsys):
-    # N (1 - 2v) over (1 - 2v)^4: the reducing constructor would give
-    # entry 3 back, but an old factor must be raised by exactly 2
+    # N (1 - 2v) over (1 - 2v)^4: reduced, it would give entry 3 back,
+    # but an old factor must be raised by exactly 2
     def forge(entry):
         return {"num": (entry.num * Poly([1, -2])).to_strings(), "den": [[1, 5], [2, 4]]}
 
@@ -165,6 +165,18 @@ def test_edge_factor_over_a_root_is_a_miss(tmp_path, capsys):
                 "den": [[1, 5], [2, 3], [3, 1]]}
 
     rerun_with_forged_entry(tmp_path, capsys, forge)
+
+
+@pytest.mark.parametrize("text", ["[]", "1", '"x"', "null"])
+def test_non_object_file_is_a_miss(tmp_path, capsys, text):
+    assert compute(tmp_path, 3) == 0
+    cold = capsys.readouterr().out
+    path = SeqCache(tmp_path).entry_path(THETA2, 2)
+    good = path.read_bytes()
+    path.write_text(text)
+    assert compute(tmp_path, 3) == 0
+    assert capsys.readouterr().out == cold
+    assert path.read_bytes() == good
 
 
 @pytest.mark.parametrize("text", [

@@ -2,12 +2,14 @@
 
 Every step of the fused recurrence is checked by `relation_defect`,
 which substitutes Taylor coefficients at v = 0 into the literal form of
-the relation and shares no arithmetic with the step; the reducing
-constructor must find nothing to cancel in an entry, whose factors are
-the previous entry's raised by 2 plus at most a simple pole at the edge, the residue there must recover the family's
-q-expansion coefficient from the independent q-series oracle and equal
-the residue of the local jet at the edge (exactly, and mod its prime),
-and the entries' Taylor coefficients must match the u-side resummation.
+the relation and shares no arithmetic with the step; an entry must be
+reduced (no factor (1 - j v) divides its numerator, and a zero entry has
+no factors), its factors must be the previous entry's raised by 2 plus
+at most a simple pole at the edge, the residue there must recover the
+family's q-expansion coefficient from the independent q-series oracle
+and equal the residue of the local jet at the edge (exactly, and mod its
+prime), and the entries' Taylor coefficients must match the u-side
+resummation.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from thetares import (
     Family,
-    RatFunc,
+    backend,
     cf_coeff,
     local_residue,
     local_residue_mod,
@@ -58,7 +60,8 @@ def test_every_step_satisfies_the_relation_and_the_residue_identity(family):
     for m, entry in enumerate(seq.entries):
         prev = seq.entries[m - 1] if m else None
         assert not relation_defect(family, m, entry, prev)
-        assert RatFunc(entry.num, entry.factors) == entry
+        assert all(backend.eval_at_inv(entry.num.int_coeffs, j) for j, _e in entry.factors)
+        assert entry.num or not entry.factors
         if m:
             raised = tuple((j, e + 2) for j, e in prev.factors)
             assert entry.factors in (raised, raised + ((family.edge(m), 1),))

@@ -12,10 +12,10 @@ from thetares import (
     THETA2,
     THETA4,
     Family,
+    HigherOrderPoleError,
     Poly,
     RatFunc,
     SeqState,
-    TheoryViolationError,
     check_perfect_odd,
     local_residue,
     local_residue_mod,
@@ -280,11 +280,10 @@ class TestResidueReport:
             residue_report(seq, 3)
         assert len(seq.entries) == 3
 
-    def test_double_edge_pole_is_a_theory_violation(self):
+    def test_double_edge_pole_has_no_residue(self):
         seq = SeqState(THETA2, [rec_step(THETA2, 0), RatFunc(Poly([1]), [(1, 2)])])
-        with pytest.raises(TheoryViolationError) as info:
+        with pytest.raises(HigherOrderPoleError, match="order 2 at v = 1/1"):
             residue_report(seq, 1)
-        assert (info.value.m, info.value.order) == (1, 2)
 
 
 class TestScans:
