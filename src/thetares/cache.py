@@ -2,11 +2,12 @@
 
 Entries for large m are expensive (degrees grow quadratically with big
 coefficients), so the CLI persists them one file per (family, m) under a
-versioned header.  Coefficients are stored in the wire format of
-:mod:`thetares.rational`.  A file that fails to parse, holds no JSON
-object, or whose header (format, engine, family, m) differs is a miss,
-and `rec_sequence` also checks each entry's denominator; it recomputes
-and rewrites what fails.
+versioned header, each as the engine holds it: the numerator's integer
+coefficients over one shared denominator, as hex strings, and the
+denominator's factors [[j, e], ...].  A file that fails to decode, holds
+no JSON object, or whose header (format, engine, family, m) differs is a
+miss, and `rec_sequence` also checks each entry's denominator and its
+relation to the previous entry; it recomputes and rewrites what fails.
 Writes go through a temporary file and an atomic rename.
 """
 
@@ -21,9 +22,10 @@ from pathlib import Path
 from . import __version__
 from .families import Family
 from .ratfunc import RatFunc
+from .rational import Poly
 from .recurrence import rec_sequence
 
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 def family_digest(family: Family) -> str:
@@ -48,7 +50,12 @@ class SeqCache:
                 return None
             if data.get("family") != family.canonical() or data.get("m") != m:
                 return None
-            return RatFunc.from_json_dict(data["entry"])
+            entry = data["entry"]
+            nums, factors = entry["nums"], tuple((j, e) for j, e in entry["factors"])
+            if not isinstance(nums, list) or any(type(x) is not int for f in factors for x in f):
+                return None
+            return RatFunc(Poly.from_cleared([int(c, 16) for c in nums], int(entry["den"], 16)),
+                           factors)
         except (OSError, ValueError, KeyError, TypeError, ArithmeticError):
             return None
 
@@ -58,7 +65,8 @@ class SeqCache:
             "engine": __version__,
             "family": family.canonical(),
             "m": m,
-            "entry": entry.to_json_dict(),
+            "entry": {"nums": [format(c, "x") for c in entry.num.int_coeffs],
+                      "den": format(entry.num.int_den, "x"), "factors": entry.factors},
         }
         text = json.dumps(data, sort_keys=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")

@@ -312,7 +312,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.run(args)
-    except ValueError as exc:  # FamilyError, bad parameters
+    except (ValueError, OverflowError) as exc:  # FamilyError, bad parameters, sizes past an index
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

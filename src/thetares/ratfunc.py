@@ -6,7 +6,7 @@ off the factor list and residues reduce to two exact evaluations.
 Values are immutable and fully reduced (no factor of the denominator
 divides the numerator).  The constructor does not reduce: its callers
 already hold reduced data, `recurrence.rec_step` by theorem and the cache
-read through the shape check `recurrence._fits`.
+read through the shape and relation check `recurrence._fits`.
 """
 
 from __future__ import annotations
@@ -100,14 +100,6 @@ class RatFunc:
             "num": self._num.to_strings(),
             "den": [[j, e] for j, e in self._den],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RatFunc":
-        # as stored, not reduced: rec_sequence checks a cached entry's shape
-        return cls(
-            Poly.from_strings(data["num"]),
-            tuple((int(j), int(e)) for j, e in data["den"]),
-        )
 
     def __str__(self) -> str:
         num = self._num.to_str()

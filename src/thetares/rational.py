@@ -4,14 +4,15 @@
 guarantees the canonical form everything here relies on: fully reduced,
 positive denominator, zero stored as 0/1.
 
-The wire format of a coefficient (cache files, JSON output) is the
+The output format of a coefficient (JSON and pretty output) is the
 string ``str(Fraction)`` gives: "p/q" fully reduced with q > 1, or "p".
-:func:`parse_rationals` and :func:`format_rationals` are its only codec;
-they work on integer numerators over one shared denominator and never
-build a ``Fraction``.
+:func:`format_rationals` writes it from integer numerators over one
+shared denominator, builds no ``Fraction`` and has no digit limit.
+Nothing in the package parses it back: the cache stores the cleared
+integers themselves.
 
-Every exact value in the package (a :class:`Poly`, a q-series, a list
-of wire strings) is kept in one cleared form: integer numerators over one
+Every exact value in the package (a :class:`Poly`, a q-series, a cache
+entry) is kept in one cleared form: integer numerators over one
 shared positive denominator with gcd(content, denominator) = 1, so the
 hot operations (convolution, synthetic division, root tests) run on
 plain ints through :mod:`thetares.backend`.  This module owns that form:
@@ -48,19 +49,6 @@ def _as_rat(value) -> Fraction:
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _parse_int(text: str, limit: int) -> int:
-    if not limit or len(text) <= limit:
-        return int(text)
-    # too long for one int(): split the digits in halves, recursively
-    negative = text[0] == "-"
-    digits = text[1:] if negative else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {text[:32]}...")
-    k = len(digits) // 2
-    n = _parse_int(digits[:-k], limit) * 10**k + _parse_int(digits[-k:], limit)
-    return -n if negative else n
-
-
 def _format_int(n: int, limit: int) -> str:
     # fewer than 3*limit bits means at most limit digits
     if not limit or n.bit_length() < 3 * limit:
@@ -72,29 +60,9 @@ def _format_int(n: int, limit: int) -> str:
     return _format_int(hi, limit) + _format_int(lo, limit).zfill(k)
 
 
-def parse_rationals(strings) -> tuple:
-    """Wire strings "p" or "p/q" -> (numerators, den), cleared by :func:`clear`.
-
-    den is the lcm of the q's and the i-th value is numerators[i] / den;
-    the input need not be reduced.  Raises ValueError for a malformed
-    string or q <= 0 and TypeError for a value that is not a string.
-    """
-    limit = _max_str_digits()
-    pairs = []
-    for s in strings:
-        if not isinstance(s, str):
-            raise TypeError(f"expected a rational string, got {type(s).__name__}")
-        p, slash, q = s.partition("/")
-        q = _parse_int(q, limit) if slash else 1
-        if q <= 0:
-            raise ValueError(f"denominator must be positive in {s[:32]!r}")
-        pairs.append((_parse_int(p, limit), q))
-    return clear(pairs)
-
-
 def format_rationals(nums, den: int) -> list:
-    """Inverse of :func:`parse_rationals`: ``str(Fraction(c, den))`` for
-    each c, for any den > 0, with no limit on the number of digits."""
+    """``str(Fraction(c, den))`` for each c, for any den > 0, with no
+    limit on the number of digits."""
     limit = _max_str_digits()
     if den == 1:
         return [_format_int(c, limit) for c in nums]
@@ -177,11 +145,6 @@ class Poly:
         p._nums, p._den = _normalize(list(nums), den)
         return p
 
-    @classmethod
-    def from_strings(cls, strings) -> "Poly":
-        """Parse the wire format (see :func:`parse_rationals`)."""
-        return cls.from_cleared(*parse_rationals(strings))
-
     # -- inspection ------------------------------------------------------
 
     @property
@@ -208,7 +171,7 @@ class Poly:
         return Fraction(0)
 
     def to_strings(self) -> list:
-        """Coefficients in the wire format, constant term first."""
+        """Coefficients in the output format, constant term first."""
         return format_rationals(self._nums, self._den)
 
     def __bool__(self) -> bool:

@@ -92,6 +92,7 @@ den = 0 mod p.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -102,6 +103,7 @@ from .rational import Poly, Rat
 from .ratfunc import RatFunc, edge_factor
 
 _U2U = Poly([0, -1, 1])  # u^2 - u
+PRIME = 2**61 - 1  # the modulus of `local_residue_mod` and of the cache's relation check
 _QUARTER = Fraction(1, 4)
 
 
@@ -249,17 +251,53 @@ class SeqState:
     entries: list = field(default_factory=list)
 
 
-def _fits(family: Family, m: int, entry: RatFunc, prev: RatFunc | None) -> bool:
-    """Whether a cached entry is e_0 (m = 0), or has prev's factors raised
-    by 2, plus (1 - s v) only where the numerator is nonzero at v = 1/s."""
+def _point(entry: RatFunc, v0: int) -> tuple | None:
+    """(e, e', e'') at v0 mod PRIME, or None when den or some 1 - j v0 is
+    0 mod PRIME.  With e = N / (den D), lam = D'/D = -sum j e_j / (1 - j v)
+    and lam' = -sum j^2 e_j / (1 - j v)^2: e' = (N' - N lam) / (den D) and
+    e'' = (N'' - 2 N' lam - N lam' + N lam^2) / (den D)."""
+    n0 = n1 = n2 = lam = lam1 = 0
+    for c in reversed(entry.num.int_coeffs):  # one Horner pass for N, N' and N''/2
+        n2, n1, n0 = (n2 * v0 + n1) % PRIME, (n1 * v0 + n0) % PRIME, (n0 * v0 + c) % PRIME
+    den = entry.num.int_den
+    for j, e in entry.factors:
+        u = (1 - j * v0) % PRIME
+        den, t = den * pow(u, e, PRIME) % PRIME, j * pow(u, -1, PRIME) if u else 0
+        lam, lam1 = lam - e * t, lam1 - e * t * t
+    if not den % PRIME:
+        return None
+    inv = pow(den, -1, PRIME)
+    return (n0 * inv % PRIME, (n1 - n0 * lam) * inv % PRIME,
+            (2 * n2 - 2 * n1 * lam - n0 * lam1 + n0 * lam * lam) * inv % PRIME)
+
+
+def _fits(family: Family, m: int, entry: RatFunc, prev: RatFunc | None,
+          v0: int, at_prev: tuple | None) -> tuple | None:
+    """`_point(entry, v0)` if a cached entry is e_0 (m = 0), or else has
+    prev's factors raised by 2, plus (1 - s v) only where the numerator is
+    nonzero at v = 1/s, and satisfies the m-th relation
+    R = e_m (1 - s v) + v G_m(e_{m-1}) - rhs_m at v0 mod PRIME, given
+    ``at_prev`` = `_point(prev, v0)`; None otherwise.  A wrong entry with the
+    right shape passes only if v0 is one of the at most deg R roots of R's
+    numerator: probability at most deg R / PRIME (Schwartz-Zippel)."""
     if not m:
-        return entry == _initial(family)
+        return _point(entry, v0) if entry == _initial(family) else None
     raised = tuple((j, e + 2) for j, e in prev.factors)
-    if entry.factors == raised:
-        return bool(entry.num) or not raised  # a zero entry has no factors
     s = family.edge(m)
-    return (entry.factors == raised + ((s, 1),)
-            and backend.eval_at_inv(entry.num.int_coeffs, s) != 0)
+    if entry.factors == raised:
+        shaped = bool(entry.num) or not raised  # a zero entry has no factors
+    else:
+        shaped = (entry.factors == raised + ((s, 1),)
+                  and backend.eval_at_inv(entry.num.int_coeffs, s) != 0)
+    at = _point(entry, v0) if shaped else None
+    if at is None:
+        return None
+    e, d1, d2 = at_prev
+    th, w4 = v0 * d1, family.w / 4  # theta e = v e', and theta^2 e = th + v^2 e''
+    g = (m - 1 - family.beta) * e - th + v0 * (
+        w4 * e + (w4 + _QUARTER) * th + _QUARTER * (th + v0 * v0 * d2))
+    # R is a Fraction whose denominator PRIME does not divide
+    return None if (at[0] * (1 - s * v0) + v0 * g - family.rhs(m)).numerator % PRIME else at
 
 
 def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
@@ -268,15 +306,20 @@ def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
     With a ``cache`` (a `thetares.cache.SeqCache`), the longest run of
     cached entries 0, 1, ... that pass `_fits` is read first, and each
     entry after it is computed and (re)written as soon as it exists, so an
-    interrupted run keeps its progress.
+    interrupted run keeps its progress.  `_fits` checks each relation at
+    one point v0 mod PRIME, drawn once per call, and carries the value
+    and derivatives of the last accepted entry there, so each numerator
+    is evaluated once.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    entries = []
+    entries, at = [], None
+    v0 = random.SystemRandom().randrange(2, PRIME)  # the point of every relation check
     while cache is not None and len(entries) <= m_max:
         m = len(entries)
         entry = cache.read(family, m)
-        if entry is None or not _fits(family, m, entry, entries[-1] if m else None):
+        at = None if entry is None else _fits(family, m, entry, entries[-1] if m else None, v0, at)
+        if at is None:
             break
         entries.append(entry)
     while len(entries) <= m_max:
@@ -362,9 +405,6 @@ def residue_report(seq: SeqState, m: int) -> ResidueReport:
 
 
 # -- local jets at the edge ----------------------------------------------------
-
-PRIME = 2**61 - 1  # the modulus of `local_residue_mod`
-
 
 def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
     """Integers (num, den) with Res_{v=1/s} e_m = num / den, both reduced

@@ -9,12 +9,19 @@ from thetares import backend, parse_family, recurrence
 from thetares.cache import SeqCache, cached_sequence
 from thetares.cli import main
 
-# theta^2 entry m = 3 exactly as the Fraction-based writer of format 1
-# wrote it; reading it and writing it back must give these bytes
+# theta^2 entry m = 3 in the retired format 1 (decimal "p/q" strings):
+# a miss, recomputed and rewritten in format 2
 PINNED_M3 = (
     '{"engine": "0.1.0", "entry": {"den": [[1, 5], [2, 3]], "num": ["0", "0", "0", "0", '
     '"-1/4", "17/8", "-457/64", "13", "-953/64", "351/32", "-35/8", "3/4"]}, '
     '"family": "mult:0,0,2", "format": 1, "m": 3}'
+)
+# the same entry in format 2: hex numerators over the shared denominator
+# 0x40 = 64; reading it and writing it back must give these bytes
+PINNED_M3_HEX = (
+    '{"engine": "0.1.0", "entry": {"den": "40", "factors": [[1, 5], [2, 3]], "nums": '
+    '["0", "0", "0", "0", "-10", "88", "-1c9", "340", "-3b9", "2be", "-118", "30"]}, '
+    '"family": "mult:0,0,2", "format": 2, "m": 3}'
 )
 
 
@@ -33,10 +40,11 @@ def test_cache_files_are_versioned(tmp_path):
     cached_sequence(THETA2, 2, cache)
     path = cache.entry_path(THETA2, 1)
     data = json.loads(path.read_text())
-    assert data["format"] == 1
+    assert data["format"] == 2
     assert data["family"] == "mult:0,0,2"
     assert data["m"] == 1
     assert set(data) == {"format", "engine", "family", "m", "entry"}
+    assert set(data["entry"]) == {"nums", "den", "factors"}
 
 
 def test_corrupt_entries_are_recomputed(tmp_path):
@@ -50,10 +58,14 @@ def test_corrupt_entries_are_recomputed(tmp_path):
     assert cache.read(THETA2, 2) == good  # rewritten
 
 
+def this_engine(text):
+    return text.replace('"engine": "0.1.0"', f'"engine": "{__version__}"')
+
+
 def test_pinned_file_reads_and_writes_back_byte_identical(tmp_path):
     cache = SeqCache(tmp_path)
     path = cache.entry_path(THETA2, 3)
-    pinned = PINNED_M3.replace('"engine": "0.1.0"', f'"engine": "{__version__}"')
+    pinned = this_engine(PINNED_M3_HEX)
     path.write_text(pinned, encoding="utf-8")
     entry = cache.read(THETA2, 3)
     assert entry == rec_sequence(THETA2, 3).entries[3]
@@ -62,13 +74,23 @@ def test_pinned_file_reads_and_writes_back_byte_identical(tmp_path):
     assert path.read_bytes() == pinned.encode()
 
 
+def test_format_1_file_is_rewritten_in_format_2(tmp_path):
+    cache = SeqCache(tmp_path)
+    cached_sequence(THETA2, 3, cache)
+    path = cache.entry_path(THETA2, 3)
+    path.write_text(this_engine(PINNED_M3), encoding="utf-8")
+    assert cache.read(THETA2, 3) is None
+    cached_sequence(THETA2, 3, cache)
+    assert path.read_text(encoding="utf-8") == this_engine(PINNED_M3_HEX)
+
+
 def test_zero_denominator_is_recomputed(tmp_path):
     cache = SeqCache(tmp_path)
     cached_sequence(THETA2, 3, cache)
     good = cache.read(THETA2, 2)
     path = cache.entry_path(THETA2, 2)
     data = json.loads(path.read_text())
-    data["entry"]["num"][3] = "1/0"
+    data["entry"]["den"] = "0"
     path.write_text(json.dumps(data))
     assert cache.read(THETA2, 2) is None
     seq = cached_sequence(THETA2, 3, cache)
@@ -78,12 +100,12 @@ def test_zero_denominator_is_recomputed(tmp_path):
 
 def test_coefficients_beyond_the_int_str_limit(tmp_path):
     # 15,000 digits: str(int) and int(str) refuse more than 4,300 by default
-    big = "-" + "3" * 14999 + "1/4"
-    entry = RatFunc(Poly.from_strings([big, "1", "0", "5/2"]), [(2, 1), (3, 2)])
-    assert entry.num.to_strings()[0] == big
+    big = (10**15000 - 1) // 3 - 2  # 333...31
+    entry = RatFunc(Poly.from_cleared([-big, 4, 0, 10], 4), [(2, 1), (3, 2)])
+    assert entry.num.to_strings() == ["-" + "3" * 14999 + "1/4", "1", "0", "5/2"]
     cache = SeqCache(tmp_path)
     cache.write(THETA2, 7, entry)
-    assert big in cache.entry_path(THETA2, 7).read_text()
+    assert f'"-{big:x}"' in cache.entry_path(THETA2, 7).read_text()
     assert cache.read(THETA2, 7) == entry
 
 
@@ -124,16 +146,18 @@ def compute(cache_dir, m_max):
 
 
 def rerun_with_forged_entry(cache_dir, capsys, forge):
-    """Run theta^2 to m = 4, replace the cached entry 3 by ``forge(entry 3)``
-    and run again: the second run must print what the first printed, and
-    must have recomputed entry 3 and rewritten its file."""
+    """Run theta^2 to m = 4, replace the cached entry 3 by the numerator
+    and factors ``forge(entry 3)`` returns, and run again: the second run
+    must print what the first printed, and must have recomputed entry 3
+    and rewritten its file."""
     assert compute(cache_dir, 4) == 0
     cold = capsys.readouterr().out
-    path = SeqCache(cache_dir).entry_path(THETA2, 3)
+    cache = SeqCache(cache_dir)
+    path = cache.entry_path(THETA2, 3)
     good = path.read_bytes()
-    data = json.loads(good)
-    data["entry"] = forge(RatFunc.from_json_dict(data["entry"]))
-    path.write_text(json.dumps(data, sort_keys=True))
+    num, factors = forge(cache.read(THETA2, 3))
+    cache.write(THETA2, 3, RatFunc(num, factors))
+    assert cache.read(THETA2, 3) == RatFunc(num, factors)
     assert compute(cache_dir, 4) == 0
     assert capsys.readouterr().out == cold
     assert path.read_bytes() == good
@@ -143,7 +167,7 @@ def test_forged_cached_factor_is_a_miss(tmp_path, capsys):
     # theta^2 entry 3 (factors (1, 5), (2, 3)) with an extra factor
     # (1 - 4v), the next edge; built on, it would give entry 4 a double pole
     def forge(entry):
-        return {"num": entry.num.to_strings(), "den": [[1, 5], [2, 3], [4, 1]]}
+        return entry.num, [(1, 5), (2, 3), (4, 1)]
 
     rerun_with_forged_entry(tmp_path, capsys, forge)
 
@@ -152,7 +176,7 @@ def test_cancellable_old_factor_is_a_miss(tmp_path, capsys):
     # N (1 - 2v) over (1 - 2v)^4: reduced, it would give entry 3 back,
     # but an old factor must be raised by exactly 2
     def forge(entry):
-        return {"num": (entry.num * Poly([1, -2])).to_strings(), "den": [[1, 5], [2, 4]]}
+        return entry.num * Poly([1, -2]), [(1, 5), (2, 4)]
 
     rerun_with_forged_entry(tmp_path, capsys, forge)
 
@@ -161,10 +185,39 @@ def test_edge_factor_over_a_root_is_a_miss(tmp_path, capsys):
     # theta^2 entry 3 has no pole at v = 1/3 (3 is no sum of two squares);
     # N (1 - 3v) over (1 - 3v) has the shape but a numerator vanishing there
     def forge(entry):
-        return {"num": (entry.num * Poly([1, -3])).to_strings(),
-                "den": [[1, 5], [2, 3], [3, 1]]}
+        return entry.num * Poly([1, -3]), [(1, 5), (2, 3), (3, 1)]
 
     rerun_with_forged_entry(tmp_path, capsys, forge)
+
+
+def test_forged_numerator_is_a_miss(tmp_path, capsys):
+    # the right denominator, but numerator coefficient 4 moved by 1: the
+    # relation to entry 2, checked at a random point mod PRIME, fails
+    def forge(entry):
+        nums, den = list(entry.num.int_coeffs), entry.num.int_den
+        nums[4] += den
+        return Poly.from_cleared(nums, den), entry.factors
+
+    rerun_with_forged_entry(tmp_path, capsys, forge)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("factors", [[1, 5], [2.0, 3]]),
+    ("factors", [[1, 5], [2, True]]),
+    ("factors", [[1, 5], ["2", 3]]),
+    ("nums", "1"),  # one hex string, not a list of them
+])
+def test_entry_of_the_wrong_json_types_is_a_miss(tmp_path, key, value):
+    cache = SeqCache(tmp_path)
+    cached_sequence(THETA2, 3, cache)
+    path = cache.entry_path(THETA2, 3)
+    good = path.read_bytes()
+    data = json.loads(good)
+    data["entry"][key] = value
+    path.write_text(json.dumps(data, sort_keys=True))
+    assert cache.read(THETA2, 3) is None
+    cached_sequence(THETA2, 3, cache)
+    assert path.read_bytes() == good
 
 
 @pytest.mark.parametrize("text", ["[]", "1", '"x"', "null"])
@@ -182,6 +235,9 @@ def test_non_object_file_is_a_miss(tmp_path, capsys, text):
 @pytest.mark.parametrize("text", [
     "poly:1:[(0,1,1)]",  # e_0 = 0, no factors
     "mult:1,0,0",  # e_0 = 1 / (1 - v), a factor before any step
+    "mult:0,0,2",  # theta^2: poles cancel at every non-sum of two squares
+    "mult:2,8,8",  # 256*Delta: edge offset 2, poles of growing order
+    "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]",  # rational rhs after m = 0
 ])
 def test_prefix_is_read_back_whole(tmp_path, monkeypatch, text):
     family = parse_family(text)

@@ -9,9 +9,13 @@ at most a simple pole at the edge, the residue there must recover the
 family's q-expansion coefficient from the independent q-series oracle
 and equal the residue of the local jet at the edge (exactly, and mod its
 prime), and the entries' Taylor coefficients must match the u-side
-resummation.
+resummation.  The cache's relation check (`_fits`, the relation at one
+point mod PRIME) accepts every entry and rejects the entry, or the
+previous entry, with one numerator coefficient moved by 1/den, as
+`relation_defect` does.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -19,6 +23,8 @@ from hypothesis import strategies as st
 
 from thetares import (
     Family,
+    Poly,
+    RatFunc,
     backend,
     cf_coeff,
     local_residue,
@@ -28,9 +34,10 @@ from thetares import (
     residue_report,
     resum_matrix,
 )
-from thetares.recurrence import PRIME
+from thetares.recurrence import PRIME, _fits, _point
 
 M_MAX = 8
+V0 = random.Random(0).randrange(2, PRIME)  # a point as `rec_sequence` draws one
 
 
 @st.composite
@@ -53,13 +60,30 @@ def poly_families(draw):
     return Family.polynomial([(k - j, j, c) for j, c in enumerate(coeffs)])
 
 
+def moved(entry, i):
+    """``entry`` with numerator coefficient i (mod its length) moved by 1/den."""
+    nums = list(entry.num.int_coeffs) or [0]
+    nums[i % len(nums)] += entry.num.int_den
+    return RatFunc(Poly.from_cleared(nums, entry.num.int_den), entry.factors)
+
+
 @settings(deadline=None, derandomize=True)
-@given(st.one_of(mult_families(), poly_families()))
-def test_every_step_satisfies_the_relation_and_the_residue_identity(family):
+@given(st.one_of(mult_families(), poly_families()), st.integers(0, 63))
+def test_every_step_satisfies_the_relation_and_the_residue_identity(family, i):
     seq = rec_sequence(family, M_MAX)
+    at = None
     for m, entry in enumerate(seq.entries):
         prev = seq.entries[m - 1] if m else None
         assert not relation_defect(family, m, entry, prev)
+        at_prev, at = at, _fits(family, m, entry, prev, V0, at)
+        assert at == _point(entry, V0) is not None
+        bad = moved(entry, i)
+        assert relation_defect(family, m, bad, prev)
+        assert _fits(family, m, bad, prev, V0, at_prev) is None
+        if m:
+            bad = moved(prev, i)
+            assert relation_defect(family, m, entry, bad)
+            assert _fits(family, m, entry, prev, V0, _point(bad, V0)) is None
         assert all(backend.eval_at_inv(entry.num.int_coeffs, j) for j, _e in entry.factors)
         assert entry.num or not entry.factors
         if m:

@@ -7,7 +7,6 @@ import pytest
 
 from thetares import checks
 from thetares.qseries import eval_homogeneous
-from thetares.rational import parse_rationals
 from thetares import (
     DELTA256,
     THETA2,
@@ -90,7 +89,7 @@ class TestArithmetic:
     def test_json_round_trip(self):
         f = QSeries([1, Fraction(-1, 2), 0, 4])
         assert f.to_json_dict() == {"trunc": 3, "coeffs": ["1", "-1/2", "0", "4"]}
-        assert parse_rationals(f.to_json_dict()["coeffs"]) == ([2, -1, 0, 8], 2)
+        assert f.to_json_dict()["coeffs"] == [str(c) for c in f.coeffs]
 
     def test_str_past_the_int_digit_limit(self):
         big = "1" + "0" * 15000
