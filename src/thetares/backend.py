@@ -61,14 +61,16 @@ def conv_trunc(a, b, n):
 
 
 def _pack(a, width):
-    """sum a[i] * 256**(width*i), from one join of two's-complement slots."""
+    """sum a[i] * 256**(width*i), from one join of unsigned slots.
+
+    Each slot holds c + half, which fits because every |c| is below half
+    (the slot has room for a product's coefficients); subtracting half
+    from every slot at once leaves the signed sum.
+    """
+    half = 1 << (8 * width - 1)
     packed = int.from_bytes(
-        b"".join([c.to_bytes(width, "little", signed=True) for c in a]), "little")
-    # a negative slot reads as c + 256**width: take back the borrowed 1
-    zero = bytes(width)
-    one = b"\x01" + bytes(width - 1)
-    borrow = int.from_bytes(zero + b"".join([one if c < 0 else zero for c in a]), "little")
-    return packed - borrow
+        b"".join([(c + half).to_bytes(width, "little") for c in a]), "little")
+    return packed - int.from_bytes((bytes(width - 1) + b"\x80") * len(a), "little")
 
 
 def divexact_linear(nums, j):

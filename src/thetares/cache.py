@@ -13,7 +13,6 @@ Writes go through a temporary file and an atomic rename.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -29,6 +28,8 @@ CACHE_FORMAT = 2
 
 
 def family_digest(family: Family) -> str:
+    import hashlib  # only the cache needs it: a CLI run without one skips its load
+
     return hashlib.sha256(family.canonical().encode()).hexdigest()[:16]
 
 

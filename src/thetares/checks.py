@@ -9,7 +9,7 @@ if every check does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from math import prod
@@ -41,11 +41,7 @@ from .recurrence import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
 # Entry 4 of the 256*Delta family, as published: numerator

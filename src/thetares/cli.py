@@ -12,7 +12,6 @@ sorted keys and exact rational strings, never floats.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -54,6 +53,12 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _csv_writer():
+    import csv  # only --format csv needs it: the other formats skip its load
+
+    return csv.writer(sys.stdout)
+
+
 # -- compute ---------------------------------------------------------------
 
 
@@ -71,7 +76,7 @@ def cmd_compute(args) -> int:
         rows = [{"m": m, **entry.to_json_dict()} for m, entry in enumerate(seq.entries)]
         _emit_json({"family": family.canonical(), "entries": rows})
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
+        writer = _csv_writer()
         writer.writerow(["m", "num", "den"])
         for m, entry in enumerate(seq.entries):
             row = entry.to_json_dict()
@@ -118,7 +123,7 @@ def cmd_residues(args) -> int:
     if args.format == "json":
         _emit_json({"family": family.canonical(), "rows": rows, "all_match": all_match})
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
+        writer = _csv_writer()
         writer.writerow(["m", "pole", "order", "residue", "recovered", "oracle", "match"])
         for row in rows:
             writer.writerow([
@@ -177,7 +182,7 @@ def cmd_scan(args) -> int:
     if args.format == "json":
         _emit_json(payload)
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
+        writer = _csv_writer()
         if kind == "perfect-odd":
             writer.writerow(["m", "residue", "is_perfect"])
             for row in payload["rows"]:

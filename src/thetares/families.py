@@ -10,7 +10,6 @@ polynomial P(x, y) of degree k (the "polynomial" kind, weight 2k).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rational import Poly, Rat
@@ -20,15 +19,45 @@ class FamilyError(ValueError):
     """Family parameters outside the admissible shape."""
 
 
-@dataclass(frozen=True)
 class Family:
-    kind: str  # "mult" or "poly"
-    a: int = 0
-    b4: int = 0  # 4*b
-    c4: int = 0  # 4*c
-    monomials: tuple = ()  # ((i, j, coeff), ...) with i + j = k
-    k: int = 0
-    label: str = field(default="", compare=False)
+    """Immutable; equal families (and their hashes) ignore the label, so a
+    parsed "mult:0,0,2" is THETA2 and shares its cached series."""
+
+    __slots__ = (
+        "kind",  # "mult" or "poly"
+        "a",
+        "b4",  # 4*b
+        "c4",  # 4*c
+        "monomials",  # ((i, j, coeff), ...) with i + j = k
+        "k",
+        "label",
+    )
+
+    def __init__(self, kind: str, a: int = 0, b4: int = 0, c4: int = 0,
+                 monomials: tuple = (), k: int = 0, label: str = ""):
+        for name, value in zip(self.__slots__, (kind, a, b4, c4, monomials, k, label)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Family is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Family is immutable: cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.kind, self.a, self.b4, self.c4, self.monomials, self.k)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"Family({fields})"
 
     # -- constructors --------------------------------------------------------
 

@@ -23,9 +23,9 @@ it, and :func:`power` raises any such value by repeated squaring.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
 from . import backend
 
@@ -39,7 +39,7 @@ class NonDivisibleError(ArithmeticError):
 def _as_rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -96,17 +96,18 @@ def canonical(nums, den: int) -> tuple:
 
 
 def power(base, e: int, one):
-    """base**e by repeated squaring, starting from the unit ``one``."""
+    """base**e by repeated squaring; ``one``, the unit, is returned for e = 0
+    and never multiplied."""
     if not isinstance(e, int) or e < 0:
         raise ValueError("powers must be nonnegative integers")
-    out = one
+    out = None
     while e:
         if e & 1:
-            out = out * base
+            out = base if out is None else out * base
         e >>= 1
         if e:
             base = base * base
-    return out
+    return one if out is None else out
 
 
 def _normalize(nums: list, den: int):

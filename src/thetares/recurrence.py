@@ -93,7 +93,7 @@ den = 0 mod p.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -243,12 +243,8 @@ def relation_defect(family: Family, m: int, entry: RatFunc,
     return next(((n, c) for n, c in enumerate(rel) if c), None)
 
 
-@dataclass(frozen=True)
-class SeqState:
-    """A computed prefix e_0..e_M of one family's v-side sequence."""
-
-    family: Family
-    entries: list = field(default_factory=list)
+SeqState = namedtuple("SeqState", "family entries")
+SeqState.__doc__ = "A computed prefix e_0..e_M of one family's v-side sequence."
 
 
 def _point(entry: RatFunc, v0: int) -> tuple | None:
@@ -381,13 +377,9 @@ def resum_matrix(family: Family, m_max: int, n_max: int) -> list:
 # -- residues and scans -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidueReport:
-    m: int
-    pole: int  # pole parameter m + a
-    pole_order: int
-    residue: Rat
-    recovered: Rat  # predicted q-expansion coefficient at the pole parameter
+# pole: the pole parameter m + a; recovered: the q-expansion coefficient
+# at the pole parameter that the residue predicts
+ResidueReport = namedtuple("ResidueReport", "m pole pole_order residue recovered")
 
 
 def residue_report(seq: SeqState, m: int) -> ResidueReport:

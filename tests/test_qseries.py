@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetares import checks
+from thetares import backend, checks
 from thetares.qseries import eval_homogeneous
 from thetares import (
     DELTA256,
@@ -85,6 +85,18 @@ class TestArithmetic:
         for e in range(5):
             assert th**e == acc
             acc = acc * th
+
+    def test_pow_never_multiplies_by_the_unit(self, monkeypatch):
+        th = theta_series(3, 40)
+        calls = []
+        conv_trunc = backend.conv_trunc
+        monkeypatch.setattr(backend, "conv_trunc",
+                            lambda a, b, n: calls.append(n) or conv_trunc(a, b, n))
+        fourth = th**4  # two squarings, and the square of the square taken as is
+        assert len(calls) == 2
+        assert th**0 == QSeries.const(1, 40) and len(calls) == 2
+        monkeypatch.undo()
+        assert fourth == th * th * th * th
 
     def test_json_round_trip(self):
         f = QSeries([1, Fraction(-1, 2), 0, 4])

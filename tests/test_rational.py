@@ -74,7 +74,7 @@ class TestPolyBasics:
         assert Poly([1, 0, 0]).degree == 0
 
     def test_cleared_form_is_canonical(self):
-        p = Poly(["1/2", "1/3"])
+        p = Poly([Fraction(1, 2), Fraction(1, 3)])
         assert p.int_coeffs == (3, 2) and p.int_den == 6
         # content is only reduced against the denominator
         q = Poly([2, 4])
@@ -159,7 +159,7 @@ class TestPolyProperties:
 
 class TestPolySerialization:
     def test_string_round_trip(self):
-        p = Poly(["-21/32768", "4", "0", "1/2"])
+        p = Poly([Fraction(-21, 32768), 4, 0, Fraction(1, 2)])
         assert p.to_strings() == [str(c) for c in p.coeffs] == ["-21/32768", "4", "0", "1/2"]
 
     def test_coeff_strings(self):
