@@ -29,7 +29,7 @@ from .qseries import (
     u_series,
     xy_series,
 )
-from .rational import NonDivisibleError, Poly, Rat
+from .rational import Poly, Rat
 from .ratfunc import HigherOrderPoleError, RatFunc
 from .recurrence import (
     ResidueReport,
@@ -56,7 +56,6 @@ __all__ = [
     "Family",
     "FamilyError",
     "HigherOrderPoleError",
-    "NonDivisibleError",
     "OracleConsistencyError",
     "Poly",
     "QSeries",

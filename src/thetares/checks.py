@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import partial
 from math import prod
 
+from . import backend
 from .families import DELTA256, THETA, THETA2, THETA4, Family
 from .qseries import (
     QSeries,
@@ -74,12 +75,17 @@ def _laurent_constant(f: RatFunc, j: int) -> Fraction:
     Then f = -g(1/j) / (j (v - 1/j)) - g'(1/j) / j + O(v - 1/j), and
     g' = (N' + N sum_{k != j} e_k k / (1 - k v)) / D~.
     """
-    point = Fraction(1, j)
     others = [(k, e) for k, e in f.factors if k != j]
-    dtilde = prod((1 - k * point) ** e for k, e in others)
-    log_deriv = sum(e * k / (1 - k * point) for k, e in others)
-    g_prime = (f.num.diff()(point) + f.num(point) * log_deriv) / dtilde
+    dtilde = prod(Fraction(j - k, j) ** e for k, e in others)  # 1 - k/j = (j - k)/j
+    log_deriv = sum(Fraction(e * k * j, j - k) for k, e in others)
+    g_prime = (_at_inv(f.num.diff(), j) + _at_inv(f.num, j) * log_deriv) / dtilde
     return -g_prime / j
+
+
+def _at_inv(p: Poly, j: int) -> Fraction:
+    """p(1/j), from the kernel's j**(n-1) p(1/j) with n = len(p.int_coeffs)."""
+    nums = p.int_coeffs
+    return Fraction(backend.eval_at_inv(nums, j) * j, p.int_den * j ** len(nums))
 
 
 def golden_suite() -> list:

@@ -53,10 +53,14 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _csv_writer():
+def _emit_csv(header, rows) -> None:
+    """The header, then the rows; booleans print as true/false."""
     import csv  # only --format csv needs it: the other formats skip its load
 
-    return csv.writer(sys.stdout)
+    writer = csv.writer(sys.stdout)
+    writer.writerow(header)
+    writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in row]
+                     for row in rows)
 
 
 # -- compute ---------------------------------------------------------------
@@ -76,11 +80,9 @@ def cmd_compute(args) -> int:
         rows = [{"m": m, **entry.to_json_dict()} for m, entry in enumerate(seq.entries)]
         _emit_json({"family": family.canonical(), "entries": rows})
     elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["m", "num", "den"])
-        for m, entry in enumerate(seq.entries):
-            row = entry.to_json_dict()
-            writer.writerow([m, json.dumps(row["num"]), json.dumps(row["den"])])
+        rows = (entry.to_json_dict() for entry in seq.entries)
+        _emit_csv(["m", "num", "den"],
+                  ([m, json.dumps(r["num"]), json.dumps(r["den"])] for m, r in enumerate(rows)))
     else:
         for m, entry in enumerate(seq.entries):
             print(f"e_{m}(v) = {entry}")
@@ -123,13 +125,8 @@ def cmd_residues(args) -> int:
     if args.format == "json":
         _emit_json({"family": family.canonical(), "rows": rows, "all_match": all_match})
     elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["m", "pole", "order", "residue", "recovered", "oracle", "match"])
-        for row in rows:
-            writer.writerow([
-                row["m"], row["pole"], row["order"], row["residue"],
-                row["recovered"], row["oracle"], str(row["match"]).lower(),
-            ])
+        keys = ["m", "pole", "order", "residue", "recovered", "oracle", "match"]
+        _emit_csv(keys, ([row[k] for k in keys] for row in rows))
     else:
         print(f"{'m':>4} {'pole':>5} {'order':>5} {'residue':>24} "
               f"{'recovered':>16} {'oracle':>16} match")
@@ -182,17 +179,12 @@ def cmd_scan(args) -> int:
     if args.format == "json":
         _emit_json(payload)
     elif args.format == "csv":
-        writer = _csv_writer()
         if kind == "perfect-odd":
-            writer.writerow(["m", "residue", "is_perfect"])
-            for row in payload["rows"]:
-                writer.writerow([row["m"], row["residue"],
-                                 str(row["is_perfect"]).lower()])
+            keys = ["m", "residue", "is_perfect"]
+            _emit_csv(keys, ([row[k] for k in keys] for row in payload["rows"]))
         else:
             key = "violations" if kind == "lehmer" else "found"
-            writer.writerow([key])
-            for value in payload[key]:
-                writer.writerow([value])
+            _emit_csv([key], ([value] for value in payload[key]))
     else:
         for key, value in sorted(payload.items()):
             print(f"{key}: {value}")

@@ -165,11 +165,12 @@ class Family:
         return self.label or self.canonical()
 
 
-_POLY_RE = re.compile(r"^poly:(\d+):\[(.*)\]$")
+# patterns stay strings: only a poly: family string compiles them, and
+# the re module caches what it compiles
+_POLY = r"poly:(\d+):\[(.*)\]"
 _MONO = r"\((\d+),(\d+),(-?\d+(?:/\d+)?)\)"
-_MONO_RE = re.compile(_MONO)
 # the whole list: monomials separated by commas, whitespace around each
-_MONO_LIST_RE = re.compile(rf"\s*{_MONO}\s*(?:,\s*{_MONO}\s*)*")
+_MONO_LIST = rf"\s*{_MONO}\s*(?:,\s*{_MONO}\s*)*"
 
 
 def parse_family(text: str) -> Family:
@@ -188,13 +189,13 @@ def parse_family(text: str) -> Family:
         if b4 < 0 or c4 < 0:
             raise FamilyError("4*b and 4*c must be nonnegative integers")
         return Family.multiplicative(a, Fraction(b4, 4), Fraction(c4, 4))
-    match = _POLY_RE.match(text)
+    match = re.fullmatch(_POLY, text)
     if match:
         k, body = int(match.group(1)), match.group(2)
-        if not _MONO_LIST_RE.fullmatch(body):
+        if not re.fullmatch(_MONO_LIST, body):
             raise FamilyError(f"malformed polynomial family {text!r}")
         try:
-            mons = [(int(i), int(j), Fraction(c)) for i, j, c in _MONO_RE.findall(body)]
+            mons = [(int(i), int(j), Fraction(c)) for i, j, c in re.findall(_MONO, body)]
         except ZeroDivisionError:
             raise FamilyError(f"zero denominator in polynomial family {text!r}") from None
         family = Family.polynomial(mons)

@@ -2,7 +2,9 @@
 
 Every sequence this package computes lives in this shape, so the
 denominator is kept factored and never expanded: pole orders are read
-off the factor list and residues reduce to two exact evaluations.
+off the factor list, and a residue at v = 1/j is one
+``backend.eval_at_inv`` pass over the numerator's cleared integers,
+divided by a product of integers (j - k)^e over the other factors.
 Values are immutable and fully reduced (no factor of the denominator
 divides the numerator).  The constructor does not reduce: its callers
 already hold reduced data, `recurrence.rec_step` by theorem and the cache
@@ -14,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import backend
 from .rational import Poly, Rat
 
 
@@ -72,12 +75,16 @@ class RatFunc:
             return Fraction(0)
         if e > 1:
             raise HigherOrderPoleError(f"pole of order {e} at v = 1/{j}")
-        point = Fraction(1, j)
-        dtilde = Fraction(1)
-        for jj, ee in self._den:
-            if jj != j:
-                dtilde *= (1 - jj * point) ** ee
-        return self._num(point) / (-j * dtilde)
+        # N(1/j) = E / (den j^(n-1)) with E = eval_at_inv(N), n = len(N),
+        # and each other factor is (1 - k/j)^e = (j - k)^e / j^e
+        nums = self._num.int_coeffs
+        top = backend.eval_at_inv(nums, j)
+        bottom = -self._num.int_den * j ** len(nums)
+        for k, e in self._den:
+            if k != j:
+                top *= j**e
+                bottom *= (j - k) ** e
+        return Fraction(top, bottom)
 
     def taylor(self, n: int) -> tuple:
         """Taylor coefficients at v = 0 up to and including v**n."""

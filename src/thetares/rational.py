@@ -32,10 +32,6 @@ from . import backend
 Rat = Fraction
 
 
-class NonDivisibleError(ArithmeticError):
-    """An exact polynomial division left a nonzero remainder."""
-
-
 def _as_rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -231,37 +227,13 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         return power(self, e, Poly._make((1,), 1))
 
-    # -- calculus and evaluation ------------------------------------------
+    # -- calculus ----------------------------------------------------------
 
     def diff(self) -> "Poly":
         """Formal derivative."""
         return Poly.from_cleared(
             [i * c for i, c in enumerate(self._nums)][1:], self._den
         )
-
-    def __call__(self, point) -> Fraction:
-        """Exact evaluation (Horner on the cleared form)."""
-        if not self._nums:
-            return Fraction(0)
-        r = _as_rat(point)
-        rn, rd = r.numerator, r.denominator
-        acc = 0
-        rp = 1
-        for c in reversed(self._nums):
-            acc = acc * rn + c * rp
-            rp *= rd
-        return Fraction(acc, self._den * (rp // rd))
-
-    def divexact_linear(self, j: int) -> "Poly":
-        """Exact quotient by (1 - j*v); requires p(1/j) = 0."""
-        if not isinstance(j, int) or j < 1:
-            raise ValueError("factor index must be a positive integer")
-        if not self._nums:
-            return self
-        q = backend.divexact_linear(list(self._nums), j)
-        if q is None:
-            raise NonDivisibleError(f"(1 - {j}v) does not divide the polynomial")
-        return Poly.from_cleared(q, self._den)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by v**k."""

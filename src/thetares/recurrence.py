@@ -187,12 +187,14 @@ def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
         for j, e in factors:
             dl2 = backend.conv(dl2, list(edge_factor(j, e).int_coeffs))
         t = _combo((1, int(rhs * q) * prev.num.int_den), (t, dl2))
-    num = Poly.from_cleared(t, q * prev.num.int_den)
-    if backend.eval_at_inv(num.int_coeffs, s):
+    # one root test and at most one division on the raw integers: trailing
+    # zeros of t only scale the test by a power of s, and the one canonical
+    # form below reduces the quotient as it would have reduced t
+    if backend.eval_at_inv(t, s):
         factors += ((s, 1),)
     else:
-        num = num.divexact_linear(s)
-    return RatFunc(num, factors)
+        t = backend.divexact_linear(t, s)
+    return RatFunc(Poly.from_cleared(t, q * prev.num.int_den), factors)
 
 
 def relation_defect(family: Family, m: int, entry: RatFunc,

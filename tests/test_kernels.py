@@ -1,8 +1,10 @@
 """The integer kernels in ``thetares.backend``: the Kronecker
-``conv_trunc`` against a schoolbook reference."""
+``conv_trunc`` against a schoolbook reference, and the evaluation and
+division at v = 1/j behind every root test and residue."""
 
 import inspect
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,3 +87,55 @@ def test_benchmark_contract():
                  "divexact_linear", "content_gcd"):
         fn = getattr(backend, name)
         assert inspect.isfunction(fn) and fn.__module__ == "thetares.backend", name
+
+
+class TestEvalAtInv:
+    """eval_at_inv(nums, j) = j**(n-1) * p(1/j), n = len(nums)."""
+
+    def test_root(self):
+        assert backend.eval_at_inv([1, -2], 2) == 0
+        assert backend.eval_at_inv([1, 0, -1], 1) == 0
+        assert backend.eval_at_inv([1, 0, 1], 1) != 0
+
+    def test_value(self):
+        # 3**2 * (1 + (1/3)**2) = 10
+        assert backend.eval_at_inv([1, 0, 1], 3) == 10
+
+    def test_matches_fraction_and_vanishes_exactly_at_roots(self):
+        rng = random.Random(1234)
+        for _ in range(200):
+            nums = rand_ints(rng, rng.randint(1, 9), 8)
+            j = rng.randint(1, 12)
+            value = sum(Fraction(c, j**i) for i, c in enumerate(nums))
+            got = backend.eval_at_inv(nums, j)
+            assert got == value * j ** (len(nums) - 1)
+            assert (got == 0) == (value == 0)
+            root = backend.conv(nums, [1, -j])  # (1 - j v) p has a root at 1/j
+            assert backend.eval_at_inv(root, j) == 0
+            assert backend.eval_at_inv(root + [0, 0], j) == 0
+
+
+class TestDivexactLinear:
+    """divexact_linear(nums, j): q with (1 - j v) q = nums, else None."""
+
+    def test_one_minus_v(self):
+        assert backend.divexact_linear([1, 0, -1], 1) == [1, 1]
+
+    def test_one_minus_2v(self):
+        assert backend.divexact_linear([1, -4, 4], 2) == [1, -2]
+
+    def test_not_divisible(self):
+        assert backend.divexact_linear([1, 0, 1], 1) is None
+        assert backend.divexact_linear([1, 0, -1], 2) is None
+
+    def test_round_trip(self):
+        rng = random.Random(1729)
+        for _ in range(200):
+            q = rand_ints(rng, rng.randint(1, 9), 40)
+            j = rng.randint(1, 20)
+            p = backend.conv(q, [1, -j])
+            assert backend.divexact_linear(p, j) == q
+            # trailing zeros come back as trailing zeros of the quotient
+            assert backend.divexact_linear(p + [0, 0], j) == q + [0, 0]
+            p[0] += 1
+            assert backend.divexact_linear(p, j) is None

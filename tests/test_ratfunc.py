@@ -48,6 +48,29 @@ class TestPolesAndResidues:
         with pytest.raises(HigherOrderPoleError):
             f.residue(1)
 
+    def test_residue_matches_the_fraction_formula(self):
+        # reference: N(1/j) / (-j prod_{k != j} (1 - k/j)^e_k), all in Fraction
+        rng = random.Random(2718)
+        checked = 0
+        for _ in range(200):
+            g = rand_ratfunc(rng)
+            free = [j for j in range(1, 13) if g.pole_order(j) == 0
+                    and backend.eval_at_inv(g.num.int_coeffs, j)]
+            if not free:
+                continue
+            j = rng.choice(free)
+            f = RatFunc(g.num, sorted(g.factors + ((j, 1),)))
+            point = Fraction(1, j)
+            num = sum(c * point**i for i, c in enumerate(g.num.coeffs))
+            rest = Fraction(1)
+            for k, e in g.factors:
+                rest *= (1 - k * point) ** e
+            assert f.residue(j) == num / (-j * rest)
+            assert f.residue(j) != 0
+            checked += 1
+        assert checked > 100
+
+
 class TestTaylor:
     def test_geometric(self):
         f = RatFunc(Poly([1]), [(2, 1)])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_poly, rand_rat
-from thetares import NonDivisibleError, Poly, QSeries, Rat
+from thetares import Poly, QSeries, Rat, backend
 from thetares.rational import canonical, clear
 
 
@@ -95,25 +95,6 @@ class TestPolyCalculus:
     def test_diff_quadratic(self):
         assert Poly([1, -2, 1]).diff() == Poly([-2, 2])
 
-    def test_eval_root(self):
-        assert Poly([1, -2])(Rat(1, 2)) == 0
-        assert Poly([1, 0, -1])(1) == 0
-
-    def test_eval_value(self):
-        assert Poly([1, 0, 1])(Rat(2, 3)) == Rat(13, 9)
-
-
-class TestDivexactLinear:
-    def test_one_minus_v(self):
-        assert Poly([1, 0, -1]).divexact_linear(1) == Poly([1, 1])
-
-    def test_one_minus_2v(self):
-        assert Poly([1, -4, 4]).divexact_linear(2) == Poly([1, -2])
-
-    def test_not_divisible(self):
-        with pytest.raises(NonDivisibleError):
-            Poly([1, 0, 1]).divexact_linear(1)
-
 
 class TestPolyProperties:
     def test_ring_axioms(self):
@@ -134,11 +115,15 @@ class TestPolyProperties:
             assert (p * q).diff() == p.diff() * q + p * q.diff()
 
     def test_divexact_round_trip(self):
+        # the kernel's quotient of the cleared integers, over the same
+        # denominator, is q again once put in canonical form
         rng = random.Random(1729)
         for _ in range(80):
             q = rand_poly(rng)
             j = rng.randint(1, 20)
-            assert (q * Poly([1, -j])).divexact_linear(j) == q
+            p = q * Poly([1, -j])
+            quot = backend.divexact_linear(list(p.int_coeffs), j)
+            assert Poly.from_cleared(quot, p.int_den) == q
 
     def test_pow_matches_iterated_mul(self):
         rng = random.Random(7)
@@ -149,12 +134,14 @@ class TestPolyProperties:
             acc = acc * p
 
     def test_eval_matches_coeff_sum(self):
+        # p(1/j) from the kernel on the cleared integers: j**(n-1) p(1/j) * den
         rng = random.Random(99)
         for _ in range(40):
             p = rand_poly(rng)
-            r = rand_rat(rng)
-            expected = sum((c * r**i for i, c in enumerate(p.coeffs)), Fraction(0))
-            assert p(r) == expected
+            j = rng.randint(1, 20)
+            expected = sum((c * Fraction(1, j) ** i for i, c in enumerate(p.coeffs)), Fraction(0))
+            n = len(p.int_coeffs)
+            assert backend.eval_at_inv(p.int_coeffs, j) * j == expected * p.int_den * j**n
 
 
 class TestPolySerialization:

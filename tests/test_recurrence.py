@@ -315,8 +315,11 @@ class TestScans:
 
 class TestLocalJets:
     def test_matches_the_global_residue(self, theta2_seq, delta_seq):
+        # an odd edge offset, a nonzero 4c with 4b = 1, and a rational poly family
+        others = [rec_sequence(parse_family(spec), 10) for spec in
+                  ("mult:1,0,0", "mult:0,1,3", "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]")]
         p = recurrence.PRIME
-        for seq in (theta2_seq, delta_seq):
+        for seq in (theta2_seq, delta_seq, *others):
             for m in range(1, len(seq.entries)):
                 res = residue_report(seq, m).residue
                 assert local_residue(seq.family, m) == res
