@@ -73,9 +73,9 @@ def cmd_compute(args) -> int:
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     try:
         cache = SeqCache(Path(cache_dir)) if cache_dir else None
-    except OSError as exc:  # a regular file in the way, no permission, ...
+        seq = rec_sequence(family, args.m_max, cache)
+    except OSError as exc:  # a regular file in the way, no permission, a full disk, ...
         raise ValueError(f"unusable cache directory {cache_dir!r}: {exc.strerror}") from None
-    seq = rec_sequence(family, args.m_max, cache)
     if args.format == "json":
         rows = [{"m": m, **entry.to_json_dict()} for m, entry in enumerate(seq.entries)]
         _emit_json({"family": family.canonical(), "entries": rows})

@@ -139,7 +139,7 @@ class Family:
         """Right-hand side of the m-th relation (after clearing the 1/v)."""
         if self.kind == "mult":
             return Fraction(1 if m == 0 else 0)
-        return self.p1u().coeff(m)
+        return sum((c for _i, j, c in self.monomials if j == m), Fraction(0))
 
     def recovered_from_residue(self, m: int, residue: Rat) -> Rat:
         """Invert the residue identity: the q-expansion coefficient of the

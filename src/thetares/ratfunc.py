@@ -14,7 +14,6 @@ read through the shape and relation check `recurrence._fits`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from . import backend
 from .rational import Poly, Rat
@@ -22,12 +21,6 @@ from .rational import Poly, Rat
 
 class HigherOrderPoleError(ArithmeticError):
     """A residue was requested at a pole of order two or more."""
-
-
-@lru_cache(maxsize=None)
-def edge_factor(j: int, e: int = 1) -> Poly:
-    """(1 - j*v)**e."""
-    return Poly([1, -j]) ** e
 
 
 class RatFunc:

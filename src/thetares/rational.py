@@ -1,4 +1,4 @@
-"""Exact rationals and dense univariate polynomials over them.
+"""Exact rationals and dense univariate polynomial values over them.
 
 ``Rat`` is the stdlib :class:`fractions.Fraction`, which already
 guarantees the canonical form everything here relies on: fully reduced,
@@ -16,8 +16,10 @@ entry) is kept in one cleared form: integer numerators over one
 shared positive denominator with gcd(content, denominator) = 1, so the
 hot operations (convolution, synthetic division, root tests) run on
 plain ints through :mod:`thetares.backend`.  This module owns that form:
-:func:`clear` puts values over one denominator, :func:`canonical` reduces
-it, and :func:`power` raises any such value by repeated squaring.
+:func:`clear` puts values over one denominator and :func:`canonical`
+reduces it.  :func:`power`, repeated squaring, serves ``QSeries.__pow__``.
+A :class:`Poly` is a value with no arithmetic: the recurrences compute
+on its cleared integers through the kernels and build the result once.
 """
 
 from __future__ import annotations
@@ -117,8 +119,9 @@ def _normalize(nums: list, den: int):
 class Poly:
     """Dense univariate polynomial over Rat; index = exponent.
 
-    Immutable.  The stored coefficient list never has a trailing zero;
-    the zero polynomial stores an empty list and reports degree -inf.
+    An immutable value with no ring operations.  The stored coefficient
+    list never has a trailing zero; the zero polynomial stores an empty
+    list and reports degree -inf.
     """
 
     __slots__ = ("_nums", "_den")
@@ -126,14 +129,6 @@ class Poly:
     def __init__(self, coeffs: Iterable = ()):
         self._nums, self._den = _normalize(
             *clear([_as_rat(c).as_integer_ratio() for c in coeffs]))
-
-    @classmethod
-    def _make(cls, nums: tuple, den: int) -> "Poly":
-        # caller promises canonical form
-        p = object.__new__(cls)
-        p._nums = nums
-        p._den = den
-        return p
 
     @classmethod
     def from_cleared(cls, nums, den: int) -> "Poly":
@@ -178,70 +173,6 @@ class Poly:
         if isinstance(other, Poly):
             return self._nums == other._nums and self._den == other._den
         return NotImplemented
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if not other._nums:
-            return self
-        if not self._nums:
-            return other
-        den = lcm(self._den, other._den)
-        fa = den // self._den
-        fb = den // other._den
-        out = [c * fa for c in self._nums]
-        bn = other._nums
-        if len(bn) > len(out):
-            out.extend([0] * (len(bn) - len(out)))
-        for i in range(len(bn)):
-            out[i] += bn[i] * fb
-        return Poly.from_cleared(out, den)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly._make(tuple(-c for c in self._nums), self._den)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return Poly.from_cleared(
-                backend.conv(list(self._nums), list(other._nums)),
-                self._den * other._den,
-            )
-        c = _as_rat(other)
-        if not c or not self._nums:
-            return Poly()
-        return Poly.from_cleared(
-            [n * c.numerator for n in self._nums], self._den * c.denominator
-        )
-
-    def __truediv__(self, other):
-        c = _as_rat(other)
-        return self.__mul__(Fraction(c.denominator, c.numerator))
-
-    def __pow__(self, e: int) -> "Poly":
-        return power(self, e, Poly._make((1,), 1))
-
-    # -- calculus ----------------------------------------------------------
-
-    def diff(self) -> "Poly":
-        """Formal derivative."""
-        return Poly.from_cleared(
-            [i * c for i, c in enumerate(self._nums)][1:], self._den
-        )
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by v**k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        if k == 0 or not self._nums:
-            return self
-        return Poly._make((0,) * k + self._nums, self._den)
 
     # -- printing ----------------------------------------------------------
 

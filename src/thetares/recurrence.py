@@ -27,6 +27,10 @@ Two coupled computations per family:
 
 * the u-side: polynomials phi_0, phi_1, ... from a three-term relation,
   whose factorially weighted coefficients resum to the same numbers.
+  As (u^2 - u) p' has coefficient (i-1) p_{i-1} - i p_i, coefficient i of
+  (n+1)(n+w) phi_{n+1} is the two-term stencil (`upoly_step`)
+  (alpha + i) p_i + (n + beta + 1 - i) p_{i-1} - r_{i-1} / 4, p = phi_n,
+  r = phi_{n-1}.
 
 The pole of e_m at v = 1/s is at most simple, and its residue recovers the
 q-expansion coefficient c(s) of the family's form up to a sign (see
@@ -95,14 +99,13 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from . import backend
 from .families import DELTA256, THETA, THETA2, THETA4, Family
 from .rational import Poly, Rat
-from .ratfunc import RatFunc, edge_factor
+from .ratfunc import RatFunc
 
-_U2U = Poly([0, -1, 1])  # u^2 - u
 PRIME = 2**61 - 1  # the modulus of `local_residue_mod` and of the cache's relation check
 _QUARTER = Fraction(1, 4)
 
@@ -185,7 +188,7 @@ def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
     if rhs:
         dl2 = [1]
         for j, e in factors:
-            dl2 = backend.conv(dl2, list(edge_factor(j, e).int_coeffs))
+            dl2 = backend.conv(dl2, [comb(e, i) * (-j) ** i for i in range(e + 1)])
         t = _combo((1, int(rhs * q) * prev.num.int_den), (t, dl2))
     # one root test and at most one division on the raw integers: trailing
     # zeros of t only scale the test by a power of s, and the one canonical
@@ -334,13 +337,21 @@ def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
 
 def upoly_step(family: Family, n: int, phi_n: Poly, phi_prev: Poly) -> Poly:
     """phi_{n+1} from (n+1)(n+w) phi_{n+1} + (u^2-u) phi_n'
-    - (alpha + (n+beta) u) phi_n + u phi_{n-1} / 4 = 0."""
+    - (alpha + (n+beta) u) phi_n + u phi_{n-1} / 4 = 0: the module
+    docstring's stencil, in one pass on the cleared integers."""
     if n < 0:
         raise ValueError("sequence index must be nonnegative")
-    num = phi_n * Poly([family.alpha, n + family.beta])
-    num = num - phi_n.diff() * _U2U
-    num = num - phi_prev.shift(1) * _QUARTER
-    return num / ((n + 1) * (n + family.w))
+    # p = P / dp, r = R / dr, and 4 beta and 2 w are integers: 4 dp dr times
+    # the stencil is integral, over 2 dp dr (n+1)(2n + 2w).  Both pad to one
+    # slot past the longer list: theta^2 has phi_1 = 0 but phi_0 = 1
+    pn, rn, dp, dr = phi_n.int_coeffs, phi_prev.int_coeffs, phi_n.int_den, phi_prev.int_den
+    size = max(len(pn), len(rn)) + 1
+    p = [*pn, *[0] * (size - len(pn))]
+    r = [0, *rn, *[0] * (size - len(rn))]  # r_{i-1} at index i
+    a4, c = 4 * family.alpha, int(4 * (n + 1 + family.beta))
+    nums = [dr * ((a4 + 4 * i) * pi + (c - 4 * i) * pm) - dp * rm
+            for i, (pi, pm, rm) in enumerate(zip(p, [0, *p], r))]
+    return Poly.from_cleared(nums, 2 * dp * dr * (n + 1) * int(2 * (n + family.w)))
 
 
 def upoly_sequence(family: Family, n_max: int) -> list:

@@ -15,7 +15,8 @@ from thetares import (
     THETA2,
     THETA4,
     Family,
-
+    Poly,
+    backend,
     check_perfect_odd,
     local_residue,
     local_residue_mod,
@@ -36,7 +37,6 @@ from thetares.checks import (
     identities_suite,
     max_three_term_defect,
 )
-from thetares.ratfunc import edge_factor
 from thetares.recurrence import PRIME
 
 @pytest.fixture(scope="module")
@@ -66,12 +66,16 @@ def test_criterion_1_golden_r4(delta_seq):
     the published N/D pair itself, the factored exponents, and the residue
     data of criterion 2 are all consistent and all asserted here."""
     entry = delta_seq.entries[4]
-    product = edge_factor(2, 9) * edge_factor(4, 5) * edge_factor(6, 1)
-    assert R4_DEN_EXPANDED == -product
+    product = [1]  # (1-2v)^9 (1-4v)^5 (1-6v), one linear factor at a time
+    for j, e in ((2, 9), (4, 5), (6, 1)):
+        for _ in range(e):
+            product = backend.conv(product, [1, -j])
+    assert R4_DEN_EXPANDED == [-c for c in product]
     # function equality with the published pair, cross-multiplied
-    assert entry.num * R4_DEN_EXPANDED == R4_NUM * product
+    nums, den = list(entry.num.int_coeffs), entry.num.int_den
+    assert backend.conv(nums, R4_DEN_EXPANDED) == [den * c for c in backend.conv(R4_NUM, product)]
     assert entry.factors == R4_FACTORS
-    assert entry.num == -R4_NUM
+    assert entry.num == Poly.from_cleared([-c for c in R4_NUM], 1)
     report(1, "golden R4 entry")
 
 def test_criterion_2_golden_r4_residue(delta_seq):

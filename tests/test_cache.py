@@ -176,7 +176,8 @@ def test_cancellable_old_factor_is_a_miss(tmp_path, capsys):
     # N (1 - 2v) over (1 - 2v)^4: reduced, it would give entry 3 back,
     # but an old factor must be raised by exactly 2
     def forge(entry):
-        return entry.num * Poly([1, -2]), [(1, 5), (2, 4)]
+        nums = backend.conv(list(entry.num.int_coeffs), [1, -2])
+        return Poly.from_cleared(nums, entry.num.int_den), [(1, 5), (2, 4)]
 
     rerun_with_forged_entry(tmp_path, capsys, forge)
 
@@ -185,7 +186,8 @@ def test_edge_factor_over_a_root_is_a_miss(tmp_path, capsys):
     # theta^2 entry 3 has no pole at v = 1/3 (3 is no sum of two squares);
     # N (1 - 3v) over (1 - 3v) has the shape but a numerator vanishing there
     def forge(entry):
-        return entry.num * Poly([1, -3]), [(1, 5), (2, 3), (3, 1)]
+        nums = backend.conv(list(entry.num.int_coeffs), [1, -3])
+        return Poly.from_cleared(nums, entry.num.int_den), [(1, 5), (2, 3), (3, 1)]
 
     rerun_with_forged_entry(tmp_path, capsys, forge)
 

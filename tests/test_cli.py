@@ -1,6 +1,7 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
 import csv
+import errno
 import io
 import json
 
@@ -81,6 +82,19 @@ class TestCompute:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: unusable cache directory {str(blocker)!r}: ")
+
+    def test_cache_write_that_fails(self, capsys, monkeypatch, tmp_path):
+        # a full disk or a directory that cannot be written to: chmod cannot
+        # show it to a process running as root, so the write itself fails
+        def refuse(*args):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr("thetares.cache.SeqCache.write", refuse)
+        cache_dir = tmp_path / "cache"
+        code, out, err = run_cli(capsys, "compute", "--family", "mult:0,0,2", "--m-max", "2",
+                                 "--cache-dir", str(cache_dir))
+        assert (code, out) == (2, "")
+        assert err == f"error: unusable cache directory {str(cache_dir)!r}: Permission denied\n"
 
     def test_missing_family(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--m-max", "1")

@@ -1,16 +1,19 @@
 """The integer kernels in ``thetares.backend``: the Kronecker
-``conv_trunc`` against a schoolbook reference, and the evaluation and
+``conv_trunc`` against a schoolbook reference, the binomial lists the
+v-side step and the golden check multiply by, and the evaluation and
 division at v = 1/j behind every root test and residue."""
 
 import inspect
 import random
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thetares
-from thetares import backend
+from conftest import rand_poly
+from thetares import Poly, backend
 
 
 def rand_ints(rng, n, bits=64):
@@ -139,3 +142,24 @@ class TestDivexactLinear:
             assert backend.divexact_linear(p + [0, 0], j) == q + [0, 0]
             p[0] += 1
             assert backend.divexact_linear(p, j) is None
+
+
+def test_divexact_round_trip():
+    # the kernel's quotient of a Poly's cleared integers, over the same
+    # denominator, is q again once put in canonical form
+    rng = random.Random(1729)
+    for _ in range(80):
+        q = rand_poly(rng)
+        j = rng.randint(1, 20)
+        p = Poly.from_cleared(backend.conv(list(q.int_coeffs), [1, -j]), q.int_den)
+        quot = backend.divexact_linear(list(p.int_coeffs), j)
+        assert Poly.from_cleared(quot, p.int_den) == q
+
+
+def test_binomial_list_is_a_power_of_one_minus_jv():
+    # (1 - j v)^e as rec_step and the golden check expand it
+    for j in (1, 2, 3, 6, 11):
+        power = [1]
+        for e in range(13):
+            assert [comb(e, i) * (-j) ** i for i in range(e + 1)] == power, (j, e)
+            power = backend.conv(power, [1, -j])

@@ -287,7 +287,7 @@ class TestThreeTermDefect:
     def test_scaled_phi_is_caught(self, monkeypatch, family, k):
         def scaled(fam, n_max):
             phis = upoly_sequence(fam, n_max)
-            phis[k] = phis[k] * 2
+            phis[k] = Poly.from_cleared([2 * c for c in phis[k].int_coeffs], phis[k].int_den)
             return phis
 
         monkeypatch.setattr(checks, "upoly_sequence", scaled)
@@ -306,7 +306,9 @@ class TestThreeTermDefect:
         def bumped(fam, n_max):
             phis = upoly_sequence(fam, n_max)
             assert phis[k].degree >= 2
-            phis[k] = phis[k] + Poly([0, Fraction(1, 3)])
+            nums, den = [3 * c for c in phis[k].int_coeffs], phis[k].int_den
+            nums[1] += den  # plus 1/3 over 3 den
+            phis[k] = Poly.from_cleared(nums, 3 * den)
             return phis
 
         monkeypatch.setattr(checks, "upoly_sequence", bumped)

@@ -1,11 +1,11 @@
-"""Exact rational and polynomial arithmetic."""
+"""Exact rationals, the cleared form, and Poly as a value."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_poly, rand_rat
+from conftest import rand_poly
 from thetares import Poly, QSeries, Rat, backend
 from thetares.rational import canonical, clear
 
@@ -33,8 +33,8 @@ class TestRat:
 
 
 class TestClearedForm:
-    """The one clearing, canonical-form and powering code behind Poly,
-    QSeries and the wire codec."""
+    """The one clearing and canonical-form code behind Poly, QSeries and
+    the wire codec, and the powering behind QSeries."""
 
     def test_clear(self):
         assert clear([]) == ([], 1)
@@ -49,21 +49,11 @@ class TestClearedForm:
 
     @pytest.mark.parametrize("e", [-1, 1.0])
     def test_power_needs_a_nonnegative_int(self, e):
-        for base in (Poly([1, 1]), QSeries([1, 1])):
-            with pytest.raises(ValueError):
-                base**e
+        with pytest.raises(ValueError):
+            QSeries([1, 1])**e
 
 
 class TestPolyBasics:
-    def test_mul(self):
-        assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])
-
-    def test_add_cancels(self):
-        assert Poly([0, 0, 1]) + Poly([0, 0, -1]) == Poly()
-
-    def test_mul_zero(self):
-        assert Poly() * Poly([1, 1]) == Poly()
-
     def test_degree(self):
         assert Poly([1, 2, 3]).degree == 2
         assert Poly().degree == float("-inf")
@@ -85,54 +75,7 @@ class TestPolyBasics:
             Poly([0.5])
 
 
-class TestPolyCalculus:
-    def test_diff_cube(self):
-        assert Poly([0, 0, 0, 1]).diff() == Poly([0, 0, 3])
-
-    def test_diff_constant(self):
-        assert Poly([7]).diff() == Poly()
-
-    def test_diff_quadratic(self):
-        assert Poly([1, -2, 1]).diff() == Poly([-2, 2])
-
-
 class TestPolyProperties:
-    def test_ring_axioms(self):
-        rng = random.Random(20260810)
-        for _ in range(60):
-            p, q, r = (rand_poly(rng) for _ in range(3))
-            assert (p + q) * r == p * r + q * r
-            assert p * q == q * p
-            assert (p + q) + r == p + (q + r)
-
-    def test_diff_is_linear_and_leibniz(self):
-        rng = random.Random(4096)
-        for _ in range(60):
-            p, q = rand_poly(rng), rand_poly(rng)
-            c = rand_rat(rng)
-            assert (p + q).diff() == p.diff() + q.diff()
-            assert (p * c).diff() == p.diff() * c
-            assert (p * q).diff() == p.diff() * q + p * q.diff()
-
-    def test_divexact_round_trip(self):
-        # the kernel's quotient of the cleared integers, over the same
-        # denominator, is q again once put in canonical form
-        rng = random.Random(1729)
-        for _ in range(80):
-            q = rand_poly(rng)
-            j = rng.randint(1, 20)
-            p = q * Poly([1, -j])
-            quot = backend.divexact_linear(list(p.int_coeffs), j)
-            assert Poly.from_cleared(quot, p.int_den) == q
-
-    def test_pow_matches_iterated_mul(self):
-        rng = random.Random(7)
-        p = rand_poly(rng, max_deg=3)
-        acc = Poly([1])
-        for e in range(6):
-            assert p**e == acc
-            acc = acc * p
-
     def test_eval_matches_coeff_sum(self):
         # p(1/j) from the kernel on the cleared integers: j**(n-1) p(1/j) * den
         rng = random.Random(99)

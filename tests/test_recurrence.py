@@ -34,6 +34,13 @@ from thetares import (
 )
 
 P_EQ_Y = Family.polynomial([(0, 1, 1)], label="P=y")
+# theta^2, theta, theta^4, 256*Delta, three more monomials and three P(x, y)
+U_SIDE_FAMILIES = [
+    "mult:0,0,2", "mult:0,0,1", "mult:0,0,4", "mult:2,8,8",
+    "mult:1,0,0", "mult:3,2,6", "mult:1,1,1",
+    "poly:1:[(0,1,1)]", "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]",
+    "poly:4:[(0,4,1),(2,2,-7/3),(4,0,5)]",
+]
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +142,8 @@ class TestRelationSubstitution:
     def test_defect_detects_wrong_entry(self, theta2_seq):
         # e_1 = -v^2 / (4 (1 - v)); doubling it leaves R = -v^2/4
         e1 = theta2_seq.entries[1]
-        wrong = RatFunc(e1.num * 2, e1.factors)
+        wrong = RatFunc(Poly.from_cleared([2 * c for c in e1.num.int_coeffs], e1.num.int_den),
+                        e1.factors)
         assert relation_defect(THETA2, 1, wrong, theta2_seq.entries[0]) == (2, Fraction(-1, 4))
 
     def test_rejects_every_coefficient_perturbation(self, pairs_to_8):
@@ -206,20 +214,25 @@ class TestUPoly:
             for n, phi in enumerate(phis):
                 assert (not phi) or phi.degree <= n + base
 
-    def test_matches_unit_weight_recurrence(self):
-        """For the theta^2 family the u-side polynomials coincide with the
-        sequence defined by (n+1)^2 p_{n+1} + (u^2-u) p_n' - n u p_n
-        + u p_{n-1}/4 = 0, p_0 = 1 (independent re-implementation)."""
-        u2u = Poly([0, -1, 1])
-        p_prev, p = Poly(), Poly([1])
-        expect = [p]
-        for n in range(10):
-            p_next = (p * Poly([0, n]) - p.diff() * u2u - p_prev.shift(1) * Fraction(1, 4)) / (
-                (n + 1) ** 2
-            )
-            expect.append(p_next)
-            p_prev, p = p, p_next
-        assert upoly_sequence(THETA2, 10) == expect
+    @pytest.mark.parametrize("text", U_SIDE_FAMILIES)
+    def test_satisfies_the_three_term_relation(self, text):
+        """(n+1)(n+w) phi_{n+1} + (u^2-u) phi_n' - (alpha + (n+beta) u) phi_n
+        + u phi_{n-1}/4 = 0 coefficient by coefficient for n <= 20, each
+        term transcribed on Fraction coefficients."""
+        family = parse_family(text)
+        w, alpha, beta = family.w, family.alpha, family.beta
+        phis = upoly_sequence(family, 21)
+        assert phis[0] == family.phi0()
+        for n in range(21):
+            nxt, p, prev = phis[n + 1], phis[n], phis[n - 1] if n else Poly()
+            top = max(len(nxt.coeffs), len(p.coeffs), len(prev.coeffs)) + 2
+            dp = Poly([k * p.coeff(k) for k in range(1, top)])  # p'
+            for i in range(top):
+                rel = ((n + 1) * (n + w) * nxt.coeff(i)
+                       + dp.coeff(i - 2) - dp.coeff(i - 1)  # (u^2 - u) p'
+                       - alpha * p.coeff(i) - (n + beta) * p.coeff(i - 1)
+                       + prev.coeff(i - 1) / 4)
+                assert rel == 0, (text, n, i)
 
 
 class TestResummation:
@@ -406,7 +419,9 @@ class TestLocalJets:
         from thetares import checks
 
         seq = rec_sequence(THETA2, 6)
-        seq.entries[5] = RatFunc(seq.entries[5].num * 3, seq.entries[5].factors)
+        num = seq.entries[5].num
+        seq.entries[5] = RatFunc(Poly.from_cleared([3 * c for c in num.int_coeffs], num.int_den),
+                                 seq.entries[5].factors)
         monkeypatch.setattr(checks, "rec_sequence", lambda family, m_max: (
             seq if family == THETA2 else rec_sequence(family, m_max)))
         results = checks.residues_suite(theta2_max=6)
