@@ -32,6 +32,7 @@ from .qseries import (
 from .rational import Poly, Rat
 from .ratfunc import HigherOrderPoleError, RatFunc
 from .recurrence import (
+    RelationError,
     ResidueReport,
     SeqState,
     check_perfect_odd,
@@ -61,6 +62,7 @@ __all__ = [
     "QSeries",
     "Rat",
     "RatFunc",
+    "RelationError",
     "ResidueReport",
     "SeqState",
     "THETA",

@@ -8,6 +8,10 @@ denominator's factors [[j, e], ...].  A file that fails to decode, holds
 no JSON object, or whose header (format, engine, family, m) differs is a
 miss, and `rec_sequence` also checks each entry's denominator and its
 relation to the previous entry; it recomputes and rewrites what fails.
+A file's text is what ``json.dumps(data, sort_keys=True)`` gives for the
+header and the entry, written from a template: the small fields still go
+through the encoder, and the hex numerators are joined in one pass, the
+bulk of the file, which the encoder would escape-check one by one.
 Writes go through a temporary file and an atomic rename.
 """
 
@@ -16,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -61,15 +66,13 @@ class SeqCache:
             return None
 
     def write(self, family: Family, m: int, entry: RatFunc) -> None:
-        data = {
-            "format": CACHE_FORMAT,
-            "engine": __version__,
-            "family": family.canonical(),
-            "m": m,
-            "entry": {"nums": [format(c, "x") for c in entry.num.int_coeffs],
-                      "den": format(entry.num.int_den, "x"), "factors": entry.factors},
-        }
-        text = json.dumps(data, sort_keys=True)
+        # the bytes json.dumps(..., sort_keys=True) gives for the header and the
+        # entry, with the hex strings joined in one pass and not encoded one by one
+        hexes = '", "'.join(map(format, entry.num.int_coeffs, repeat("x")))
+        text = ('{"engine": %s, "entry": {"den": "%x", "factors": %s, "nums": [%s]}, '
+                '"family": %s, "format": %d, "m": %d}') % (
+            json.dumps(__version__), entry.num.int_den, json.dumps(entry.factors),
+            f'"{hexes}"' if hexes else "", json.dumps(family.canonical()), CACHE_FORMAT, m)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:

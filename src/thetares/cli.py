@@ -34,6 +34,7 @@ from .qseries import (
     xy_series,
 )
 from .recurrence import (
+    RelationError,
     check_perfect_odd,
     local_residue,
     rec_sequence,
@@ -312,6 +313,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:  # FamilyError, bad parameters, sizes past an index
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RelationError as exc:  # a computed entry failed its relation: print nothing of it
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -100,6 +100,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 
 from . import backend
 from .families import DELTA256, THETA, THETA2, THETA4, Family
@@ -252,19 +253,52 @@ SeqState = namedtuple("SeqState", "family entries")
 SeqState.__doc__ = "A computed prefix e_0..e_M of one family's v-side sequence."
 
 
-def _point(entry: RatFunc, v0: int) -> tuple | None:
-    """(e, e', e'') at v0 mod PRIME, or None when den or some 1 - j v0 is
-    0 mod PRIME.  With e = N / (den D), lam = D'/D = -sum j e_j / (1 - j v)
-    and lam' = -sum j^2 e_j / (1 - j v)^2: e' = (N' - N lam) / (den D) and
-    e'' = (N'' - 2 N' lam - N lam' + N lam^2) / (den D)."""
-    n0 = n1 = n2 = lam = lam1 = 0
-    for c in reversed(entry.num.int_coeffs):  # one Horner pass for N, N' and N''/2
-        n2, n1, n0 = (n2 * v0 + n1) % PRIME, (n1 * v0 + n0) % PRIME, (n0 * v0 + c) % PRIME
-    den = entry.num.int_den
+class RelationError(RuntimeError):
+    """A computed entry fails the relation it was computed from."""
+
+
+class _Tables:
+    """What `_point` needs at one point v0 mod PRIME, grown on demand and
+    never shared between points: p0[i] = v0^i, p1[i] = i v0^(i-1) and
+    p2[i] = C(i, 2) v0^(i-2), so that N(v0), N'(v0) and N''(v0)/2 are dot
+    products with N's coefficients, and for each factor index j the pair
+    (1 - j v0, j / (1 - j v0)), which needs 1 - j v0 != 0 mod PRIME."""
+
+    __slots__ = ("v0", "p0", "p1", "p2", "units")
+
+    def __init__(self, v0: int):
+        self.v0, self.p0, self.p1, self.p2, self.units = v0, [1, v0], [0, 1], [0, 0], {}
+
+    def powers(self, n: int) -> tuple:
+        """p0, p1 and p2, each at least n long."""
+        p0, p1, p2 = self.p0, self.p1, self.p2
+        for i in range(len(p0), n):
+            p1.append(i * p0[i - 1] % PRIME)
+            p2.append(i * (i - 1) // 2 * p0[i - 2] % PRIME)
+            p0.append(p0[i - 1] * self.v0 % PRIME)
+        return p0, p1, p2
+
+    def unit(self, j: int) -> tuple:
+        pair = self.units.get(j)
+        if pair is None:
+            u = (1 - j * self.v0) % PRIME
+            pair = self.units[j] = (u, j * pow(u, -1, PRIME) % PRIME)
+        return pair
+
+
+def _point(entry: RatFunc, tables: _Tables) -> tuple | None:
+    """(e, e', e'') at v0 = tables.v0 mod PRIME, or None when PRIME divides
+    den.  With e = N / (den D), lam = D'/D = -sum j e_j / (1 - j v) and
+    lam' = -sum j^2 e_j / (1 - j v)^2: e' = (N' - N lam) / (den D) and
+    e'' = (N'' - 2 N' lam - N lam' + N lam^2) / (den D).  N, N' and N''/2 are
+    three dot products with the tables, reduced once each: a product of a
+    coefficient and a table entry costs less than reducing the coefficient."""
+    nums = entry.num.int_coeffs
+    n0, n1, n2 = (sum(map(mul, nums, p)) % PRIME for p in tables.powers(len(nums)))
+    den, lam, lam1 = entry.num.int_den, 0, 0
     for j, e in entry.factors:
-        u = (1 - j * v0) % PRIME
-        den, t = den * pow(u, e, PRIME) % PRIME, j * pow(u, -1, PRIME) if u else 0
-        lam, lam1 = lam - e * t, lam1 - e * t * t
+        u, t = tables.unit(j)
+        den, lam, lam1 = den * pow(u, e, PRIME) % PRIME, lam - e * t, lam1 - e * t * t
     if not den % PRIME:
         return None
     inv = pow(den, -1, PRIME)
@@ -273,31 +307,41 @@ def _point(entry: RatFunc, v0: int) -> tuple | None:
 
 
 def _fits(family: Family, m: int, entry: RatFunc, prev: RatFunc | None,
-          v0: int, at_prev: tuple | None) -> tuple | None:
-    """`_point(entry, v0)` if a cached entry is e_0 (m = 0), or else has
-    prev's factors raised by 2, plus (1 - s v) only where the numerator is
-    nonzero at v = 1/s, and satisfies the m-th relation
-    R = e_m (1 - s v) + v G_m(e_{m-1}) - rhs_m at v0 mod PRIME, given
-    ``at_prev`` = `_point(prev, v0)`; None otherwise.  A wrong entry with the
-    right shape passes only if v0 is one of the at most deg R roots of R's
-    numerator: probability at most deg R / PRIME (Schwartz-Zippel)."""
+          tables: _Tables, at_prev: tuple | None, rooted: bool = False) -> tuple | None:
+    """The point of ``entry`` (`_point(entry, tables)`, or () when PRIME
+    divides its den) if it is e_0 (m = 0), or else has prev's factors raised
+    by 2, plus (1 - s v) only where the numerator is nonzero at v = 1/s, and
+    satisfies the m-th relation R = e_m (1 - s v) + v G_m(e_{m-1}) - rhs_m;
+    None otherwise.  ``at_prev`` is prev's point.  R is tested at v0 mod
+    PRIME: a wrong entry with the right shape passes only if v0 is one of
+    the at most deg R roots of R's numerator, with probability at most
+    deg R / PRIME (Schwartz-Zippel).  Where PRIME divides the den of the
+    entry or of prev, the point cannot decide, and the exact
+    `relation_defect` does.  ``rooted`` says the numerator is already known
+    nonzero at v = 1/s (`rec_step` tests that root before it keeps the
+    factor), so the shape needs no second root test."""
     if not m:
-        return _point(entry, v0) if entry == _initial(family) else None
+        return (_point(entry, tables) or ()) if entry == _initial(family) else None
     raised = tuple((j, e + 2) for j, e in prev.factors)
     s = family.edge(m)
     if entry.factors == raised:
         shaped = bool(entry.num) or not raised  # a zero entry has no factors
     else:
         shaped = (entry.factors == raised + ((s, 1),)
-                  and backend.eval_at_inv(entry.num.int_coeffs, s) != 0)
-    at = _point(entry, v0) if shaped else None
-    if at is None:
+                  and (rooted or backend.eval_at_inv(entry.num.int_coeffs, s) != 0))
+    if not shaped:
         return None
+    at = _point(entry, tables) or ()
+    if not (at and at_prev):
+        return None if relation_defect(family, m, entry, prev) else at
     e, d1, d2 = at_prev
+    v0 = tables.v0
     th, w4 = v0 * d1, family.w / 4  # theta e = v e', and theta^2 e = th + v^2 e''
     g = (m - 1 - family.beta) * e - th + v0 * (
         w4 * e + (w4 + _QUARTER) * th + _QUARTER * (th + v0 * v0 * d2))
-    # R is a Fraction whose denominator PRIME does not divide
+    # beta and w have denominators 2 or 4, so R's has PRIME only where rhs_m's
+    # does: a genuine e_m, with e_m(0) = rhs_m, took the exact route then, and
+    # R of a wrong one is a nonzero numerator mod PRIME over that denominator
     return None if (at[0] * (1 - s * v0) + v0 * g - family.rhs(m)).numerator % PRIME else at
 
 
@@ -307,28 +351,35 @@ def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
     With a ``cache`` (a `thetares.cache.SeqCache`), the longest run of
     cached entries 0, 1, ... that pass `_fits` is read first, and each
     entry after it is computed and (re)written as soon as it exists, so an
-    interrupted run keeps its progress.  `_fits` checks each relation at
-    one point v0 mod PRIME, drawn once per call, and carries the value
-    and derivatives of the last accepted entry there, so each numerator
-    is evaluated once.
+    interrupted run keeps its progress.  A computed entry passes the same
+    `_fits` before it is written or returned, or `RelationError` is raised.
+    `_fits` checks each relation at one point v0 mod PRIME, drawn once per
+    call away from every 1/j, j <= edge(m_max), so no factor of an entry
+    that passes vanishes there; it carries the value and derivatives of the
+    last accepted entry there, so each numerator is evaluated once, against
+    tables of v0's powers built for this call alone.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    entries, at = [], None
-    v0 = random.SystemRandom().randrange(2, PRIME)  # the point of every relation check
-    while cache is not None and len(entries) <= m_max:
-        m = len(entries)
-        entry = cache.read(family, m)
-        at = None if entry is None else _fits(family, m, entry, entries[-1] if m else None, v0, at)
-        if at is None:
-            break
+    rng = random.SystemRandom()
+    v0 = rng.randrange(2, PRIME)
+    while (pow(v0, -1, PRIME) - family.edge(0)) % PRIME <= m_max:  # 1/v0 = edge(k), k <= m_max
+        v0 = rng.randrange(2, PRIME)
+    tables, entries, at, reading = _Tables(v0), [], None, cache is not None
+    for m in range(m_max + 1):
+        prev = entries[-1] if m else None
+        entry = cache.read(family, m) if reading else None
+        fit = None if entry is None else _fits(family, m, entry, prev, tables, at)
+        if fit is None:  # no cache, or a miss: compute, and read no further
+            reading = False
+            entry = rec_step(family, m, prev)
+            fit = _fits(family, m, entry, prev, tables, at, rooted=True)
+            if fit is None:
+                raise RelationError(f"computed entry {m} of {family} fails its relation")
+            if cache is not None:
+                cache.write(family, m, entry)
         entries.append(entry)
-    while len(entries) <= m_max:
-        m = len(entries)
-        entry = rec_step(family, m, entries[-1] if m else None)
-        if cache is not None:
-            cache.write(family, m, entry)
-        entries.append(entry)
+        at = fit
     return SeqState(family, entries)
 
 

@@ -74,6 +74,29 @@ def test_pinned_file_reads_and_writes_back_byte_identical(tmp_path):
     assert path.read_bytes() == pinned.encode()
 
 
+@pytest.mark.parametrize("text, m_max", [
+    ("mult:0,0,2", 12),  # e_0 = 1 has no factors
+    ("mult:2,8,8", 12),
+    ("poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]", 6),
+    ("poly:1:[(0,1,1)]", 2),  # e_0 = 0: no numerators at all
+])
+def test_written_text_is_the_json_encoding(tmp_path, text, m_max):
+    family = parse_family(text)
+    cache = SeqCache(tmp_path)
+    for m, entry in enumerate(rec_sequence(family, m_max).entries):
+        cache.write(family, m, entry)
+        data = {
+            "format": 2,
+            "engine": __version__,
+            "family": text,
+            "m": m,
+            "entry": {"nums": [format(c, "x") for c in entry.num.int_coeffs],
+                      "den": format(entry.num.int_den, "x"), "factors": entry.factors},
+        }
+        expected = json.dumps(data, sort_keys=True).encode()
+        assert cache.entry_path(family, m).read_bytes() == expected
+
+
 def test_format_1_file_is_rewritten_in_format_2(tmp_path):
     cache = SeqCache(tmp_path)
     cached_sequence(THETA2, 3, cache)
@@ -240,6 +263,9 @@ def test_non_object_file_is_a_miss(tmp_path, capsys, text):
     "mult:0,0,2",  # theta^2: poles cancel at every non-sum of two squares
     "mult:2,8,8",  # 256*Delta: edge offset 2, poles of growing order
     "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]",  # rational rhs after m = 0
+    # PRIME = 2^61 - 1 divides the den of every entry past e_0, so no entry
+    # has a point mod PRIME and the exact relation decides each one
+    "poly:1:[(0,1,1/2305843009213693951),(1,0,1)]",
 ])
 def test_prefix_is_read_back_whole(tmp_path, monkeypatch, text):
     family = parse_family(text)

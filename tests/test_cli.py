@@ -7,7 +7,15 @@ import json
 
 import pytest
 
-from thetares import parse_family, rec_sequence, residue_report
+from thetares import (
+    Poly,
+    RatFunc,
+    RelationError,
+    parse_family,
+    rec_sequence,
+    rec_step,
+    residue_report,
+)
 from thetares.cli import main
 from thetares.qseries import cf_coeff
 
@@ -95,6 +103,27 @@ class TestCompute:
                                  "--cache-dir", str(cache_dir))
         assert (code, out) == (2, "")
         assert err == f"error: unusable cache directory {str(cache_dir)!r}: Permission denied\n"
+
+    def test_wrong_computed_entry_is_a_mismatch(self, capsys, monkeypatch, tmp_path):
+        # a step wrong by one coefficient from entry 3 on: the relation check
+        # raises, and the CLI prints one error line and no entry, writes no
+        # entry past 2, and exits 1
+        def wrong_step(family, m, prev=None):
+            entry = rec_step(family, m, prev)
+            if m < 3:
+                return entry
+            nums = list(entry.num.int_coeffs)
+            nums[-1] += entry.num.int_den
+            return RatFunc(Poly.from_cleared(nums, entry.num.int_den), entry.factors)
+
+        monkeypatch.setattr("thetares.recurrence.rec_step", wrong_step)
+        with pytest.raises(RelationError, match="entry 3 "):
+            rec_sequence(parse_family("mult:0,0,2"), 5)
+        code, out, err = run_cli(capsys, "compute", "--family", "mult:0,0,2", "--m-max", "5",
+                                 "--format", "json", "--cache-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(list(tmp_path.glob("*.json"))) == 3
 
     def test_missing_family(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--m-max", "1")

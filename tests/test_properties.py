@@ -34,7 +34,7 @@ from thetares import (
     residue_report,
     resum_matrix,
 )
-from thetares.recurrence import PRIME, _fits, _point
+from thetares.recurrence import PRIME, _fits, _point, _Tables
 
 M_MAX = 8
 V0 = random.Random(0).randrange(2, PRIME)  # a point as `rec_sequence` draws one
@@ -71,19 +71,19 @@ def moved(entry, i):
 @given(st.one_of(mult_families(), poly_families()), st.integers(0, 63))
 def test_every_step_satisfies_the_relation_and_the_residue_identity(family, i):
     seq = rec_sequence(family, M_MAX)
-    at = None
+    tables, at = _Tables(V0), None
     for m, entry in enumerate(seq.entries):
         prev = seq.entries[m - 1] if m else None
         assert not relation_defect(family, m, entry, prev)
-        at_prev, at = at, _fits(family, m, entry, prev, V0, at)
-        assert at == _point(entry, V0) is not None
+        at_prev, at = at, _fits(family, m, entry, prev, tables, at)
+        assert at == _point(entry, tables) is not None
         bad = moved(entry, i)
         assert relation_defect(family, m, bad, prev)
-        assert _fits(family, m, bad, prev, V0, at_prev) is None
+        assert _fits(family, m, bad, prev, tables, at_prev) is None
         if m:
             bad = moved(prev, i)
             assert relation_defect(family, m, entry, bad)
-            assert _fits(family, m, entry, prev, V0, _point(bad, V0)) is None
+            assert _fits(family, m, entry, prev, tables, _point(bad, tables)) is None
         assert all(backend.eval_at_inv(entry.num.int_coeffs, j) for j, _e in entry.factors)
         assert entry.num or not entry.factors
         if m:

@@ -1,10 +1,12 @@
 """The v-side and u-side recurrences and everything built on them."""
 
+import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from conftest import rand_ratfunc
 from thetares import recurrence
 from thetares import (
     DELTA256,
@@ -169,6 +171,93 @@ class TestRelationSubstitution:
                         + sum(e + 2 for _j, e in prev.factors))
                 for i in [*range(len(prev.num.coeffs) + 1), high]:
                     assert relation_defect(family, m, entry, _bump(prev, i)), (family, m, i)
+
+
+def _horner_point(entry, v0):
+    """The reference for `recurrence._point`: one Horner pass for N, N' and
+    N''/2, reduced mod PRIME at every coefficient, and each factor's unit and
+    its inverse formed afresh."""
+    p = recurrence.PRIME
+    n0 = n1 = n2 = lam = lam1 = 0
+    for c in reversed(entry.num.int_coeffs):
+        n2, n1, n0 = (n2 * v0 + n1) % p, (n1 * v0 + n0) % p, (n0 * v0 + c) % p
+    den = entry.num.int_den
+    for j, e in entry.factors:
+        u = (1 - j * v0) % p
+        den, t = den * pow(u, e, p) % p, j * pow(u, -1, p) if u else 0
+        lam, lam1 = lam - e * t, lam1 - e * t * t
+    if not den % p:
+        return None
+    inv = pow(den, -1, p)
+    return (n0 * inv % p, (n1 - n0 * lam) * inv % p,
+            (2 * n2 - 2 * n1 * lam - n0 * lam1 + n0 * lam * lam) * inv % p)
+
+
+class _Draws:
+    """Stands in for random.SystemRandom: hands out the given draws in order."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def __call__(self):
+        return self
+
+    def randrange(self, _start, _stop):
+        return self.draws.pop(0)
+
+
+class TestPointCheck:
+    """`_point` and `_fits`, the relation check at one point v0 mod PRIME."""
+
+    V0 = 0x1D2C3B4A59687706
+
+    def test_matches_the_horner_pass(self):
+        rng = random.Random(5)
+        tables = recurrence._Tables(self.V0)
+        cases = [RatFunc(Poly()),  # a zero numerator
+                 RatFunc(Poly([Fraction(3, 7)]), [(1, 2), (3, 1)]),  # degree 0
+                 *(rand_ratfunc(rng) for _ in range(40))]
+        for entry in cases:
+            assert recurrence._point(entry, tables) == _horner_point(entry, self.V0)
+
+    def test_tables_grow_with_the_degree(self):
+        # one set of tables for a whole sequence, degrees rising from 0, and
+        # again from the top, where the tables outrun every numerator
+        tables = recurrence._Tables(self.V0)
+        entries = rec_sequence(DELTA256, 16).entries
+        for entry in entries + entries[::-1]:
+            assert recurrence._point(entry, tables) == _horner_point(entry, self.V0)
+        assert len(tables.p0) == len(entries[-1].num.int_coeffs)
+
+    def test_den_divisible_by_prime_has_no_point(self):
+        entry = RatFunc(Poly([Fraction(1, recurrence.PRIME), 1]), [(1, 1)])
+        assert recurrence._point(entry, recurrence._Tables(self.V0)) is None
+
+    def test_two_calls_with_their_own_points(self, tmp_path, monkeypatch):
+        from thetares.cache import SeqCache
+
+        # the cold run checks each entry it computes at one point, the warm
+        # run each entry it reads at another, in the same process
+        draws = [self.V0, 0x0F1E2D3C4B5A6978]
+        monkeypatch.setattr(recurrence.random, "SystemRandom", _Draws(draws))
+        cache = SeqCache(tmp_path)
+        cold = rec_sequence(DELTA256, 12, cache)
+
+        def step(family, m, prev=None):
+            raise AssertionError(f"entry {m} was recomputed")
+
+        monkeypatch.setattr(recurrence, "rec_step", step)
+        assert rec_sequence(DELTA256, 12, cache).entries == cold.entries
+        assert draws == []
+
+    def test_point_is_drawn_away_from_every_pole(self, monkeypatch):
+        # v0 = 1/2 mod PRIME makes theta^2's factor (1 - 2v) vanish there
+        expected = rec_sequence(THETA2, 4).entries
+        draws = [pow(2, -1, recurrence.PRIME), self.V0]
+        monkeypatch.setattr(recurrence.random, "SystemRandom", _Draws(draws))
+        assert rec_sequence(THETA2, 4).entries == expected
+        assert draws == []
+
 
 
 class TestStructuralInvariants:
