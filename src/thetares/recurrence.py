@@ -15,9 +15,11 @@ Two coupled computations per family:
   Write e = N / D with D = prod (1 - j v)^e_j, L = prod (1 - j v) over the
   distinct j, and A = sum_j e_j (-j v) L / (1 - j v), so theta D / D = A / L.
   Then theta e = M / (D L) with M = L theta N - A N, and
-  theta^2 e = P / (D L^2) with P = L theta M - (A + theta L) M.  Each step
-  (`rec_step`) writes the new numerator over D L^2 (1 - s v) directly: five
-  products of the large numerator by the small L and A, and one root test.
+  theta^2 e = P / (D L^2) with P = L theta M - A_1 M, A_1 = A + theta L.
+  Each step (`rec_step`) writes the new numerator over D L^2 (1 - s v)
+  directly from four products of the large numerator by the small L and
+  A_1: N L, N A_1, M A_1, and L times a combination of v N L, v M, v^2 N L,
+  v^2 M and v^2 theta M; then one root test.
   Every old pole 1/j gains exactly 2 in order (v/4 (1+theta)^2 adds
   e_j (e_j + 1) (j v)^2 / 4 times its top term, the rest at most order
   e_j + 1), so only (1 - s v) can cancel, once at most (see below).
@@ -113,19 +115,17 @@ _QUARTER = Fraction(1, 4)
 
 def _edge_terms(factors: tuple):
     """Integer lists L = prod (1 - j v) over the factor indices j, and
-    A_t = sum_j (e_j + t) (-j v) L / (1 - j v) for t = 1, 2."""
+    A_1 = sum_j (e_j + 1) (-j v) L / (1 - j v) = A + theta L."""
     ell = [1]
     for j, _e in factors:
         ell.append(0)
         for i in range(len(ell) - 1, 0, -1):
             ell[i] -= j * ell[i - 1]
     a1 = [0] * len(ell)
-    a2 = [0] * len(ell)
     for j, e in factors:
         for i, c in enumerate(backend.divexact_linear(ell, j)):
             a1[i + 1] -= (e + 1) * j * c
-            a2[i + 1] -= (e + 2) * j * c
-    return ell, a1, a2
+    return ell, a1
 
 
 def _theta(nums: list) -> list:
@@ -165,26 +165,25 @@ def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
     s = family.edge(m)
     if prev.factors and prev.factors[-1][0] >= s:
         raise ValueError(f"entry {m - 1} has no pole at v = 1/j, j >= {s}: {prev.factors}")
-    ell, a1, a2 = _edge_terms(prev.factors)
+    ell, a1 = _edge_terms(prev.factors)
     n = list(prev.num.int_coeffs)
-    # theta(N L) = L theta N + N theta L, and A_1 = A + theta L, hence
-    # M = theta(N L) - A_1 N and likewise P = theta(M L) - A_2 M
+    # theta(N L) = L theta N + N theta L and A_1 = A + theta L, hence
+    # M = theta(N L) - A_1 N and P = L theta M - A_1 M
     nl = backend.conv(n, ell)
     mm = _combo((1, -1), (_theta(nl), backend.conv(n, a1)))
-    nl2 = backend.conv(nl, ell)
-    ml = backend.conv(mm, ell)
-    p = _combo((1, -1), (_theta(ml), backend.conv(mm, a2)))
     # G D L^2 = (c0 + v w/4) N L^2 + (-1 + v (w+1)/4) M L + v P/4, and the
-    # entry's numerator over D L^2 (1 - s v) is rhs D L^2 - v G D L^2, times q
+    # entry's numerator over D L^2 (1 - s v) is rhs D L^2 - v G D L^2, times
+    # q: L times the bracket below, plus q/4 v^2 A_1 M
     c0 = m - 1 - family.beta
     cw = family.w / 4
     cw1 = (family.w + 1) / 4
     rhs = Fraction(family.rhs(m))
     q = lcm(c0.denominator, cw.denominator, cw1.denominator, 4, rhs.denominator)
-    t = _combo(
+    bracket = _combo(
         (-int(c0 * q), q, -int(cw * q), -int(cw1 * q), -(q // 4)),
-        ([0] + nl2, [0] + ml, [0, 0] + nl2, [0, 0] + ml, [0, 0] + p),
+        ([0] + nl, [0] + mm, [0, 0] + nl, [0, 0] + mm, [0, 0] + _theta(mm)),
     )
+    t = _combo((1, q // 4), (backend.conv(bracket, ell), [0, 0] + backend.conv(mm, a1)))
     factors = tuple((j, e + 2) for j, e in prev.factors)  # reduced by theorem
     if rhs:
         dl2 = [1]

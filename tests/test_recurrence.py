@@ -2,12 +2,12 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
 from conftest import rand_ratfunc
-from thetares import recurrence
+from thetares import backend, recurrence
 from thetares import (
     DELTA256,
     THETA,
@@ -93,6 +93,88 @@ class TestRecStep:
     def test_sequence_m0(self):
         seq = rec_sequence(THETA4, 0)
         assert len(seq.entries) == 1 and seq.entries[0] == RatFunc(Poly([1]))
+
+
+# the 10 families on which the step is checked against the retired one
+STEP_FAMILIES = [
+    "mult:0,0,2", "mult:2,8,8", "mult:0,0,1", "mult:1,0,0", "mult:0,1,3",
+    "mult:3,2,6", "mult:1,1,1", "poly:1:[(0,1,1)]",
+    "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]", "poly:4:[(0,4,1),(2,2,-7/3),(4,0,5)]",
+]
+
+
+def _five_product_step(family, m, prev):
+    """The reference for `rec_step` at m > 0: the step before
+    P = L theta M - A_1 M, with P = theta(M L) - A_2 M, A_2 = A_1 + theta L,
+    and the numerator formed from N L^2, M L and P."""
+    ell = [1]
+    for j, _e in prev.factors:
+        ell = backend.conv(ell, [1, -j])
+    a1, a2 = [0] * len(ell), [0] * len(ell)
+    for j, e in prev.factors:
+        for i, c in enumerate(backend.divexact_linear(ell, j)):
+            a1[i + 1] -= (e + 1) * j * c
+            a2[i + 1] -= (e + 2) * j * c
+    theta, combo = recurrence._theta, recurrence._combo
+    n = list(prev.num.int_coeffs)
+    nl = backend.conv(n, ell)
+    mm = combo((1, -1), (theta(nl), backend.conv(n, a1)))
+    nl2 = backend.conv(nl, ell)
+    ml = backend.conv(mm, ell)
+    p = combo((1, -1), (theta(ml), backend.conv(mm, a2)))
+    c0, cw, cw1 = m - 1 - family.beta, family.w / 4, (family.w + 1) / 4
+    rhs = Fraction(family.rhs(m))
+    q = lcm(c0.denominator, cw.denominator, cw1.denominator, 4, rhs.denominator)
+    t = combo(
+        (-int(c0 * q), q, -int(cw * q), -int(cw1 * q), -(q // 4)),
+        ([0] + nl2, [0] + ml, [0, 0] + nl2, [0, 0] + ml, [0, 0] + p),
+    )
+    factors = tuple((j, e + 2) for j, e in prev.factors)
+    if rhs:
+        dl2 = [1]
+        for j, e in factors:
+            dl2 = backend.conv(dl2, [comb(e, i) * (-j) ** i for i in range(e + 1)])
+        t = combo((1, int(rhs * q) * prev.num.int_den), (t, dl2))
+    s = family.edge(m)
+    if backend.eval_at_inv(t, s):
+        factors += ((s, 1),)
+    else:
+        t = backend.divexact_linear(t, s)
+    return RatFunc(Poly.from_cleared(t, q * prev.num.int_den), factors)
+
+
+class TestFourProductStep:
+    def test_matches_the_five_product_step(self):
+        rhs_over_factors = set()
+        for text in STEP_FAMILIES:
+            family = parse_family(text)
+            prev = rec_step(family, 0)
+            for m in range(1, 17):
+                expect = _five_product_step(family, m, prev)
+                assert rec_step(family, m, prev) == expect, (text, m)
+                if family.rhs(m) and prev.factors:
+                    rhs_over_factors.add(text)
+                prev = expect
+        # the two rational poly families also cover the step's rhs term
+        # over an entry with factors
+        assert set(STEP_FAMILIES[-2:]) <= rhs_over_factors
+
+    def test_four_products_per_step(self, monkeypatch):
+        calls = []
+        conv = backend.conv
+
+        def counted(a, b):
+            calls.append(1)
+            return conv(a, b)
+
+        monkeypatch.setattr(backend, "conv", counted)
+        for family in (THETA2, DELTA256):
+            prev = rec_step(family, 0)
+            for m in range(1, 13):
+                assert family.rhs(m) == 0
+                calls.clear()
+                prev = rec_step(family, m, prev)
+                assert len(calls) == 4, (family, m)
 
 
 def _bump(entry, i):
