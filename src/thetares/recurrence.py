@@ -101,7 +101,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm, prod
 from operator import mul
 
 from . import backend
@@ -109,8 +109,9 @@ from .families import DELTA256, THETA, THETA2, THETA4, Family
 from .rational import Poly, Rat
 from .ratfunc import RatFunc
 
-PRIME = 2**61 - 1  # the modulus of `local_residue_mod` and of the cache's relation check
-_QUARTER = Fraction(1, 4)
+PRIME = 2**61 - 1  # the modulus of the jets (`local_residue_mod`)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # the first twelve primes
+_BASES_PRODUCT = prod(_BASES)
 
 
 def _edge_terms(factors: tuple):
@@ -256,71 +257,100 @@ class RelationError(RuntimeError):
     """A computed entry fails the relation it was computed from."""
 
 
+def _is_prime(n: int) -> bool:
+    """Trial division by `_BASES` in one gcd, which turns most candidates
+    away cheaply, then Miller-Rabin to the same bases: exact for
+    n < 3.18 * 10^23."""
+    if gcd(n, _BASES_PRODUCT) != 1 or n < 2:
+        return n in _BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r  # n - 1 = d 2^r, d odd
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):  # a strong probable prime to b: b^(d 2^k) = -1 for some k < r
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _draw_prime(rng, dens: int) -> int:
+    """A random prime p in [2^61, 2^62) that does not divide ``dens``."""
+    while True:
+        p = rng.randrange(2**61 + 1, 2**62, 2)
+        if _is_prime(p) and dens % p:
+            return p
+
+
 class _Tables:
-    """What `_point` needs at one point v0 mod PRIME, grown on demand and
+    """What `_point` needs at one point v0 mod a prime p, grown on demand and
     never shared between points: p0[i] = v0^i, p1[i] = i v0^(i-1) and
     p2[i] = C(i, 2) v0^(i-2), so that N(v0), N'(v0) and N''(v0)/2 are dot
     products with N's coefficients, and for each factor index j the pair
-    (1 - j v0, j / (1 - j v0)), which needs 1 - j v0 != 0 mod PRIME."""
+    (1 - j v0, j / (1 - j v0)), which needs 1 - j v0 != 0 mod p."""
 
-    __slots__ = ("v0", "p0", "p1", "p2", "units")
+    __slots__ = ("p", "v0", "p0", "p1", "p2", "units")
 
-    def __init__(self, v0: int):
-        self.v0, self.p0, self.p1, self.p2, self.units = v0, [1, v0], [0, 1], [0, 0], {}
+    def __init__(self, p: int, v0: int):
+        self.p, self.v0, self.p0, self.p1, self.p2, self.units = p, v0, [1, v0], [0, 1], [0, 0], {}
 
     def powers(self, n: int) -> tuple:
         """p0, p1 and p2, each at least n long."""
-        p0, p1, p2 = self.p0, self.p1, self.p2
+        p0, p1, p2, p = self.p0, self.p1, self.p2, self.p
         for i in range(len(p0), n):
-            p1.append(i * p0[i - 1] % PRIME)
-            p2.append(i * (i - 1) // 2 * p0[i - 2] % PRIME)
-            p0.append(p0[i - 1] * self.v0 % PRIME)
+            p1.append(i * p0[i - 1] % p)
+            p2.append(i * (i - 1) // 2 * p0[i - 2] % p)
+            p0.append(p0[i - 1] * self.v0 % p)
         return p0, p1, p2
 
     def unit(self, j: int) -> tuple:
         pair = self.units.get(j)
         if pair is None:
-            u = (1 - j * self.v0) % PRIME
-            pair = self.units[j] = (u, j * pow(u, -1, PRIME) % PRIME)
+            u = (1 - j * self.v0) % self.p
+            pair = self.units[j] = (u, j * pow(u, -1, self.p) % self.p)
         return pair
 
 
 def _point(entry: RatFunc, tables: _Tables) -> tuple | None:
-    """(e, e', e'') at v0 = tables.v0 mod PRIME, or None when PRIME divides
-    den.  With e = N / (den D), lam = D'/D = -sum j e_j / (1 - j v) and
+    """(e, e', e'') at v0 = tables.v0 mod p = tables.p, or None when p
+    divides den.  With e = N / (den D), lam = D'/D = -sum j e_j / (1 - j v) and
     lam' = -sum j^2 e_j / (1 - j v)^2: e' = (N' - N lam) / (den D) and
     e'' = (N'' - 2 N' lam - N lam' + N lam^2) / (den D).  N, N' and N''/2 are
     three dot products with the tables, reduced once each: a product of a
     coefficient and a table entry costs less than reducing the coefficient."""
-    nums = entry.num.int_coeffs
-    n0, n1, n2 = (sum(map(mul, nums, p)) % PRIME for p in tables.powers(len(nums)))
+    nums, p = entry.num.int_coeffs, tables.p
+    n0, n1, n2 = (sum(map(mul, nums, pw)) % p for pw in tables.powers(len(nums)))
     den, lam, lam1 = entry.num.int_den, 0, 0
     for j, e in entry.factors:
         u, t = tables.unit(j)
-        den, lam, lam1 = den * pow(u, e, PRIME) % PRIME, lam - e * t, lam1 - e * t * t
-    if not den % PRIME:
+        den, lam, lam1 = den * pow(u, e, p) % p, lam - e * t, lam1 - e * t * t
+    if not den % p:
         return None
-    inv = pow(den, -1, PRIME)
-    return (n0 * inv % PRIME, (n1 - n0 * lam) * inv % PRIME,
-            (2 * n2 - 2 * n1 * lam - n0 * lam1 + n0 * lam * lam) * inv % PRIME)
+    inv = pow(den, -1, p)
+    return (n0 * inv % p, (n1 - n0 * lam) * inv % p,
+            (2 * n2 - 2 * n1 * lam - n0 * lam1 + n0 * lam * lam) * inv % p)
 
 
 def _fits(family: Family, m: int, entry: RatFunc, prev: RatFunc | None,
           tables: _Tables, at_prev: tuple | None, rooted: bool = False) -> tuple | None:
-    """The point of ``entry`` (`_point(entry, tables)`, or () when PRIME
-    divides its den) if it is e_0 (m = 0), or else has prev's factors raised
-    by 2, plus (1 - s v) only where the numerator is nonzero at v = 1/s, and
-    satisfies the m-th relation R = e_m (1 - s v) + v G_m(e_{m-1}) - rhs_m;
-    None otherwise.  ``at_prev`` is prev's point.  R is tested at v0 mod
-    PRIME: a wrong entry with the right shape passes only if v0 is one of
-    the at most deg R roots of R's numerator, with probability at most
-    deg R / PRIME (Schwartz-Zippel).  Where PRIME divides the den of the
-    entry or of prev, the point cannot decide, and the exact
-    `relation_defect` does.  ``rooted`` says the numerator is already known
-    nonzero at v = 1/s (`rec_step` tests that root before it keeps the
-    factor), so the shape needs no second root test."""
+    """The point of ``entry`` (`_point(entry, tables)`) if it is e_0 (m = 0),
+    or else has prev's factors raised by 2, plus (1 - s v) only where the
+    numerator is nonzero at v = 1/s, and satisfies the m-th relation
+    R = e_m (1 - s v) + v G_m(e_{m-1}) - rhs_m at v0 mod p = tables.p; None
+    otherwise.  ``at_prev`` is prev's point.  No genuine entry has p in its
+    den (`rec_sequence`), so one without a point is a miss.  A wrong entry
+    with the right shape passes only if p divides R's integer numerator Z,
+    or v0 is one of the at most deg Z roots of Z mod p (Schwartz-Zippel):
+    for a random p and v0, with probability at most deg Z / 2^61 plus the
+    share of the 5 * 10^16 primes in [2^61, 2^62) that divide Z.  ``rooted``
+    says the numerator is already known nonzero at v = 1/s (`rec_step` tests
+    that root before it keeps the factor), so the shape needs no root test."""
     if not m:
-        return (_point(entry, tables) or ()) if entry == _initial(family) else None
+        return _point(entry, tables) if entry == _initial(family) else None
     raised = tuple((j, e + 2) for j, e in prev.factors)
     s = family.edge(m)
     if entry.factors == raised:
@@ -328,20 +358,16 @@ def _fits(family: Family, m: int, entry: RatFunc, prev: RatFunc | None,
     else:
         shaped = (entry.factors == raised + ((s, 1),)
                   and (rooted or backend.eval_at_inv(entry.num.int_coeffs, s) != 0))
-    if not shaped:
+    at = _point(entry, tables) if shaped else None
+    if at is None:
         return None
-    at = _point(entry, tables) or ()
-    if not (at and at_prev):
-        return None if relation_defect(family, m, entry, prev) else at
+    p, v0 = tables.p, tables.v0
     e, d1, d2 = at_prev
-    v0 = tables.v0
-    th, w4 = v0 * d1, family.w / 4  # theta e = v e', and theta^2 e = th + v^2 e''
-    g = (m - 1 - family.beta) * e - th + v0 * (
-        w4 * e + (w4 + _QUARTER) * th + _QUARTER * (th + v0 * v0 * d2))
-    # beta and w have denominators 2 or 4, so R's has PRIME only where rhs_m's
-    # does: a genuine e_m, with e_m(0) = rhs_m, took the exact route then, and
-    # R of a wrong one is a nonzero numerator mod PRIME over that denominator
-    return None if (at[0] * (1 - s * v0) + v0 * g - family.rhs(m)).numerator % PRIME else at
+    beta, w, rhs = (x.numerator * pow(x.denominator, -1, p)
+                    for x in (family.beta, family.w, family.rhs(m)))
+    th = v0 * d1  # theta e = v e', and theta^2 e = th + v^2 e''
+    g4 = 4 * (m - 1 - beta) * e - 4 * th + v0 * (w * e + (w + 2) * th + v0 * v0 * d2)  # 4 G
+    return None if (4 * at[0] * (1 - s * v0) + v0 * g4 - 4 * rhs) % p else at
 
 
 def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
@@ -352,19 +378,21 @@ def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
     entry after it is computed and (re)written as soon as it exists, so an
     interrupted run keeps its progress.  A computed entry passes the same
     `_fits` before it is written or returned, or `RelationError` is raised.
-    `_fits` checks each relation at one point v0 mod PRIME, drawn once per
-    call away from every 1/j, j <= edge(m_max), so no factor of an entry
-    that passes vanishes there; it carries the value and derivatives of the
-    last accepted entry there, so each numerator is evaluated once, against
-    tables of v0's powers built for this call alone.
+    `_fits` checks each relation at one point v0 mod a prime p, both drawn
+    per call: p in [2^61, 2^62) and prime to every rhs_k's denominator,
+    k <= m_max, so to every genuine den (den_m divides q den_{m-1}, and q's
+    other factors are 2s), and v0 away from every 1/j, j <= edge(m_max).
+    It carries the last accepted entry's point, so each numerator is
+    evaluated once, against tables of v0's powers built for this call alone.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     rng = random.SystemRandom()
-    v0 = rng.randrange(2, PRIME)
-    while (pow(v0, -1, PRIME) - family.edge(0)) % PRIME <= m_max:  # 1/v0 = edge(k), k <= m_max
-        v0 = rng.randrange(2, PRIME)
-    tables, entries, at, reading = _Tables(v0), [], None, cache is not None
+    p = _draw_prime(rng, lcm(*(family.rhs(k).denominator for k in range(m_max + 1))))
+    v0 = rng.randrange(2, p)
+    while (pow(v0, -1, p) - family.edge(0)) % p <= m_max:  # 1/v0 = edge(k), k <= m_max
+        v0 = rng.randrange(2, p)
+    tables, entries, at, reading = _Tables(p, v0), [], None, cache is not None
     for m in range(m_max + 1):
         prev = entries[-1] if m else None
         entry = cache.read(family, m) if reading else None

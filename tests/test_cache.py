@@ -217,13 +217,40 @@ def test_edge_factor_over_a_root_is_a_miss(tmp_path, capsys):
 
 def test_forged_numerator_is_a_miss(tmp_path, capsys):
     # the right denominator, but numerator coefficient 4 moved by 1: the
-    # relation to entry 2, checked at a random point mod PRIME, fails
+    # relation to entry 2, checked at a random point mod a drawn prime, fails
     def forge(entry):
         nums, den = list(entry.num.int_coeffs), entry.num.int_den
         nums[4] += den
         return Poly.from_cleared(nums, den), entry.factors
 
     rerun_with_forged_entry(tmp_path, capsys, forge)
+
+
+def test_numerator_moved_by_2_61_minus_1_is_a_miss(tmp_path, capsys, monkeypatch):
+    # 2^61 - 1 added to entry 3's constant numerator: the relation moves by
+    # a multiple of 2^61 - 1, which a check mod that fixed prime passes; a
+    # prime drawn per run does not, so entry 3 and every entry after it are
+    # recomputed and rewritten, the same as the cold run wrote them
+    assert compute(tmp_path, 6) == 0
+    cold = capsys.readouterr().out
+    cache = SeqCache(tmp_path)
+    paths = [cache.entry_path(THETA2, m) for m in range(7)]
+    good = [path.read_bytes() for path in paths]
+    entry = cache.read(THETA2, 3)
+    nums = list(entry.num.int_coeffs)
+    nums[0] += 2**61 - 1
+    cache.write(THETA2, 3, RatFunc(Poly.from_cleared(nums, entry.num.int_den), entry.factors))
+    written, write = [], SeqCache.write
+
+    def counted(self, family, m, entry):
+        written.append(m)
+        write(self, family, m, entry)
+
+    monkeypatch.setattr(SeqCache, "write", counted)
+    assert compute(tmp_path, 6) == 0
+    assert capsys.readouterr().out == cold
+    assert written == [3, 4, 5, 6]
+    assert [path.read_bytes() for path in paths] == good
 
 
 @pytest.mark.parametrize("key, value", [
@@ -263,8 +290,8 @@ def test_non_object_file_is_a_miss(tmp_path, capsys, text):
     "mult:0,0,2",  # theta^2: poles cancel at every non-sum of two squares
     "mult:2,8,8",  # 256*Delta: edge offset 2, poles of growing order
     "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]",  # rational rhs after m = 0
-    # PRIME = 2^61 - 1 divides the den of every entry past e_0, so no entry
-    # has a point mod PRIME and the exact relation decides each one
+    # 2^61 - 1 divides the den of every entry past e_0; the drawn prime
+    # divides none of them, so these entries are checked as any other
     "poly:1:[(0,1,1/2305843009213693951),(1,0,1)]",
 ])
 def test_prefix_is_read_back_whole(tmp_path, monkeypatch, text):

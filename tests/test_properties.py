@@ -10,9 +10,9 @@ family's q-expansion coefficient from the independent q-series oracle
 and equal the residue of the local jet at the edge (exactly, and mod its
 prime), and the entries' Taylor coefficients must match the u-side
 resummation.  The cache's relation check (`_fits`, the relation at one
-point mod PRIME) accepts every entry and rejects the entry, or the
-previous entry, with one numerator coefficient moved by 1/den, as
-`relation_defect` does.
+point mod a drawn prime) accepts every entry and rejects the entry, or
+the previous entry, with one numerator coefficient moved by 1/den or by
+(2^61 - 1)/den, as `relation_defect` does.
 """
 
 import random
@@ -34,10 +34,12 @@ from thetares import (
     residue_report,
     resum_matrix,
 )
-from thetares.recurrence import PRIME, _fits, _point, _Tables
+from thetares.recurrence import PRIME, _draw_prime, _fits, _point, _Tables
 
 M_MAX = 8
-V0 = random.Random(0).randrange(2, PRIME)  # a point as `rec_sequence` draws one
+RNG = random.Random(0)
+P = _draw_prime(RNG, 1)  # a prime and a point as `rec_sequence` draws them
+V0 = RNG.randrange(2, P)
 
 
 @st.composite
@@ -60,28 +62,29 @@ def poly_families(draw):
     return Family.polynomial([(k - j, j, c) for j, c in enumerate(coeffs)])
 
 
-def moved(entry, i):
-    """``entry`` with numerator coefficient i (mod its length) moved by 1/den."""
+def moved(entry, i, k):
+    """``entry`` with numerator coefficient i (mod its length) moved by k/den."""
     nums = list(entry.num.int_coeffs) or [0]
-    nums[i % len(nums)] += entry.num.int_den
+    nums[i % len(nums)] += k * entry.num.int_den
     return RatFunc(Poly.from_cleared(nums, entry.num.int_den), entry.factors)
 
 
 @settings(deadline=None, derandomize=True)
-@given(st.one_of(mult_families(), poly_families()), st.integers(0, 63))
-def test_every_step_satisfies_the_relation_and_the_residue_identity(family, i):
+@given(st.one_of(mult_families(), poly_families()), st.integers(0, 63),
+       st.sampled_from([1, 2**61 - 1]))
+def test_every_step_satisfies_the_relation_and_the_residue_identity(family, i, k):
     seq = rec_sequence(family, M_MAX)
-    tables, at = _Tables(V0), None
+    tables, at = _Tables(P, V0), None
     for m, entry in enumerate(seq.entries):
         prev = seq.entries[m - 1] if m else None
         assert not relation_defect(family, m, entry, prev)
         at_prev, at = at, _fits(family, m, entry, prev, tables, at)
         assert at == _point(entry, tables) is not None
-        bad = moved(entry, i)
+        bad = moved(entry, i, k)
         assert relation_defect(family, m, bad, prev)
         assert _fits(family, m, bad, prev, tables, at_prev) is None
         if m:
-            bad = moved(prev, i)
+            bad = moved(prev, i, k)
             assert relation_defect(family, m, entry, bad)
             assert _fits(family, m, entry, prev, tables, _point(bad, tables)) is None
         assert all(backend.eval_at_inv(entry.num.int_coeffs, j) for j, _e in entry.factors)

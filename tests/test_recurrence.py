@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, isqrt, lcm
 
 import pytest
 
@@ -255,11 +255,10 @@ class TestRelationSubstitution:
                     assert relation_defect(family, m, entry, _bump(prev, i)), (family, m, i)
 
 
-def _horner_point(entry, v0):
+def _horner_point(entry, p, v0):
     """The reference for `recurrence._point`: one Horner pass for N, N' and
-    N''/2, reduced mod PRIME at every coefficient, and each factor's unit and
+    N''/2, reduced mod p at every coefficient, and each factor's unit and
     its inverse formed afresh."""
-    p = recurrence.PRIME
     n0 = n1 = n2 = lam = lam1 = 0
     for c in reversed(entry.num.int_coeffs):
         n2, n1, n0 = (n2 * v0 + n1) % p, (n1 * v0 + n0) % p, (n0 * v0 + c) % p
@@ -284,43 +283,63 @@ class _Draws:
     def __call__(self):
         return self
 
-    def randrange(self, _start, _stop):
+    def randrange(self, *_range):
         return self.draws.pop(0)
 
 
+# primes in [2^61, 2^62), the range `rec_sequence` draws its modulus from
+P1, P2, P3 = 2**61 + 15, 2**61 + 21, 2**62 - 57
+# a strong pseudoprime to every base 2 .. 23, in the same range
+PSEUDOPRIME = 3825123056546413051
+
+
+class TestIsPrime:
+    @pytest.mark.parametrize("n", [2**61 - 1, 2**89 - 1, P1, P2, P3])
+    def test_primes(self, n):
+        assert recurrence._is_prime(n)
+
+    @pytest.mark.parametrize("n", [561, 3215031751, PSEUDOPRIME])
+    def test_strong_pseudoprimes_to_small_bases(self, n):
+        assert not recurrence._is_prime(n)
+
+    def test_matches_trial_division(self):
+        primes = [n for n in range(2, 10**4) if all(n % d for d in range(2, isqrt(n) + 1))]
+        assert [n for n in range(-2, 10**4) if recurrence._is_prime(n)] == primes
+
+
 class TestPointCheck:
-    """`_point` and `_fits`, the relation check at one point v0 mod PRIME."""
+    """`_point` and `_fits`, the relation check at one point v0 mod a drawn prime."""
 
     V0 = 0x1D2C3B4A59687706
 
     def test_matches_the_horner_pass(self):
         rng = random.Random(5)
-        tables = recurrence._Tables(self.V0)
+        tables = recurrence._Tables(P1, self.V0)
         cases = [RatFunc(Poly()),  # a zero numerator
                  RatFunc(Poly([Fraction(3, 7)]), [(1, 2), (3, 1)]),  # degree 0
                  *(rand_ratfunc(rng) for _ in range(40))]
         for entry in cases:
-            assert recurrence._point(entry, tables) == _horner_point(entry, self.V0)
+            assert recurrence._point(entry, tables) == _horner_point(entry, P1, self.V0)
 
     def test_tables_grow_with_the_degree(self):
         # one set of tables for a whole sequence, degrees rising from 0, and
         # again from the top, where the tables outrun every numerator
-        tables = recurrence._Tables(self.V0)
+        tables = recurrence._Tables(P1, self.V0)
         entries = rec_sequence(DELTA256, 16).entries
         for entry in entries + entries[::-1]:
-            assert recurrence._point(entry, tables) == _horner_point(entry, self.V0)
+            assert recurrence._point(entry, tables) == _horner_point(entry, P1, self.V0)
         assert len(tables.p0) == len(entries[-1].num.int_coeffs)
 
     def test_den_divisible_by_prime_has_no_point(self):
-        entry = RatFunc(Poly([Fraction(1, recurrence.PRIME), 1]), [(1, 1)])
-        assert recurrence._point(entry, recurrence._Tables(self.V0)) is None
+        entry = RatFunc(Poly([Fraction(1, P1), 1]), [(1, 1)])
+        assert recurrence._point(entry, recurrence._Tables(P1, self.V0)) is None
 
     def test_two_calls_with_their_own_points(self, tmp_path, monkeypatch):
         from thetares.cache import SeqCache
 
-        # the cold run checks each entry it computes at one point, the warm
-        # run each entry it reads at another, in the same process
-        draws = [self.V0, 0x0F1E2D3C4B5A6978]
+        # the cold run checks each entry it computes at one prime and point,
+        # the warm run each entry it reads at others, in the same process
+        draws = [P1, self.V0, P2, 0x0F1E2D3C4B5A6978]
         monkeypatch.setattr(recurrence.random, "SystemRandom", _Draws(draws))
         cache = SeqCache(tmp_path)
         cold = rec_sequence(DELTA256, 12, cache)
@@ -333,13 +352,41 @@ class TestPointCheck:
         assert draws == []
 
     def test_point_is_drawn_away_from_every_pole(self, monkeypatch):
-        # v0 = 1/2 mod PRIME makes theta^2's factor (1 - 2v) vanish there
+        # v0 = 1/2 mod p makes theta^2's factor (1 - 2v) vanish there
         expected = rec_sequence(THETA2, 4).entries
-        draws = [pow(2, -1, recurrence.PRIME), self.V0]
+        draws = [P1, pow(2, -1, P1), self.V0]
         monkeypatch.setattr(recurrence.random, "SystemRandom", _Draws(draws))
         assert rec_sequence(THETA2, 4).entries == expected
         assert draws == []
 
+    def test_prime_is_drawn_away_from_every_denominator(self, monkeypatch):
+        # a composite draw and then P1, the denominator of rhs_1, are passed
+        # over: mod P1, entries 1.. would have no point, and none would fit
+        family = parse_family(f"poly:1:[(0,1,1/{P1}),(1,0,1)]")
+        expected = rec_sequence(family, 4).entries
+        draws = [PSEUDOPRIME, P1, P2, self.V0]
+        monkeypatch.setattr(recurrence.random, "SystemRandom", _Draws(draws))
+        assert rec_sequence(family, 4).entries == expected
+        assert draws == []
+
+    def test_read_den_divisible_by_the_drawn_prime_is_a_miss(self, tmp_path, monkeypatch):
+        from thetares.cache import SeqCache
+
+        # entry 3 plus 1 / (P1 den): no genuine entry has P1 in its den, so
+        # a read with the prime P1 recomputes it and rewrites its file
+        cache = SeqCache(tmp_path)
+        cold = rec_sequence(THETA2, 4, cache)
+        path = cache.entry_path(THETA2, 3)
+        good, entry = path.read_bytes(), cache.read(THETA2, 3)
+        nums = [P1 * c for c in entry.num.int_coeffs]
+        nums[0] += 1
+        cache.write(THETA2, 3, RatFunc(Poly.from_cleared(nums, P1 * entry.num.int_den),
+                                       entry.factors))
+        draws = [P1, self.V0]
+        monkeypatch.setattr(recurrence.random, "SystemRandom", _Draws(draws))
+        assert rec_sequence(THETA2, 4, cache).entries == cold.entries
+        assert path.read_bytes() == good
+        assert draws == []
 
 
 class TestStructuralInvariants:
