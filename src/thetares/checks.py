@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial, reduce
-from math import comb, prod
+from functools import partial
+from math import prod
 
 from . import backend
 from .families import DELTA256, THETA, THETA2, THETA4, Family
@@ -29,7 +29,7 @@ from .qseries import (
     theta_series,
     xy_series,
 )
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, expanded_den
 from .recurrence import (
     PRIME,
     local_residue,
@@ -89,9 +89,7 @@ def golden_suite() -> list:
     entry = delta_seq.entries[4]
     out = []
 
-    # (1-2v)^9 (1-4v)^5 (1-6v) from the binomial lists of its factors
-    product = reduce(backend.conv, ([comb(e, i) * (-j) ** i for i in range(e + 1)]
-                                    for j, e in R4_FACTORS))
+    product = expanded_den(R4_FACTORS)  # (1-2v)^9 (1-4v)^5 (1-6v)
     out.append(_result(
         "R4 published denominator equals -(1-2v)^9(1-4v)^5(1-6v)",
         R4_DEN_EXPANDED == [-c for c in product],
@@ -200,14 +198,16 @@ def max_three_term_defect(family: Family, n_max: int, trunc: int) -> QSeries | N
 
 
 def three_term_forms(family: Family, n_max: int, trunc: int) -> list:
-    """g_0 .. g_{n_max}, the weight-(w+2n) forms g_n = base x^(n+head) phi_n(y/x):
-    base = F, head = 0 for a multiplicative family F; base = 1, head = k for
-    P of degree k.  Each is base x^(n+head-d) times :func:`eval_homogeneous`
-    of phi_n, d = deg phi_n <= n + head (phi_0 has degree 0 or k, each step
-    adds at most one), so u = y/x is never formed; theta^2's phi_1 is zero."""
+    """g_0 .. g_{n_max}, the weight-(w+2n) forms g_n = base x^(n+head) phi_n(y/x)
+    with head = k, the degree of P: base = F for a multiplicative family F
+    (P = 1, head = 0), base = 1 for P.  Each is base x^(n+head-d) times
+    :func:`eval_homogeneous` of phi_n, d = deg phi_n <= n + head (phi_0 =
+    P(1, u) has degree at most k, each step adds at most one), so u = y/x is
+    never formed; theta^2's phi_1 is zero."""
     phis = upoly_sequence(family, n_max)
     x, y = xy_series(trunc)
-    base, head = (cf_series(family, trunc), 0) if family.kind == "mult" else (1, family.k)
+    base = cf_series(family, trunc) if family.kind == "mult" else 1
+    head = family.k
     # x^0 .. x^(n_max+head), shared by every Horner pass and cofactor
     xpow = [QSeries.const(1, trunc)]
     for _ in range(n_max + head):

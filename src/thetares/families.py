@@ -3,8 +3,13 @@
 A family fixes one modular form and with it every constant appearing in
 the recurrences: either a monomial in the three theta fourth-powers,
 F = y^a * (-x)^b * (y-x)^c with a, 4b, 4c nonnegative integers (the
-"multiplicative" kind, weight w = 2(a+b+c)), or a homogeneous
-polynomial P(x, y) of degree k (the "polynomial" kind, weight 2k).
+"multiplicative" kind), or a homogeneous polynomial P(x, y) of degree k
+(the "polynomial" kind).  Both are F = y^a (-x)^b (y-x)^c P(x, y) with
+one part trivial: the multiplicative kind has P = 1 (the one monomial
+(0, 0, 1), k = 0), the polynomial kind a = b = c = 0.  So each constant
+is one formula for every family: weight w = 2(a + b + c + k),
+beta = b + k, edge(m) = m + a, phi_0 = P(1, u), rhs_m = [u^m] P(1, u)
+and the residue sign (-1)^(m+k+1).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .rational import Poly, Rat
+from .rational import Poly, Rat, _as_rat
 
 
 class FamilyError(ValueError):
@@ -28,13 +33,13 @@ class Family:
         "a",
         "b4",  # 4*b
         "c4",  # 4*c
-        "monomials",  # ((i, j, coeff), ...) with i + j = k
+        "monomials",  # P as ((i, j, coeff), ...) with i + j = k; P = 1 by default
         "k",
         "label",
     )
 
     def __init__(self, kind: str, a: int = 0, b4: int = 0, c4: int = 0,
-                 monomials: tuple = (), k: int = 0, label: str = ""):
+                 monomials: tuple = ((0, 0, Fraction(1)),), k: int = 0, label: str = ""):
         for name, value in zip(self.__slots__, (kind, a, b4, c4, monomials, k, label)):
             object.__setattr__(self, name, value)
 
@@ -65,8 +70,7 @@ class Family:
     def multiplicative(a, b, c, label: str = "") -> "Family":
         if not isinstance(a, int) or a < 0:
             raise FamilyError("exponent a must be a nonnegative integer")
-        b = Fraction(b)
-        c = Fraction(c)
+        b, c = _as_rat(b), _as_rat(c)
         if b < 0 or (4 * b).denominator != 1:
             raise FamilyError("4*b must be a nonnegative integer")
         if c < 0 or (4 * c).denominator != 1:
@@ -81,7 +85,7 @@ class Family:
         for i, j, coeff in monomials:
             if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
                 raise FamilyError("monomial exponents must be nonnegative integers")
-            combined[(i, j)] = combined.get((i, j), Fraction(0)) + Fraction(coeff)
+            combined[(i, j)] = combined.get((i, j), Fraction(0)) + _as_rat(coeff)
         combined = {ij: c for ij, c in combined.items() if c}
         if not combined:
             raise FamilyError("polynomial has no nonzero monomial")
@@ -97,60 +101,41 @@ class Family:
     # -- derived data ----------------------------------------------------------
 
     @property
-    def b(self) -> Rat:
-        return Fraction(self.b4, 4)
-
-    @property
     def w(self) -> Rat:
-        """Weight: 2(a + b + c) for the multiplicative kind, 2k otherwise."""
-        if self.kind == "mult":
-            return Fraction(4 * self.a + self.b4 + self.c4, 2)
-        return Fraction(2 * self.k)
+        """Weight: 2(a + b + c + k)."""
+        return Fraction(4 * (self.a + self.k) + self.b4 + self.c4, 2)
 
     @property
     def beta(self) -> Rat:
-        """The constant appearing in the (m - 1 - beta) term of the relation."""
-        return self.b if self.kind == "mult" else Fraction(self.k)
-
-    @property
-    def alpha(self) -> int:
-        """Constant term of the u-side multiplier (a for multiplicative)."""
-        return self.a if self.kind == "mult" else 0
+        """b + k, the constant in the (m - 1 - beta) term of the relation."""
+        return Fraction(self.b4 + 4 * self.k, 4)
 
     def edge(self, m: int) -> int:
         """Pole parameter of the m-th entry: the factor divided out at step m
         is (1 - edge(m)*v)."""
-        return m + self.alpha
-
-    def p1u(self) -> Poly:
-        """P(1, u) for the polynomial kind."""
-        if self.kind != "poly":
-            raise FamilyError("P(1, u) only exists for polynomial families")
-        coeffs = [Fraction(0)] * (self.k + 1)
-        for _i, j, c in self.monomials:
-            coeffs[j] += c
-        return Poly(coeffs)
+        return m + self.a
 
     def phi0(self) -> Poly:
-        """Initial u-side polynomial."""
-        return Poly([1]) if self.kind == "mult" else self.p1u()
+        """P(1, u), the initial u-side polynomial."""
+        coeffs = [0] * (self.k + 1)
+        for _i, j, c in self.monomials:  # homogeneous: one monomial per j
+            coeffs[j] = c
+        return Poly(coeffs)
 
     def rhs(self, m: int) -> Rat:
-        """Right-hand side of the m-th relation (after clearing the 1/v)."""
-        if self.kind == "mult":
-            return Fraction(1 if m == 0 else 0)
-        return sum((c for _i, j, c in self.monomials if j == m), Fraction(0))
+        """Right-hand side of the m-th relation (after clearing the 1/v):
+        [u^m] P(1, u), the m-th coefficient of `phi0`."""
+        return next((c for _i, j, c in self.monomials if j == m), Fraction(0))
 
     def recovered_from_residue(self, m: int, residue: Rat) -> Rat:
         """Invert the residue identity: the q-expansion coefficient of the
         family's form at the pole parameter, from the residue of entry m.
 
-        The sign is (-1)^(m+1) for the multiplicative kind, whatever a is:
-        the paper's (-1)^(m+a+1) gives the wrong sign for odd a.
+        The sign is (-1)^(m+k+1), whatever a is: the paper's (-1)^(m+a+1)
+        for the multiplicative kind gives the wrong sign for odd a.
         """
         p = self.edge(m)
-        exp = (m + 1) if self.kind == "mult" else (m + self.k + 1)
-        sign = -1 if exp % 2 else 1
+        sign = -1 if (m + self.k + 1) % 2 else 1
         return sign * p * Fraction(16) ** p * residue
 
     # -- canonical string --------------------------------------------------------
@@ -186,8 +171,6 @@ def parse_family(text: str) -> Family:
             a, b4, c4 = (int(p) for p in parts)
         except ValueError:
             raise FamilyError(f"malformed multiplicative family {text!r}") from None
-        if b4 < 0 or c4 < 0:
-            raise FamilyError("4*b and 4*c must be nonnegative integers")
         return Family.multiplicative(a, Fraction(b4, 4), Fraction(c4, 4))
     match = re.fullmatch(_POLY, text)
     if match:

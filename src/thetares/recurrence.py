@@ -31,7 +31,7 @@ Two coupled computations per family:
   whose factorially weighted coefficients resum to the same numbers.
   As (u^2 - u) p' has coefficient (i-1) p_{i-1} - i p_i, coefficient i of
   (n+1)(n+w) phi_{n+1} is the two-term stencil (`upoly_step`)
-  (alpha + i) p_i + (n + beta + 1 - i) p_{i-1} - r_{i-1} / 4, p = phi_n,
+  (a + i) p_i + (n + beta + 1 - i) p_{i-1} - r_{i-1} / 4, p = phi_n,
   r = phi_{n-1}.
 
 The pole of e_m at v = 1/s is at most simple, and its residue recovers the
@@ -101,13 +101,13 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from . import backend
 from .families import DELTA256, THETA, THETA2, THETA4, Family
 from .rational import Poly, Rat
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, expanded_den
 
 PRIME = 2**61 - 1  # the modulus of the jets (`local_residue_mod`)
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # the first twelve primes
@@ -178,7 +178,7 @@ def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
     c0 = m - 1 - family.beta
     cw = family.w / 4
     cw1 = (family.w + 1) / 4
-    rhs = Fraction(family.rhs(m))
+    rhs = family.rhs(m)
     q = lcm(c0.denominator, cw.denominator, cw1.denominator, 4, rhs.denominator)
     bracket = _combo(
         (-int(c0 * q), q, -int(cw * q), -int(cw1 * q), -(q // 4)),
@@ -187,10 +187,7 @@ def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
     t = _combo((1, q // 4), (backend.conv(bracket, ell), [0, 0] + backend.conv(mm, a1)))
     factors = tuple((j, e + 2) for j, e in prev.factors)  # reduced by theorem
     if rhs:
-        dl2 = [1]
-        for j, e in factors:
-            dl2 = backend.conv(dl2, [comb(e, i) * (-j) ** i for i in range(e + 1)])
-        t = _combo((1, int(rhs * q) * prev.num.int_den), (t, dl2))
+        t = _combo((1, int(rhs * q) * prev.num.int_den), (t, expanded_den(factors)))
     # one root test and at most one division on the raw integers: trailing
     # zeros of t only scale the test by a power of s, and the one canonical
     # form below reduces the quotient as it would have reduced t
@@ -379,16 +376,16 @@ def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
     interrupted run keeps its progress.  A computed entry passes the same
     `_fits` before it is written or returned, or `RelationError` is raised.
     `_fits` checks each relation at one point v0 mod a prime p, both drawn
-    per call: p in [2^61, 2^62) and prime to every rhs_k's denominator,
-    k <= m_max, so to every genuine den (den_m divides q den_{m-1}, and q's
-    other factors are 2s), and v0 away from every 1/j, j <= edge(m_max).
+    per call: p in [2^61, 2^62) and prime to phi0's den, the lcm of every
+    rhs_k's denominator, so to every genuine den (den_m divides q den_{m-1},
+    and q's other factors are 2s), and v0 away from every 1/j, j <= edge(m_max).
     It carries the last accepted entry's point, so each numerator is
     evaluated once, against tables of v0's powers built for this call alone.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     rng = random.SystemRandom()
-    p = _draw_prime(rng, lcm(*(family.rhs(k).denominator for k in range(m_max + 1))))
+    p = _draw_prime(rng, family.phi0().int_den)
     v0 = rng.randrange(2, p)
     while (pow(v0, -1, p) - family.edge(0)) % p <= m_max:  # 1/v0 = edge(k), k <= m_max
         v0 = rng.randrange(2, p)
@@ -415,7 +412,7 @@ def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
 
 def upoly_step(family: Family, n: int, phi_n: Poly, phi_prev: Poly) -> Poly:
     """phi_{n+1} from (n+1)(n+w) phi_{n+1} + (u^2-u) phi_n'
-    - (alpha + (n+beta) u) phi_n + u phi_{n-1} / 4 = 0: the module
+    - (a + (n+beta) u) phi_n + u phi_{n-1} / 4 = 0: the module
     docstring's stencil, in one pass on the cleared integers."""
     if n < 0:
         raise ValueError("sequence index must be nonnegative")
@@ -426,7 +423,7 @@ def upoly_step(family: Family, n: int, phi_n: Poly, phi_prev: Poly) -> Poly:
     size = max(len(pn), len(rn)) + 1
     p = [*pn, *[0] * (size - len(pn))]
     r = [0, *rn, *[0] * (size - len(rn))]  # r_{i-1} at index i
-    a4, c = 4 * family.alpha, int(4 * (n + 1 + family.beta))
+    a4, c = 4 * family.a, int(4 * (n + 1 + family.beta))
     nums = [dr * ((a4 + 4 * i) * pi + (c - 4 * i) * pm) - dp * rm
             for i, (pi, pm, rm) in enumerate(zip(p, [0, *p], r))]
     return Poly.from_cleared(nums, 2 * dp * dr * (n + 1) * int(2 * (n + family.w)))
@@ -514,7 +511,7 @@ def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
         [b - cw1q - q4 + (b - cw1q - 5 * q4 - 4 * q4 * i) * i for i in idx],
         [-q4 * (i + 1) * (i + 2) for i in idx],
     )
-    rhs = [Fraction(family.rhs(k)) for k in range(m + 1)]
+    rhs = [family.rhs(k) for k in range(m + 1)]
     jet, den = [0] * (2 * m + 3), 1  # e_{-1} = 0, as a jet over den
     for k, r in enumerate(rhs):
         rn, rd, a = r.numerator, r.denominator, s * ((k - 1) * q - bq)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from thetares import DELTA256, THETA, THETA2, THETA4, Family, FamilyError, Poly, parse_family
+from thetares.recurrence import upoly_sequence
 
 
 class TestMultiplicative:
@@ -31,25 +32,39 @@ class TestMultiplicative:
         with pytest.raises(FamilyError):
             Family.multiplicative(-1, 0, 1)
 
+    def test_float_exponents_rejected(self):
+        # like Poly([0.1]): a float is no exact rational, even when 4b is integral
+        with pytest.raises(TypeError):
+            Family.multiplicative(0, 0.5, 0)
+        with pytest.raises(TypeError):
+            Family.multiplicative(0, 0, 0.25)
+
     def test_edge_and_rhs(self):
         assert DELTA256.edge(0) == 2 and DELTA256.edge(4) == 6
         assert THETA2.rhs(0) == 1 and THETA2.rhs(3) == 0
+        assert THETA2.phi0() == Poly([1])
 
 
 class TestPolynomial:
     def test_p_equals_y(self):
         fam = Family.polynomial([(0, 1, 1)])
         assert fam.k == 1
-        assert fam.p1u() == Poly([0, 1])
+        assert fam.phi0() == Poly([0, 1])
         assert fam.rhs(0) == 0 and fam.rhs(1) == 1
 
     def test_x_minus_y(self):
         fam = Family.polynomial([(1, 0, 1), (0, 1, -1)])
-        assert fam.p1u() == Poly([1, -1])
+        assert fam.phi0() == Poly([1, -1])
 
     def test_mixed_degrees_rejected(self):
         with pytest.raises(FamilyError):
             Family.polynomial([(1, 0, 1), (0, 2, 1)])
+
+    def test_float_coefficients_rejected(self):
+        with pytest.raises(TypeError):
+            Family.polynomial([(0, 1, 0.1)])
+        with pytest.raises(TypeError):
+            Family.polynomial([(1, 0, 1), (0, 1, 2.0)])
 
     def test_degree_zero_rejected(self):
         with pytest.raises(FamilyError):
@@ -61,7 +76,7 @@ class TestPolynomial:
 
     def test_duplicate_monomials_combine(self):
         fam = Family.polynomial([(0, 1, 1), (0, 1, 2)])
-        assert fam.p1u() == Poly([0, 3])
+        assert fam.phi0() == Poly([0, 3])
 
 
 class TestCanonicalStrings:
@@ -100,3 +115,48 @@ class TestWeights:
         assert DELTA256.recovered_from_residue(4, Fraction(-21, 32768)) == 256 * 252
         # odd a: y = theta_2^4 has q^3 coefficient 64
         assert parse_family("mult:1,0,0").recovered_from_residue(2, Fraction(-1, 192)) == 64
+
+
+# every mult: family with a <= 5 (odd a included) and 4b, 4c in a spread of
+# 0..8, and poly: families of degree k <= 4 with rational coefficients, four
+# of them with P(1, 0) = 0 (no x^k term)
+GRID = [f"mult:{a},{b4},{c4}" for a in range(6) for b4 in (0, 1, 2, 3, 8)
+        for c4 in (0, 1, 2, 5, 8) if a or b4 or c4] + [
+    "poly:1:[(0,1,1)]", "poly:1:[(1,0,1/3),(0,1,-2/7)]",
+    "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]", "poly:2:[(1,1,3/4)]",
+    "poly:3:[(3,0,-1/5),(1,2,2)]", "poly:3:[(2,1,1/6),(0,3,-4)]",
+    "poly:4:[(0,4,1),(2,2,-7/3),(4,0,5)]", "poly:4:[(3,1,5/9),(1,3,-1/2)]",
+]
+
+
+def _per_kind(fam):
+    """The constants as each kind defines them on its own: w, beta, the
+    edge offset, rhs(m) for m <= k + 2, phi0 and the sign's offset."""
+    if fam.kind == "mult":
+        b, c = Fraction(fam.b4, 4), Fraction(fam.c4, 4)
+        return 2 * (fam.a + b + c), b, fam.a, [1, 0, 0], Poly([1]), 1
+    coeffs = {j: c for _i, j, c in fam.monomials}
+    rhs = [coeffs.get(m, 0) for m in range(fam.k + 3)]
+    return 2 * fam.k, fam.k, 0, rhs, Poly(rhs[:fam.k + 1]), fam.k + 1
+
+
+class TestOneFormula:
+    @pytest.mark.parametrize("text", GRID)
+    def test_matches_the_per_kind_definitions(self, text):
+        fam = parse_family(text)
+        w, beta, offset, rhs, phi0, sign_offset = _per_kind(fam)
+        assert fam.w == w and fam.beta == beta and fam.phi0() == phi0
+        residue = Fraction(-3, 7)
+        for m in range(fam.k + 3):
+            assert fam.edge(m) == m + offset
+            assert fam.rhs(m) == rhs[m]
+            p = m + offset
+            sign = -1 if (m + sign_offset) % 2 else 1
+            assert fam.recovered_from_residue(m, residue) == sign * p * 16**p * residue
+
+    @pytest.mark.parametrize("text", GRID)
+    def test_rhs_are_the_initial_u_side_coefficients(self, text):
+        fam = parse_family(text)
+        for m in range(fam.k + 3):
+            assert fam.rhs(m) == fam.phi0().coeff(m)
+        assert upoly_sequence(fam, 0)[0] == fam.phi0()

@@ -6,7 +6,6 @@ division at v = 1/j behind every root test and residue."""
 import inspect
 import random
 from fractions import Fraction
-from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 import thetares
 from conftest import rand_poly
 from thetares import Poly, backend
+from thetares.ratfunc import expanded_den
 
 
 def rand_ints(rng, n, bits=64):
@@ -157,9 +157,13 @@ def test_divexact_round_trip():
 
 
 def test_binomial_list_is_a_power_of_one_minus_jv():
-    # (1 - j v)^e as rec_step and the golden check expand it
+    # (1 - j v)^e as rec_step's rhs term and the golden check expand it,
+    # one binomial list per factor, and a product of several factors
+    product = [1]
     for j in (1, 2, 3, 6, 11):
         power = [1]
         for e in range(13):
-            assert [comb(e, i) * (-j) ** i for i in range(e + 1)] == power, (j, e)
+            assert expanded_den(((j, e),)) == power, (j, e)
             power = backend.conv(power, [1, -j])
+        product = backend.conv(product, power)
+    assert expanded_den(tuple((j, 13) for j in (1, 2, 3, 6, 11))) == product

@@ -397,7 +397,7 @@ class TestStructuralInvariants:
 
     def test_denominator_support(self, theta2_seq, delta_seq):
         for seq in (theta2_seq, delta_seq):
-            a = seq.family.alpha
+            a = seq.family.a
             for m, entry in enumerate(seq.entries):
                 for j, _e in entry.factors:
                     assert a <= j <= m + a
@@ -434,11 +434,11 @@ class TestUPoly:
 
     @pytest.mark.parametrize("text", U_SIDE_FAMILIES)
     def test_satisfies_the_three_term_relation(self, text):
-        """(n+1)(n+w) phi_{n+1} + (u^2-u) phi_n' - (alpha + (n+beta) u) phi_n
+        """(n+1)(n+w) phi_{n+1} + (u^2-u) phi_n' - (a + (n+beta) u) phi_n
         + u phi_{n-1}/4 = 0 coefficient by coefficient for n <= 20, each
         term transcribed on Fraction coefficients."""
         family = parse_family(text)
-        w, alpha, beta = family.w, family.alpha, family.beta
+        w, a, beta = family.w, family.a, family.beta
         phis = upoly_sequence(family, 21)
         assert phis[0] == family.phi0()
         for n in range(21):
@@ -448,7 +448,7 @@ class TestUPoly:
             for i in range(top):
                 rel = ((n + 1) * (n + w) * nxt.coeff(i)
                        + dp.coeff(i - 2) - dp.coeff(i - 1)  # (u^2 - u) p'
-                       - alpha * p.coeff(i) - (n + beta) * p.coeff(i - 1)
+                       - a * p.coeff(i) - (n + beta) * p.coeff(i - 1)
                        + prev.coeff(i - 1) / 4)
                 assert rel == 0, (text, n, i)
 
