@@ -37,19 +37,21 @@ def conv_trunc(a, b, n):
     once, and the coefficients are read back slot by slot.  A slot has
     room for min(la, lb) * max|a| * max|b|, the largest any output
     coefficient can be, plus a sign bit and one bit of slack, so every
-    output coefficient is exact.
+    output coefficient is exact.  A square (``a is b``) packs once.
     """
     if n <= 0 or not a or not b:
         return []
+    square = a is b  # before slicing, which copies a list
     a = a[:n]
-    b = b[:n]
+    b = a if square else b[:n]
     la = len(a)
     lb = len(b)
     m = min(n, la + lb - 1)
     bits = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
             + min(la, lb).bit_length() + 2)
     width = (bits + 7) // 8
-    prod = _pack(a, width) * _pack(b, width)
+    packed = _pack(a, width)
+    prod = packed * (packed if square else _pack(b, width))
     # adding half a slot to each of the first m slots turns every signed
     # coefficient into an unsigned digit, whatever the sign of prod
     half = 1 << (8 * width - 1)

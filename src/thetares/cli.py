@@ -11,12 +11,12 @@ sorted keys and exact rational strings, never floats.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from math import isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 from .cache import SeqCache
 from .checks import SUITES
@@ -250,64 +250,106 @@ def cmd_qseries_dump(args) -> int:
 
 
 _FAMILY_HELP = "canonical family string, e.g. mult:0,0,2 or poly:1:[(0,1,1)]"
-
-# flags several subcommands share; each subcommand registers only those it reads
-_FLAGS = {
-    "--family": dict(required=True, help=_FAMILY_HELP),
-    "--m-max": dict(dest="m_max", type=int, default=0, help="last sequence index to compute"),
+_FAMILY = {"--family": dict(required=True, help=_FAMILY_HELP)}
+_M_MAX_FORMAT = {
+    "--m-max": dict(type=int, default=0, help="last sequence index to compute"),
     "--format": dict(choices=("json", "csv", "pretty"), default="pretty"),
 }
 
+# subcommand -> (runner, help, {flag: argparse keywords}, the flags of which
+# exactly one must be given).  Each subcommand has only the flags it reads,
+# so passing another is a usage error
+_COMMANDS = {
+    "compute": (cmd_compute, "compute and print sequence entries", {
+        **_FAMILY, **_M_MAX_FORMAT,
+        "--cache-dir": dict(help=f"entry cache directory (or ${CACHE_ENV})"),
+    }, ()),
+    "residues": (cmd_residues, "residue table against the oracle", {
+        **_FAMILY, **_M_MAX_FORMAT,
+        "--normalize-delta": dict(action="store_true", default=False,
+                                  help="divide 256*Delta coefficients by 256 "
+                                       "(prints Ramanujan tau directly)"),
+    }, ()),
+    "scan": (cmd_scan, "number-theoretic scans", {
+        **_M_MAX_FORMAT,
+        "--kind": dict(required=True, choices=("two-squares", "squares", "lehmer", "perfect-odd")),
+    }, ()),
+    "verify": (cmd_verify, "run a verification suite", {
+        "--suite": dict(required=True, choices=sorted(SUITES)),
+        "--m-max": dict(type=int, help="last index of the residues suite "
+                                       "(theta^2; the others stop at 15)"),
+        "--format": dict(choices=("json", "pretty"), default="pretty"),
+    }, ()),
+    "qseries-dump": (cmd_qseries_dump, "dump a base q-series as JSON", {
+        "--series": dict(choices=sorted(_SERIES)),
+        "--family": dict(help=_FAMILY_HELP),
+        "--trunc": dict(type=int, default=DEFAULT_TRUNC,
+                        help="q-series truncation (default %(default)s)"),
+    }, ("--series", "--family")),
+}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser():
+    """The argparse parser of the table above, for what ``_plain`` declines."""
+    import argparse  # with gettext and locale: help and usage errors only
+
     parser = argparse.ArgumentParser(
         prog="thetares",
         description="Exact engine for pole/residue identities of "
                     "theta-series recurrences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, run, *flags, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (run, help_text, flags, one_of) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
-        return p
-
-    compute = add("compute", cmd_compute, "--family", "--m-max", "--format",
-                  help="compute and print sequence entries")
-    compute.add_argument("--cache-dir", help=f"entry cache directory (or ${CACHE_ENV})")
-    residues = add("residues", cmd_residues, "--family", "--m-max", "--format",
-                   help="residue table against the oracle")
-    residues.add_argument("--normalize-delta", action="store_true",
-                          help="divide 256*Delta coefficients by 256 "
-                               "(prints Ramanujan tau directly)")
-
-    scan = add("scan", cmd_scan, "--m-max", "--format",
-               help="number-theoretic scans")
-    scan.add_argument("--kind", required=True,
-                      choices=("two-squares", "squares", "lehmer", "perfect-odd"))
-
-    verify = add("verify", cmd_verify, help="run a verification suite")
-    verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    verify.add_argument("--m-max", dest="m_max", type=int,
-                        help="last index of the residues suite (theta^2; the others stop at 15)")
-    verify.add_argument("--format", choices=("json", "pretty"), default="pretty")
-
-    dump = add("qseries-dump", cmd_qseries_dump, help="dump a base q-series as JSON")
-    source = dump.add_mutually_exclusive_group(required=True)
-    source.add_argument("--series", choices=sorted(_SERIES))
-    source.add_argument("--family", help=_FAMILY_HELP)
-    dump.add_argument("--trunc", type=int, default=DEFAULT_TRUNC,
-                      help="q-series truncation (default %(default)s)")
+        group = p.add_mutually_exclusive_group(required=True) if one_of else p
+        for flag, kwargs in flags.items():
+            (group if flag in one_of else p).add_argument(flag, **kwargs)
     return parser
 
 
+def _plain(argv):
+    """The namespace argparse returns for a plain command line: a subcommand,
+    then each of its flags at most once, spelled out, each followed by a
+    value that does not start with "-".  None for anything else, which
+    argparse parses: help, abbreviations, --flag=value, repeats, negative
+    values and every usage error."""
+    if not argv or not all(isinstance(a, str) for a in argv) or argv[0] not in _COMMANDS:
+        return None
+    run, _help, flags, one_of = _COMMANDS[argv[0]]
+    given, rest = {}, iter(argv[1:])
+    for flag in rest:
+        kwargs = flags.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if "action" in kwargs:  # store_true: no value
+            given[flag] = True
+            continue
+        value = next(rest, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            given[flag] = value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+    if (any(kwargs.get("required") and flag not in given for flag, kwargs in flags.items())
+            or one_of and sum(flag in given for flag in one_of) != 1):
+        return None
+    return SimpleNamespace(command=argv[0], run=run, **{
+        flag[2:].replace("-", "_"): given.get(flag, kwargs.get("default"))
+        for flag, kwargs in flags.items()})
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.run(args)
     except (ValueError, OverflowError) as exc:  # FamilyError, bad parameters, sizes past an index

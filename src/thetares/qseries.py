@@ -135,9 +135,8 @@ class QSeries:
             nums.extend([0] * (m - len(nums)))
             return QSeries._make(nums, self._den * other._den)
         c = _as_rat(other)
-        return QSeries._make(
-            [n * c.numerator for n in self._nums], self._den * c.denominator
-        )
+        num = c.numerator
+        return QSeries._make([n * num for n in self._nums], self._den * c.denominator)
 
     def __pow__(self, e: int) -> "QSeries":
         return power(self, e, QSeries.const(1, self.trunc))
@@ -316,6 +315,16 @@ def r2_count(n: int) -> int:
     (lattice enumeration and 4(d_1(n) - d_3(n))) which must agree."""
     if n < 1:
         raise ValueError("n must be positive")
+    lattice, divisor = _r2_lattice(n), _r2_divisor(n)
+    if lattice != divisor:
+        raise OracleConsistencyError(
+            f"r2({n}): lattice count {lattice} != divisor formula {divisor}"
+        )
+    return lattice
+
+
+def _r2_lattice(n: int) -> int:
+    """r2(n) by counting the lattice points on the circle of radius sqrt(n)."""
     lattice = 0
     r = isqrt(n)
     for a in range(-r, r + 1):
@@ -323,6 +332,11 @@ def r2_count(n: int) -> int:
         b = isqrt(b2)
         if b * b == b2:
             lattice += 1 if b == 0 else 2
+    return lattice
+
+
+def _r2_divisor(n: int) -> int:
+    """r2(n) = 4(d_1(n) - d_3(n)), the divisors of n that are 1 and 3 mod 4."""
     divisor = 0
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
@@ -332,12 +346,7 @@ def r2_count(n: int) -> int:
                     divisor += 1
                 elif rem == 3:
                     divisor -= 1
-    divisor *= 4
-    if lattice != divisor:
-        raise OracleConsistencyError(
-            f"r2({n}): lattice count {lattice} != divisor formula {divisor}"
-        )
-    return lattice
+    return 4 * divisor
 
 
 def sigma1(n: int) -> int:

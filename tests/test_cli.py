@@ -1,9 +1,11 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
+import contextlib
 import csv
 import errno
 import io
 import json
+import random
 
 import pytest
 
@@ -16,8 +18,9 @@ from thetares import (
     rec_step,
     residue_report,
 )
+from thetares import cli
 from thetares.cli import main
-from thetares.qseries import cf_coeff
+from thetares.qseries import QSeries, cf_coeff, r2_count, sigma1
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +254,15 @@ class TestResidues:
         assert code == 0
         assert json.loads(out)["rows"] == expected
 
+    def test_mismatch_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("thetares.cli.cf_coeff",
+                            lambda family, n, trunc: cf_coeff(family, n, trunc) + (n == 4))
+        code, out, _ = run_cli(capsys, "residues", "--family", "mult:0,0,2", "--m-max", "5",
+                               "--format", "json")
+        payload = json.loads(out)
+        assert code == 1 and payload["all_match"] is False
+        assert [row["m"] for row in payload["rows"] if not row["match"]] == [4]
+
 
 # exact csv and pretty output of every scan kind; json is checked by field
 _SCAN_TEXT = {
@@ -331,6 +343,25 @@ class TestScan:
         )
         assert code == 0 and out == _SCAN_TEXT[kind, m_max, fmt]
 
+    # each scan kind driven into a mismatch on the oracle side
+    @pytest.mark.parametrize("kind,patch,mismatches", [
+        ("two-squares", lambda mp: mp.setattr(
+            "thetares.cli.r2_count", lambda n: 0 if n == 5 else r2_count(n)), [5]),
+        ("squares", lambda mp: mp.setitem(
+            cli._SET_SCANS, "squares", (cli._SET_SCANS["squares"][0], lambda m: {1, 4})), [9]),
+        ("lehmer", lambda mp: mp.setattr("thetares.cli.delta_series", QSeries.zero),
+         list(range(11))),
+        ("perfect-odd", lambda mp: mp.setattr(
+            "thetares.cli.sigma1", lambda n: 2 * n if n == 5 else sigma1(n)), [5]),
+    ])
+    def test_mismatch_exits_1(self, capsys, monkeypatch, kind, patch, mismatches):
+        patch(monkeypatch)
+        code, out, _ = run_cli(capsys, "scan", "--kind", kind, "--m-max", "10",
+                               "--format", "json")
+        payload = json.loads(out)
+        assert code == 1 and payload["passed"] is False
+        assert payload["mismatches"] == mismatches
+
 
 class TestVerify:
     def test_golden(self, capsys):
@@ -371,6 +402,14 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--suite", "golden", "--format", "csv")
         assert code == 2 and not out
         assert "invalid choice: 'csv'" in err
+
+    def test_mismatch_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("thetares.checks.r2_count", lambda n: r2_count(n) + (n == 3))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "residues", "--m-max", "3")
+        assert code == 1
+        assert ("FAIL  theta^2 residues recover r2(m) for m <= 3 "
+                "(first mismatch (3, Fraction(0, 1), 1))\n") in out
+        assert out.endswith("suite residues: FAIL\n")
 
 
 class TestQSeriesDump:
@@ -465,3 +504,82 @@ def test_ignored_flag_is_a_usage_error(capsys, command, flag):
     code, out, err = run_cli(capsys, *_BASE_ARGV[command], *_FLAG_ARGV[flag])
     assert code == 2 and not out
     assert f"unrecognized arguments: {flag}" in err
+
+
+# -- the plain-form parser against argparse ------------------------------------
+
+# (values argparse takes, values it refuses or reads as a flag)
+_INT_VALUES = (("0", "7", "+3", " 5", "1_0"), ("-2", "x", "", "3.0"))
+_TEXT_VALUES = (("mult:0,0,2", "", "a=b", "cache dir"), ("-x", "--family"))
+
+
+def _value(rng, kwargs):
+    if "choices" in kwargs:
+        values = (kwargs["choices"], ("bogus", "-h"))
+    else:
+        values = _INT_VALUES if "type" in kwargs else _TEXT_VALUES
+    return rng.choice(values[rng.random() < 0.1])
+
+
+def _command_line(rng):
+    """A line of one subcommand's flags, each given or left out at random,
+    then mutated or not: a flag of any subcommand added (a repeat, or one
+    this subcommand lacks), a token dropped, two tokens joined by "=", a
+    flag cut short, or "-h"."""
+    name = rng.choice([*cli._COMMANDS, "nonsense"])
+    flags = cli._COMMANDS.get(name, cli._COMMANDS["scan"])[2]
+    argv = [name]
+    for flag, kwargs in rng.sample(list(flags.items()), len(flags)):
+        if kwargs.get("required") or rng.random() < 0.6:
+            argv += [flag] if "action" in kwargs else [flag, _value(rng, kwargs)]
+    mutation = rng.randrange(8)
+    if mutation == 0:
+        other = rng.choice(list(cli._COMMANDS.values()))[2]
+        flag, kwargs = rng.choice(list(other.items()))
+        argv += [flag] if "action" in kwargs else [flag, _value(rng, kwargs)]
+    elif mutation == 1 and len(argv) > 1:
+        del argv[rng.randrange(len(argv))]
+    elif mutation == 2 and len(argv) > 2:
+        i = rng.randrange(1, len(argv) - 1)
+        argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    elif mutation == 3 and len(argv) > 1:
+        i = rng.randrange(1, len(argv))
+        argv[i] = argv[i][:4]
+    elif mutation == 4:
+        argv.insert(rng.randrange(len(argv) + 1), "-h")
+    return argv
+
+
+def test_plain_parser_agrees_with_argparse():
+    # whenever the plain form takes a line, argparse parses it to the same
+    # fields; the plain form must take a fair share (790 of the 3,000 lines
+    # of this seed), not decline everything
+    rng = random.Random(26)
+    parser = cli.build_parser()
+    taken = 0
+    for _ in range(3000):
+        argv = _command_line(rng)
+        plain = cli._plain(argv)
+        if plain is None:
+            continue
+        taken += 1
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                expected = vars(parser.parse_args(argv))
+            except SystemExit:
+                pytest.fail(f"plain form took {argv}, argparse refused it: {err.getvalue()}")
+        assert vars(plain) == expected, argv
+    assert 600 <= taken <= 1500, taken
+
+
+# lines argparse takes that are not plain, no subcommand, and a value not a string
+@pytest.mark.parametrize("argv", [
+    ["scan", "--kind", "lehmer", "--m-max", "3", "--m-max", "4"],
+    ["scan", "--kind=lehmer", "--m-max", "3"],
+    ["scan", "--ki", "lehmer", "--m-max", "3"],
+    ["scan", "--kind", "lehmer", "--m-max", "-3"],
+    ["scan", "--kind", "lehmer", "--m-max", 3],
+    [],
+])
+def test_plain_parser_declines(argv):
+    assert cli._plain(argv) is None

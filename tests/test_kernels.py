@@ -57,6 +57,12 @@ def test_conv_trunc_matches_schoolbook():
         cases.append((a, b, rng.randint(-2, la + lb + 3)))
     for _ in range(4):
         cases.append((rand_ints(rng, 800, 5), rand_ints(rng, 800, 5), rng.randint(700, 1700)))
+    # squares: one object for both operands, as a list and as a tuple (a
+    # tuple slice to its full length is the tuple itself)
+    for a, _b, n in cases[::7]:
+        cases.append((a, a, n))
+        t = tuple(a)
+        cases.append((t, t, n))
     for a, b, n in cases:
         assert backend.conv_trunc(a, b, n) == schoolbook_trunc(a, b, n), (a, b, n)
 

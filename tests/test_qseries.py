@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from thetares import backend, checks
+from thetares import backend, checks, qseries
 from thetares.qseries import eval_homogeneous
 from thetares import (
     DELTA256,
     THETA2,
     THETA4,
     Family,
+    OracleConsistencyError,
     QSeries,
     TruncationError,
     cf_coeff,
@@ -328,6 +329,14 @@ class TestOracles:
     def test_r2_methods_agree_up_to_300(self):
         for n in range(1, 301):
             r2_count(n)  # raises OracleConsistencyError on any disagreement
+
+    @pytest.mark.parametrize("count", ["_r2_lattice", "_r2_divisor"])
+    def test_r2_counts_that_disagree_raise(self, monkeypatch, count):
+        real = getattr(qseries, count)
+        monkeypatch.setattr(qseries, count, lambda n: real(n) + 4 * (n == 5))
+        assert r2_count(4) == 4
+        with pytest.raises(OracleConsistencyError, match=r"r2\(5\)"):
+            r2_count(5)
 
     def test_sigma(self):
         assert sigma1(9) == 13

@@ -543,6 +543,17 @@ class TestScans:
         assert m9[1] == Fraction(8 * 13, 9 * 16**9)
         assert m9[2] is False
 
+    def test_perfect_odd_flags_a_perfect_residue(self, monkeypatch):
+        # no odd perfect number is known, so every real row is False: hand
+        # the criterion 16^(1-m) at m = 5 to see that it flags exactly that m
+        real = recurrence.local_residue
+
+        def residue(family, m):
+            return Fraction(1, 16 ** (m - 1)) if m == 5 else real(family, m)
+
+        monkeypatch.setattr(recurrence, "local_residue", residue)
+        assert [m for m, _res, flag in check_perfect_odd(9) if flag] == [5]
+
 
 class TestLocalJets:
     def test_matches_the_global_residue(self, theta2_seq, delta_seq):

@@ -2,6 +2,7 @@
 `Family` class that replaced the dataclass."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,14 @@ import pytest
 
 import thetares
 from thetares import THETA2, cf_series, parse_family
+from thetares.cli import main
 
+# argparse, with the gettext and locale its messages load, parses only help
+# and usage errors: a plain command line never needs them
+PARSER = {"argparse", "gettext", "locale"}
 # modules a CLI run must not pay for at import: dataclasses pulls in inspect
 # (and ast, dis, tokenize), csv serves one output format, hashlib only the cache
-FORBIDDEN = {"dataclasses", "inspect", "csv", "hashlib", "typing"}
+FORBIDDEN = {"dataclasses", "inspect", "csv", "hashlib", "typing"} | PARSER
 
 _PROBE = """
 import json, sys
@@ -33,6 +38,42 @@ def test_cli_import_loads_no_forbidden_module():
     loaded = set(json.loads(out))
     assert "thetares.cli" in loaded
     assert not loaded & FORBIDDEN, sorted(loaded & FORBIDDEN)
+
+
+_RUN_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import thetares.cli
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(thetares.cli.main(argv))
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+"""
+
+_PLAIN_RUNS = [
+    ["compute", "--family", "mult:0,0,2", "--m-max", "2", "--format", "json"],
+    ["residues", "--family", "mult:2,8,8", "--m-max", "3", "--format", "json"],
+    ["scan", "--kind", "lehmer", "--m-max", "4", "--format", "json"],
+    ["verify", "--suite", "golden", "--format", "json"],
+    ["qseries-dump", "--series", "x", "--trunc", "4"],
+]
+
+
+def test_plain_runs_load_no_parser(capsys):
+    src = str(Path(thetares.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "THETARES_CACHE_DIR"}
+    out = subprocess.run([sys.executable, "-I", "-c", _RUN_PROBE, src, json.dumps(_PLAIN_RUNS)],
+                         capture_output=True, text=True, check=True, env=env).stdout
+    codes, loaded = json.loads(out)
+    assert codes == [0] * len(_PLAIN_RUNS)
+    assert not set(loaded) & PARSER, sorted(set(loaded) & PARSER)
+    # help and usage errors still come from argparse
+    assert main(["scan", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: thetares scan [-h] ")
+    assert main(["scan", "--kind", "cubes"]) == 2
+    assert "argument --kind: invalid choice: 'cubes'" in capsys.readouterr().err
 
 
 class TestFamily:
