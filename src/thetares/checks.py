@@ -4,7 +4,8 @@ Four suites: golden values (the two worked sequence entries with their
 published numerator/denominator and residues), q-series identities,
 resummation equivalence between the u-side and v-side computations, and
 residue-vs-coefficient tables.  Each check is exact; a suite passes only
-if every check does.
+if every check does.  The identities suite's three-term check reads every
+form of both its families off one shared table of x^a y^b.
 """
 
 from __future__ import annotations
@@ -22,14 +23,17 @@ from .qseries import (
     cf_series,
     delta_series,
     dstar,
-    eval_homogeneous,
+    dstar_terms,
+    lincomb,
     r2_count,
     ramanujan_tau,
     t_series,
     theta_series,
+    xy_form,
     xy_series,
 )
 from .ratfunc import RatFunc, expanded_den
+from .rational import Poly
 from .recurrence import (
     PRIME,
     local_residue,
@@ -149,7 +153,8 @@ def identities_suite(jacobi_trunc: int = 128, identity_trunc: int = 64,
     ))
 
     x, y = xy_series(identity_trunc)
-    minus_half_xy = x * y * Fraction(-1, 2)
+    xy = x * y
+    minus_half_xy = xy * Fraction(-1, 2)
     out.append(_result(
         f"D*x = -xy/2 (trunc {identity_trunc})", dstar(x, 2) == minus_half_xy
     ))
@@ -159,11 +164,11 @@ def identities_suite(jacobi_trunc: int = 128, identity_trunc: int = 64,
     t = t_series(identity_trunc)
     out.append(_result(
         f"t' identity: (1/2 pi i) t' = 2t^2 - xy/32 (trunc {identity_trunc})",
-        t.halfdeg() == t * t * 2 - x * y * Fraction(1, 32),
+        t.halfdeg() == t * t * 2 - xy * Fraction(1, 32),
     ))
     out.append(_result(
         f"discriminant = x^2 y^2 (y-x)^2 / 256 (trunc {identity_trunc})",
-        delta_series(identity_trunc) == (x * y * (y - x)) ** 2 * Fraction(1, 256),
+        delta_series(identity_trunc) == (xy * (y - x)) ** 2 * Fraction(1, 256),
     ))
 
     for family, tag in ((Family.polynomial([(0, 1, 1)], label="P=y"), "P=y"),
@@ -179,19 +184,18 @@ def identities_suite(jacobi_trunc: int = 128, identity_trunc: int = 64,
 
 
 def max_three_term_defect(family: Family, n_max: int, trunc: int) -> QSeries | None:
-    """First nonzero defect of (n+1)(n+w) g_{n+1} + 2 D* g_n + xy g_{n-1}/4
-    (g_n from :func:`three_term_forms`); None when it holds for all n <= n_max."""
-    # gs[n + 1] = g_n, with gs[0] = g_{-1} = 0
-    gs = [QSeries.zero(trunc)] + three_term_forms(family, n_max + 1, trunc)
-    x, y = xy_series(trunc)
-    w = family.w
-    xy4 = x * y * Fraction(1, 4)
+    """First nonzero defect of (n+1)(n+w) g_{n+1} + 2 D* g_n + xy g_{n-1}/4 (g_n as in
+    :func:`three_term_forms`), one sum each; None when it holds for all n <= n_max."""
+    phis = upoly_sequence(family, n_max + 1)
+    w, head = family.w, family.k
+    g_next = _form(family, phis[0], head, trunc)
     for n in range(n_max + 1):
-        defect = (
-            gs[n + 2] * ((n + 1) * (n + w))
-            + dstar(gs[n + 1], w + 2 * n) * 2
-            + xy4 * gs[n]
-        )
+        g, g_next = g_next, _form(family, phis[n + 1], n + 1 + head, trunc)
+        terms = [((n + 1) * (n + w), g_next)] + [(2 * c, s) for c, s in dstar_terms(g, w + 2 * n)]
+        if n and phis[n - 1]:  # xy g_{n-1} = base x^(n+head+1) (u phi_{n-1})(y/x); g_{-1} = 0
+            u_phi = Poly.from_cleared((0,) + phis[n - 1].int_coeffs, phis[n - 1].int_den)
+            terms.append((Fraction(1, 4), _form(family, u_phi, n + head + 1, trunc)))
+        defect = lincomb(terms)
         if defect:
             return defect
     return None
@@ -200,25 +204,18 @@ def max_three_term_defect(family: Family, n_max: int, trunc: int) -> QSeries | N
 def three_term_forms(family: Family, n_max: int, trunc: int) -> list:
     """g_0 .. g_{n_max}, the weight-(w+2n) forms g_n = base x^(n+head) phi_n(y/x)
     with head = k, the degree of P: base = F for a multiplicative family F
-    (P = 1, head = 0), base = 1 for P.  Each is base x^(n+head-d) times
-    :func:`eval_homogeneous` of phi_n, d = deg phi_n <= n + head (phi_0 =
-    P(1, u) has degree at most k, each step adds at most one), so u = y/x is
-    never formed; theta^2's phi_1 is zero."""
-    phis = upoly_sequence(family, n_max)
-    x, y = xy_series(trunc)
-    base = cf_series(family, trunc) if family.kind == "mult" else 1
-    head = family.k
-    # x^0 .. x^(n_max+head), shared by every Horner pass and cofactor
-    xpow = [QSeries.const(1, trunc)]
-    for _ in range(n_max + head):
-        xpow.append(xpow[-1] * x)
-    gs = []
-    for n, phi in enumerate(phis):
-        g = eval_homogeneous(phi, xpow, y) * base
-        if phi and n + head > phi.degree:
-            g = g * xpow[n + head - phi.degree]
-        gs.append(g)
-    return gs
+    (P = 1, head = 0), base = 1 for P.  deg phi_n <= n + head (phi_0 =
+    P(1, u) has degree at most k, each step adds at most one), so each form
+    is read off the x^a y^b table of :func:`xy_form`; theta^2's phi_1 is
+    zero."""
+    return [_form(family, phi, n + family.k, trunc)
+            for n, phi in enumerate(upoly_sequence(family, n_max))]
+
+
+def _form(family: Family, phi: Poly, d: int, trunc: int) -> QSeries:
+    """base x^d phi(y/x): one table combination, times F for the multiplicative kind."""
+    g = xy_form(phi, d, trunc)
+    return g * cf_series(family, trunc) if family.kind == "mult" and phi else g
 
 
 RESUM_FAMILIES = (THETA2, DELTA256)
@@ -235,7 +232,8 @@ def resum_suite() -> list:
             taylor = seq.entries[m].taylor(RESUM_N)
             for i in range(RESUM_N + 1):
                 if matrix[m][i] != taylor[i]:
-                    bad.append((m, i, matrix[m][i], taylor[i]))
+                    bad.append(f"at m = {m}, i = {i}: u-side {matrix[m][i]}, "
+                               f"v-side {taylor[i]}")
         out.append(_result(
             f"resummation equivalence for {family} (m <= {RESUM_M}, i <= {RESUM_N})",
             not bad,
@@ -253,7 +251,7 @@ def _jet_check(family: Family, residues: dict) -> CheckResult:
         exact = local_residue(family, m)
         jet = local_residue_mod(family, m)
         if exact != res or jet != res.numerator * pow(res.denominator, -1, PRIME) % PRIME:
-            bad.append((m, res, exact, jet))
+            bad.append(f"at m = {m}: residue {res}, exact jet {exact}, jet mod p {jet}")
     return _result(
         f"{family} local jets agree exactly and mod 2^61-1 with the residues "
         f"for m <= {max(residues)}",
@@ -280,7 +278,7 @@ def residues_suite(theta2_max: int = 30) -> list:
             residues[m] = report.residue
             expected = oracle(report.pole)
             if report.recovered != expected:
-                bad.append((m, report.recovered, expected))
+                bad.append(f"at m = {m}: recovered {report.recovered}, oracle {expected}")
         out.append(_result(
             f"{family} {name} for m <= {m_max}",
             not bad,

@@ -1,12 +1,12 @@
 """Truncated q-expansions (q = e^(pi*i*tau)) and elementary oracles.
 
 This is the independent verification side of the package: theta
-constants, the weight-2 generators x and y, the logarithmic
-half-derivative t, the weight-raising operator D*, the discriminant from
-its product expansion, and the arithmetic functions r2, sigma, tau.  The
-discriminant is built from the pentagonal-number series, not from x and
-y, so the identity Delta = x^2 y^2 (y-x)^2 / 256 is a genuine
-cross-check between unrelated constructions.
+constants, the weight-2 generators x and y and the table of x^a y^b, the
+logarithmic half-derivative t, the weight-raising operator D*, the
+discriminant from its product expansion, and the arithmetic functions
+r2, sigma, tau.  The discriminant is built from the pentagonal-number
+series, not from x and y, so the identity Delta = x^2 y^2 (y-x)^2 / 256
+is a genuine cross-check between unrelated constructions.
 
 Convention: the coefficient index is the exponent of q = e^(pi*i*tau),
 so the discriminant occupies even indices only and tau(n) sits at 2n.
@@ -104,26 +104,15 @@ class QSeries:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _common(self, other: "QSeries"):
-        m = min(len(self._nums), len(other._nums))
-        den = lcm(self._den, other._den)
-        fa = den // self._den
-        fb = den // other._den
-        return m, den, fa, fb
-
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        m, den, fa, fb = self._common(other)
-        nums = [self._nums[i] * fa + other._nums[i] * fb for i in range(m)]
-        return QSeries._make(nums, den)
+        return lincomb([(1, self), (1, other)])
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        m, den, fa, fb = self._common(other)
-        nums = [self._nums[i] * fa - other._nums[i] * fb for i in range(m)]
-        return QSeries._make(nums, den)
+        return lincomb([(1, self), (-1, other)])
 
     def __neg__(self):
         return QSeries._make([-c for c in self._nums], self._den)
@@ -134,9 +123,7 @@ class QSeries:
             nums = backend.conv_trunc(self._nums, other._nums, m)
             nums.extend([0] * (m - len(nums)))
             return QSeries._make(nums, self._den * other._den)
-        c = _as_rat(other)
-        num = c.numerator
-        return QSeries._make([n * num for n in self._nums], self._den * c.denominator)
+        return lincomb([(other, self)])
 
     def __pow__(self, e: int) -> "QSeries":
         return power(self, e, QSeries.const(1, self.trunc))
@@ -212,6 +199,30 @@ def xy_series(trunc: int):
 
 
 @lru_cache(maxsize=None)
+def xy_monomial(a: int, b: int, trunc: int) -> QSeries:
+    """x^a y^b, filled as it is read, one product an entry: the square of
+    x^(a/2) y^(b/2) for even a and b, else x (at a = 0, y) times the entry
+    with one x (one y) fewer; x and y are those of :func:`xy_series`."""
+    if a < 0 or b < 0:
+        raise ValueError("the exponents of x and y must be nonnegative")
+    x, y = xy_series(trunc)
+    if a + b <= 1:
+        return x if a else y if b else QSeries.const(1, trunc)
+    if a % 2 == b % 2 == 0:
+        return xy_monomial(a // 2, b // 2, trunc) ** 2
+    return xy_monomial(a - 1, b, trunc) * x if a else xy_monomial(0, b - 1, trunc) * y
+
+
+def xy_form(p: Poly, d: int, trunc: int) -> QSeries:
+    """x^d p(y/x) = sum_i c_i x^(d-i) y^i for d >= deg p, one combination of
+    :func:`xy_monomial` entries: u = y/x is never formed."""
+    if not p:
+        return QSeries.zero(trunc)
+    return lincomb([(Fraction(c, p.int_den), xy_monomial(d - i, i, trunc))
+                    for i, c in enumerate(p.int_coeffs) if c])
+
+
+@lru_cache(maxsize=None)
 def u_series(trunc: int) -> QSeries:
     """The Hauptmodul u = y/x, through inversion of x."""
     x, y = xy_series(trunc)
@@ -227,8 +238,25 @@ def t_series(trunc: int) -> QSeries:
 
 def dstar(f: QSeries, weight) -> QSeries:
     """Weight-raising derivative D*f = (1/2 pi i) f' - 2*weight*t*f."""
-    t = t_series(f.trunc)
-    return f.halfdeg() - f * t * (2 * Fraction(weight))
+    return lincomb(dstar_terms(f, weight))
+
+
+def dstar_terms(f: QSeries, weight) -> list:
+    """D*f as :func:`lincomb` terms, for a caller to fold into a wider sum."""
+    return [(1, f.halfdeg()), (-2 * Fraction(weight), f * t_series(f.trunc))]
+
+
+def lincomb(terms) -> QSeries:
+    """sum c*s over at least one (rational c, QSeries s) term: one pass of
+    integer multiply-adds per term over one common denominator, put in
+    canonical form once.  It truncates to the shortest series."""
+    terms = [(_as_rat(c), s) for c, s in terms]
+    den = lcm(*(c.denominator * s._den for c, s in terms))
+    acc = [0] * min(len(s._nums) for _, s in terms)
+    for c, s in terms:
+        k = c.numerator * (den // (c.denominator * s._den))
+        acc = [a + k * b for a, b in zip(acc, s._nums)]
+    return QSeries._make(acc, den)
 
 
 @lru_cache(maxsize=None)
@@ -254,28 +282,6 @@ def delta_series(trunc: int) -> QSeries:
     return (euler**24).shift(2)
 
 
-def eval_homogeneous(p: Poly, xpow, y: QSeries) -> QSeries:
-    """x^d p(y/x) = sum_i c_i x^(d-i) y^i, d = deg p, by one Horner pass in y
-    on cleared numerators: h = c_d, then h <- h y + c_i x^(d-i) down to
-    i = 0, with x^j = ``xpow[j]`` (integer coefficients) and a denominator e
-    of y carried as e^(d-i).  x is never inverted and the result is put in
-    canonical form once; it truncates to the shortest series used."""
-    cs = p.int_coeffs
-    d = len(cs) - 1
-    if any(xpow[j]._den != 1 for j in range(1, d + 1)):
-        raise ValueError("the powers of x must have integer coefficients")
-    m = min([len(y._nums)] + [len(xpow[j]._nums) for j in range(1, d + 1)])
-    h = [cs[d] if cs else 0] + [0] * (m - 1)
-    ep = 1  # y._den ** (d - i)
-    for i in range(d - 1, -1, -1):
-        h = backend.conv_trunc(h, y._nums, m)  # m terms: len(h) = m <= len(y)
-        ep *= y._den
-        c = cs[i] * ep
-        if c:
-            h = [a + c * b for a, b in zip(h, xpow[d - i]._nums)]
-    return QSeries._make(h, p.int_den * ep)
-
-
 @lru_cache(maxsize=None)
 def cf_series(family: Family, trunc: int) -> QSeries:
     """q-expansion of the family's form.
@@ -293,11 +299,7 @@ def cf_series(family: Family, trunc: int) -> QSeries:
         if family.c4:
             out = out * (theta_series(3, trunc) ** family.c4)
         return out
-    x, y = xy_series(trunc)
-    out = QSeries.zero(trunc)
-    for i, j, c in family.monomials:
-        out = out + (x**i) * (y**j) * c
-    return out
+    return lincomb([(c, xy_monomial(i, j, trunc)) for i, j, c in family.monomials])
 
 
 def cf_coeff(family: Family, n: int, trunc: int = DEFAULT_TRUNC) -> Rat:

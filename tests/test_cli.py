@@ -10,6 +10,8 @@ import random
 import pytest
 
 from thetares import (
+    THETA,
+    THETA2,
     Poly,
     RatFunc,
     RelationError,
@@ -18,7 +20,7 @@ from thetares import (
     rec_step,
     residue_report,
 )
-from thetares import cli
+from thetares import checks, cli
 from thetares.cli import main
 from thetares.qseries import QSeries, cf_coeff, r2_count, sigma1
 
@@ -408,8 +410,44 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "residues", "--m-max", "3")
         assert code == 1
         assert ("FAIL  theta^2 residues recover r2(m) for m <= 3 "
-                "(first mismatch (3, Fraction(0, 1), 1))\n") in out
+                "(first mismatch at m = 3: recovered 0, oracle 1)\n") in out
         assert out.endswith("suite residues: FAIL\n")
+
+    def test_mismatch_detail_in_json_is_exact_rationals(self, capsys, monkeypatch):
+        monkeypatch.setattr("thetares.checks.r2_count", lambda n: r2_count(n) + (n == 3))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "residues", "--m-max", "3",
+                               "--format", "json")
+        assert code == 1 and "Fraction(" not in out
+        details = [c["detail"] for c in json.loads(out)["checks"] if not c["passed"]]
+        assert details == ["first mismatch at m = 3: recovered 0, oracle 1"]
+
+    def test_jet_mismatch_exits_1(self, capsys, monkeypatch):
+        # the mod-p jet of theta alone moves at m = 2; the global residues do not
+        jet = checks.local_residue_mod
+        monkeypatch.setattr(checks, "local_residue_mod",
+                            lambda family, m: jet(family, m) + (family == THETA and m == 2))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "residues", "--m-max", "3")
+        assert code == 1
+        assert out.count("FAIL  ") == 1
+        assert ("FAIL  theta local jets agree exactly and mod 2^61-1 with the residues "
+                "for m <= 3 (first mismatch at m = 2: residue 0, exact jet 0, "
+                "jet mod p 1)\n") in out
+
+    def test_resum_mismatch_exits_1(self, capsys, monkeypatch):
+        # one u-side entry of theta^2 moves by 1; the v-side Taylor columns do not
+        matrix = checks.resum_matrix
+
+        def bumped(family, m_max, n_max):
+            rows = matrix(family, m_max, n_max)
+            rows[2][3] += family == THETA2
+            return rows
+
+        monkeypatch.setattr(checks, "resum_matrix", bumped)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "resum")
+        assert code == 1
+        assert out.count("FAIL  ") == 1
+        assert ("FAIL  resummation equivalence for theta^2 (m <= 6, i <= 12) "
+                "(first mismatch at m = 2, i = 3: u-side 3/4, v-side -1/4)\n") in out
 
 
 class TestQSeriesDump:

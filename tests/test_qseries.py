@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from thetares import backend, checks, qseries
-from thetares.qseries import eval_homogeneous
 from thetares import (
     DELTA256,
     THETA2,
@@ -198,41 +197,10 @@ class TestCfCoeff:
             assert series.coeff(n) == 8 * sigma1(n)
 
 
-def at_unit_x(p, s):
-    """p(s): eval_homogeneous with every power of x equal to 1."""
-    return eval_homogeneous(p, [QSeries.const(1, s.trunc)] * len(p.int_coeffs), s)
-
-
-class TestEvalPoly:
-    def test_horner(self):
-        u = u_series(10)
-        p = Poly([1, -2, Fraction(1, 3)])
-        direct = QSeries.const(1, 10) - u * 2 + u * u * Fraction(1, 3)
-        assert at_unit_x(p, u) == direct
-
-    def test_horner_at_a_rational_series(self):
-        s = u_series(10) * Fraction(2, 3)
-        p = Poly([Fraction(1, 5), -2, 0, 7])
-        direct = QSeries.const(Fraction(1, 5), 10) - s * 2 + s * s * s * 7
-        assert at_unit_x(p, s) == direct
-        assert at_unit_x(Poly(), s) == QSeries.zero(10)
-
-    def test_homogeneous_is_x_power_times_poly_of_u(self):
-        x, y = xy_series(24)
-        xpow = [x**j for j in range(4)]
-        p = Poly([Fraction(-2, 7), 0, 3, Fraction(1, 2)])
-        assert eval_homogeneous(p, xpow, y) == x**3 * at_unit_x(p, u_series(24))
-
-    def test_homogeneous_needs_integral_x_powers(self):
-        x, y = xy_series(8)
-        with pytest.raises(ValueError):
-            eval_homogeneous(Poly([1, 1]), [x, x * Fraction(1, 2)], y)
-
-
 def direct_forms(family, phis, trunc):
     """g_k = base * x^(k+head) * sum_i c_i u^i, each built from scratch
-    through u = y/x and its powers, without Horner's rule; g_{-1} = 0 is
-    the last entry, so index -1 reads it."""
+    through u = y/x and its powers, not read off the x^a y^b table; g_{-1} = 0
+    is the last entry, so index -1 reads it."""
     x, _ = xy_series(trunc)
     u = u_series(trunc)
     if family.kind == "mult":
@@ -300,8 +268,8 @@ class TestThreeTermDefect:
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_one_interior_coefficient_is_caught(self, monkeypatch, k):
-        # c_1 of phi_k moves by 1/3 and nothing else does, so a Horner
-        # that paired c_i with the wrong power of x would give another defect
+        # c_1 of phi_k moves by 1/3 and nothing else does, so a table read
+        # that paired c_i with the wrong monomial would give another defect
         family = parse_family(RATIONAL_DEG2)
 
         def bumped(fam, n_max):
@@ -318,6 +286,56 @@ class TestThreeTermDefect:
         phis = bumped(family, 6)
         direct = (direct_three_term_defect(family, phis, n, 30) for n in range(6))
         assert defect == next(d for d in direct if d)
+
+
+class TestXYTable:
+    def test_entries_are_the_monomials(self):
+        x, y = xy_series(12)
+        for a in range(6):
+            for b in range(6 - a):
+                assert qseries.xy_monomial(a, b, 12) == x**a * y**b
+
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(ValueError):
+            qseries.xy_monomial(2, -1, 8)
+        with pytest.raises(ValueError):  # d below deg p
+            qseries.xy_form(Poly([1, 0, 1]), 1, 8)
+
+    def test_form_is_x_power_times_poly_of_u(self):
+        # rational coefficients, a zero interior one, and d at and above deg p
+        x, _ = xy_series(24)
+        u = u_series(24)
+        p = Poly([Fraction(-2, 7), 0, 3, Fraction(1, 2)])
+        p_u = QSeries.const(Fraction(-2, 7), 24) + u * u * 3 + u * u * u * Fraction(1, 2)
+        for d in (3, 5):
+            assert qseries.xy_form(p, d, 24) == x**d * p_u
+        assert qseries.xy_form(Poly(), 2, 24) == QSeries.zero(24)
+
+    @pytest.mark.parametrize("family", [Family.polynomial([(0, 1, 1)]), THETA2,
+                                        parse_family(RATIONAL_DEG2)],
+                             ids=["P=y", "theta^2", "rational-deg2"])
+    def test_xy_times_form_is_read_off_the_table(self, family):
+        # xy g_n = base x^(n+head+2) (u phi_n)(y/x), as the defect reads xy g_{n-1}
+        x, y = xy_series(30)
+        for n, phi in enumerate(upoly_sequence(family, 6)):
+            d = n + family.k
+            u_phi = Poly.from_cleared((0,) + phi.int_coeffs, phi.int_den)
+            xy_g = x * y * checks._form(family, phi, d, 30)
+            assert checks._form(family, u_phi, d + 2, 30) == xy_g
+
+    def test_identities_suite_work(self, monkeypatch):
+        # the benchmark's sizes from cold caches: one x^a y^b table for both
+        # families of the three-term check, where per-family Horner passes
+        # and their cofactors took 197 products
+        for cached in vars(qseries).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        calls = []
+        conv_trunc = backend.conv_trunc
+        monkeypatch.setattr(backend, "conv_trunc",
+                            lambda a, b, n: calls.append(n) or conv_trunc(a, b, n))
+        assert all(r.passed for r in checks.identities_suite(768, 384, 192, 8))
+        assert len(calls) <= 120
 
 
 class TestOracles:
