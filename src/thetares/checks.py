@@ -185,7 +185,7 @@ def identities_suite(jacobi_trunc: int = 128, identity_trunc: int = 64,
 
 def max_three_term_defect(family: Family, n_max: int, trunc: int) -> QSeries | None:
     """First nonzero defect of (n+1)(n+w) g_{n+1} + 2 D* g_n + xy g_{n-1}/4 (g_n as in
-    :func:`three_term_forms`), one sum each; None when it holds for all n <= n_max."""
+    :func:`_form`), one sum each; None when it holds for all n <= n_max."""
     phis = upoly_sequence(family, n_max + 1)
     w, head = family.w, family.k
     g_next = _form(family, phis[0], head, trunc)
@@ -201,19 +201,15 @@ def max_three_term_defect(family: Family, n_max: int, trunc: int) -> QSeries | N
     return None
 
 
-def three_term_forms(family: Family, n_max: int, trunc: int) -> list:
-    """g_0 .. g_{n_max}, the weight-(w+2n) forms g_n = base x^(n+head) phi_n(y/x)
-    with head = k, the degree of P: base = F for a multiplicative family F
-    (P = 1, head = 0), base = 1 for P.  deg phi_n <= n + head (phi_0 =
-    P(1, u) has degree at most k, each step adds at most one), so each form
-    is read off the x^a y^b table of :func:`xy_form`; theta^2's phi_1 is
-    zero."""
-    return [_form(family, phi, n + family.k, trunc)
-            for n, phi in enumerate(upoly_sequence(family, n_max))]
-
-
 def _form(family: Family, phi: Poly, d: int, trunc: int) -> QSeries:
-    """base x^d phi(y/x): one table combination, times F for the multiplicative kind."""
+    """base x^d phi(y/x): one table combination, times F for the multiplicative kind.
+
+    With phi = phi_n and d = n + head this is the weight-(w+2n) form g_n of
+    the three-term relation, where head = k, the degree of P: base = F for
+    a multiplicative family F (P = 1, head = 0), base = 1 for P.  deg phi_n
+    <= n + head (phi_0 = P(1, u) has degree at most k, each step adds at
+    most one), so each form is read off the x^a y^b table of
+    :func:`xy_form`; theta^2's phi_1 is zero."""
     g = xy_form(phi, d, trunc)
     return g * cf_series(family, trunc) if family.kind == "mult" and phi else g
 

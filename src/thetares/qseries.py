@@ -15,8 +15,9 @@ so the discriminant occupies even indices only and tau(n) sits at 2n.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import isqrt, lcm
+from operator import mul
 
 from . import backend
 from .families import Family
@@ -291,14 +292,14 @@ def cf_series(family: Family, trunc: int) -> QSeries:
     so fractional b and c still give integral exponents 4b and 4c.
     """
     if family.kind == "mult":
-        out = QSeries.const(1, trunc)
+        powers = []
         if family.a:
-            out = out * (xy_series(trunc)[1] ** family.a)
+            powers.append(xy_series(trunc)[1] ** family.a)
         if family.b4:
-            out = out * (theta_series(4, trunc) ** family.b4)
+            powers.append(theta_series(4, trunc) ** family.b4)
         if family.c4:
-            out = out * (theta_series(3, trunc) ** family.c4)
-        return out
+            powers.append(theta_series(3, trunc) ** family.c4)
+        return reduce(mul, powers) if powers else QSeries.const(1, trunc)
     return lincomb([(c, xy_monomial(i, j, trunc)) for i, j, c in family.monomials])
 
 

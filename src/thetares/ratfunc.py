@@ -10,13 +10,13 @@ divides the numerator).  The constructor does not reduce: its callers
 already hold reduced data, `recurrence.rec_step` by theorem and the cache
 read through the shape and relation check `recurrence._fits`.
 `expanded_den` is the one place a product of factors (1 - j v)^e is
-multiplied out: for `rec_step`'s rhs term and the golden R4 check.
+multiplied out: for `rec_step`'s L = prod (1 - j v) and rhs term, and
+the golden R4 check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from . import backend
 from .rational import Poly, Rat
@@ -24,10 +24,13 @@ from .rational import Poly, Rat
 
 def expanded_den(factors) -> list:
     """Integer coefficients, constant term first, of prod (1 - j v)^e over
-    ``factors`` ((j, e), ...): one conv per factor, by its binomial list."""
+    ``factors`` ((j, e), ...): e passes in place per factor, one per (1 - j v)."""
     out = [1]
     for j, e in factors:
-        out = backend.conv(out, [comb(e, i) * (-j) ** i for i in range(e + 1)])
+        for _ in range(e):
+            out.append(0)
+            for i in range(len(out) - 1, 0, -1):
+                out[i] -= j * out[i - 1]
     return out
 
 

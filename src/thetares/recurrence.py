@@ -117,11 +117,7 @@ _BASES_PRODUCT = prod(_BASES)
 def _edge_terms(factors: tuple):
     """Integer lists L = prod (1 - j v) over the factor indices j, and
     A_1 = sum_j (e_j + 1) (-j v) L / (1 - j v) = A + theta L."""
-    ell = [1]
-    for j, _e in factors:
-        ell.append(0)
-        for i in range(len(ell) - 1, 0, -1):
-            ell[i] -= j * ell[i - 1]
+    ell = expanded_den((j, 1) for j, _e in factors)
     a1 = [0] * len(ell)
     for j, e in factors:
         for i, c in enumerate(backend.divexact_linear(ell, j)):

@@ -79,12 +79,16 @@ class TestCompute:
 
     @pytest.mark.parametrize("family", ["poly:1:[(0,1,1),(-1,2,1)]", "poly:1:[(1,0,1/0)]"])
     def test_malformed_poly_family(self, capsys, family):
+        """A family string with a malformed monomial is a usage error, not a
+        traceback or a silent skip."""
         code, out, err = run_cli(capsys, "residues", "--family", family, "--m-max", "2")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("via_env", [False, True])
     def test_cache_dir_that_is_a_file(self, capsys, monkeypatch, tmp_path, via_env):
+        """A cache directory that cannot be made is a usage error, not a
+        traceback or a silent skip."""
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
         argv = ["compute", "--family", "mult:0,0,2", "--m-max", "1"]
@@ -539,6 +543,9 @@ _FLAG_ARGV = {
     ("qseries-dump", "--normalize-delta"),
 ])
 def test_ignored_flag_is_a_usage_error(capsys, command, flag):
+    """A flag the command would ignore is a usage error.  Every scan kind,
+    for one, is decided by local jets and builds no entry, so --cache-dir
+    is one there."""
     code, out, err = run_cli(capsys, *_BASE_ARGV[command], *_FLAG_ARGV[flag])
     assert code == 2 and not out
     assert f"unrecognized arguments: {flag}" in err
