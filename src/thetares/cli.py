@@ -23,6 +23,7 @@ from .checks import SUITES
 from .families import DELTA256, parse_family
 from .qseries import (
     DEFAULT_TRUNC,
+    OracleConsistencyError,
     cf_coeff,
     cf_series,
     delta_series,
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:  # FamilyError, bad parameters, sizes past an index
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RelationError as exc:  # a computed entry failed its relation: print nothing of it
+    except (RelationError, OracleConsistencyError) as exc:  # a failed self-check: no result
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 

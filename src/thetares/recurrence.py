@@ -16,10 +16,11 @@ Two coupled computations per family:
   distinct j, and A = sum_j e_j (-j v) L / (1 - j v), so theta D / D = A / L.
   Then theta e = M / (D L) with M = L theta N - A N, and
   theta^2 e = P / (D L^2) with P = L theta M - A_1 M, A_1 = A + theta L.
-  Each step (`rec_step`) writes the new numerator over D L^2 (1 - s v)
-  directly from four products of the large numerator by the small L and
-  A_1: N L, N A_1, M A_1, and L times a combination of v N L, v M, v^2 N L,
-  v^2 M and v^2 theta M; then one root test.
+  Each step (`rec_step`), from e_{-1} = 0 on, writes the new numerator
+  over D L^2 (1 - s v) directly from four products of the large numerator
+  by the small L and A_1: N L and N A_1, which one pass turns into M; M A_1;
+  and L times the bracket of v N L, v M, v^2 N L, v^2 M and v^2 theta M,
+  formed in one more pass; then one root test at v = 1/s (none at s = 0).
   Every old pole 1/j gains exactly 2 in order (v/4 (1+theta)^2 adds
   e_j (e_j + 1) (j v)^2 / 4 times its top term, the rest at most order
   e_j + 1), so only (1 - s v) can cancel, once at most (see below).
@@ -101,6 +102,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -125,71 +127,58 @@ def _edge_terms(factors: tuple):
     return ell, a1
 
 
-def _theta(nums: list) -> list:
-    """theta = v d/dv on an integer coefficient list."""
-    return [i * c for i, c in enumerate(nums)]
-
-
-def _combo(coeffs, lists) -> list:
-    """sum_k coeffs[k] * lists[k] for integer lists of any lengths."""
-    out = [0] * max(map(len, lists))
-    for c, xs in zip(coeffs, lists):
-        if c:
-            for i, x in enumerate(xs):
-                out[i] += c * x
-    return out
-
-
-def _initial(family: Family) -> RatFunc:
-    """e_0 = rhs_0 / (1 - s v), s = edge(0), with no factor when s = 0."""
-    s, num = family.edge(0), Poly([family.rhs(0)])
-    return RatFunc(num, ((s, 1),) if s and num else ())
+_ZERO = RatFunc(Poly())  # e_{-1} = 0, the entry before e_0
 
 
 def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
     """The m-th entry of the family's v-side sequence.
 
-    ``prev`` must be the (m-1)-th entry for m > 0 and absent for m = 0.
+    ``prev`` must be the (m-1)-th entry; for m = 0 it is e_{-1} = 0 and may
+    be left out.
     """
     if m < 0:
         raise ValueError("sequence index must be nonnegative")
-    if m == 0:
-        if prev is not None:
-            raise ValueError("the initial entry takes no previous entry")
-        return _initial(family)
-    if prev is None:
-        raise ValueError(f"entry {m} needs entry {m - 1}")
+    if prev is None if m else prev:  # prev is e_{m-1}: absent, or e_{-1} = 0, at m = 0
+        raise ValueError(f"entry {m} needs entry {m - 1} (e_-1 = 0)")
+    prev = prev or _ZERO
     s = family.edge(m)
     if prev.factors and prev.factors[-1][0] >= s:
         raise ValueError(f"entry {m - 1} has no pole at v = 1/j, j >= {s}: {prev.factors}")
     ell, a1 = _edge_terms(prev.factors)
     n = list(prev.num.int_coeffs)
     # theta(N L) = L theta N + N theta L and A_1 = A + theta L, hence
-    # M = theta(N L) - A_1 N and P = L theta M - A_1 M
+    # M = theta(N L) - A_1 N and P = L theta M - A_1 M; N L and N A_1 have
+    # the same length
     nl = backend.conv(n, ell)
-    mm = _combo((1, -1), (_theta(nl), backend.conv(n, a1)))
+    mm = [i * x - y for i, (x, y) in enumerate(zip(nl, backend.conv(n, a1)))]
     # G D L^2 = (c0 + v w/4) N L^2 + (-1 + v (w+1)/4) M L + v P/4, and the
     # entry's numerator over D L^2 (1 - s v) is rhs D L^2 - v G D L^2, times
-    # q: L times the bracket below, plus q/4 v^2 A_1 M
+    # q: L times the bracket v (q M - c0q NL) + v^2 (-cwq NL - (cw1q + q4 i) M),
+    # i the index in M (theta M), plus q4 v^2 A_1 M
     c0 = m - 1 - family.beta
     cw = family.w / 4
     cw1 = (family.w + 1) / 4
     rhs = family.rhs(m)
     q = lcm(c0.denominator, cw.denominator, cw1.denominator, 4, rhs.denominator)
-    bracket = _combo(
-        (-int(c0 * q), q, -int(cw * q), -int(cw1 * q), -(q // 4)),
-        ([0] + nl, [0] + mm, [0, 0] + nl, [0, 0] + mm, [0, 0] + _theta(mm)),
-    )
-    t = _combo((1, q // 4), (backend.conv(bracket, ell), [0, 0] + backend.conv(mm, a1)))
+    c0q, cwq, cw1q, q4 = int(c0 * q), int(cw * q), int(cw1 * q), q // 4
+    bracket = [0, 0]
+    for i, (x, y) in enumerate(zip(nl, mm)):
+        bracket[-1] += q * y - c0q * x
+        bracket.append(-cwq * x - (cw1q + q4 * i) * y)
+    t = backend.conv(bracket, ell)
+    for i, y in enumerate(backend.conv(mm, a1), 2):
+        t[i] += q4 * y
     factors = tuple((j, e + 2) for j, e in prev.factors)  # reduced by theorem
     if rhs:
-        t = _combo((1, int(rhs * q) * prev.num.int_den), (t, expanded_den(factors)))
+        r = int(rhs * q) * prev.num.int_den
+        t = [x + r * c for x, c in zip_longest(t, expanded_den(factors), fillvalue=0)]
     # one root test and at most one division on the raw integers: trailing
     # zeros of t only scale the test by a power of s, and the one canonical
-    # form below reduces the quotient as it would have reduced t
-    if backend.eval_at_inv(t, s):
+    # form below reduces the quotient as it would have reduced t; at s = 0,
+    # (1 - s v) = 1 is never a factor
+    if s and backend.eval_at_inv(t, s):
         factors += ((s, 1),)
-    else:
+    elif s:
         t = backend.divexact_linear(t, s)
     return RatFunc(Poly.from_cleared(t, q * prev.num.int_den), factors)
 
@@ -328,33 +317,37 @@ def _point(entry: RatFunc, tables: _Tables) -> tuple | None:
             (2 * n2 - 2 * n1 * lam - n0 * lam1 + n0 * lam * lam) * inv % p)
 
 
-def _fits(family: Family, m: int, entry: RatFunc, prev: RatFunc | None,
-          tables: _Tables, at_prev: tuple | None, rooted: bool = False) -> tuple | None:
-    """The point of ``entry`` (`_point(entry, tables)`) if it is e_0 (m = 0),
-    or else has prev's factors raised by 2, plus (1 - s v) only where the
-    numerator is nonzero at v = 1/s, and satisfies the m-th relation
-    R = e_m (1 - s v) + v G_m(e_{m-1}) - rhs_m at v0 mod p = tables.p; None
-    otherwise.  ``at_prev`` is prev's point.  No genuine entry has p in its
-    den (`rec_sequence`), so one without a point is a miss.  A wrong entry
-    with the right shape passes only if p divides R's integer numerator Z,
-    or v0 is one of the at most deg Z roots of Z mod p (Schwartz-Zippel):
-    for a random p and v0, with probability at most deg Z / 2^61 plus the
-    share of the 5 * 10^16 primes in [2^61, 2^62) that divide Z.  ``rooted``
-    says the numerator is already known nonzero at v = 1/s (`rec_step` tests
-    that root before it keeps the factor), so the shape needs no root test."""
-    if not m:
-        return _point(entry, tables) if entry == _initial(family) else None
+def _fits(family: Family, m: int, entry: RatFunc, prev: RatFunc,
+          tables: _Tables, at_prev: tuple) -> tuple | None:
+    """The point of a read ``entry`` if it has prev's factors raised by 2,
+    plus (1 - s v) only where s > 0 and the numerator is nonzero at v = 1/s,
+    and satisfies the m-th relation (`_holds`); None otherwise.  ``prev`` is
+    e_{m-1}, e_{-1} = 0 for m = 0, and ``at_prev`` its point."""
     raised = tuple((j, e + 2) for j, e in prev.factors)
     s = family.edge(m)
     if entry.factors == raised:
         shaped = bool(entry.num) or not raised  # a zero entry has no factors
     else:
-        shaped = (entry.factors == raised + ((s, 1),)
-                  and (rooted or backend.eval_at_inv(entry.num.int_coeffs, s) != 0))
-    at = _point(entry, tables) if shaped else None
+        shaped = (s > 0 and entry.factors == raised + ((s, 1),)
+                  and backend.eval_at_inv(entry.num.int_coeffs, s) != 0)
+    return _holds(family, m, entry, tables, at_prev) if shaped else None
+
+
+def _holds(family: Family, m: int, entry: RatFunc, tables: _Tables,
+           at_prev: tuple) -> tuple | None:
+    """The point of ``entry`` (`_point(entry, tables)`) if it satisfies the
+    m-th relation R = e_m (1 - s v) + v G_m(e_{m-1}) - rhs_m at v0 mod
+    p = tables.p, with e_{m-1} at its point ``at_prev``; None otherwise.
+    No genuine entry has p in its den (`rec_sequence`), so one without a
+    point fails.  A wrong entry of the right shape passes only if p divides
+    R's integer numerator Z, or v0 is one of the at most deg Z roots of Z
+    mod p (Schwartz-Zippel): for a random p and v0, with probability at most
+    deg Z / 2^61 plus the share of the 5 * 10^16 primes in [2^61, 2^62)
+    that divide Z."""
+    at = _point(entry, tables)
     if at is None:
         return None
-    p, v0 = tables.p, tables.v0
+    p, v0, s = tables.p, tables.v0, family.edge(m)
     e, d1, d2 = at_prev
     beta, w, rhs = (x.numerator * pow(x.denominator, -1, p)
                     for x in (family.beta, family.w, family.rhs(m)))
@@ -364,19 +357,20 @@ def _fits(family: Family, m: int, entry: RatFunc, prev: RatFunc | None,
 
 
 def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
-    """Entries 0..m_max, computed in order.
+    """Entries 0..m_max, computed in order from e_{-1} = 0.
 
     With a ``cache`` (a `thetares.cache.SeqCache`), the longest run of
     cached entries 0, 1, ... that pass `_fits` is read first, and each
     entry after it is computed and (re)written as soon as it exists, so an
-    interrupted run keeps its progress.  A computed entry passes the same
-    `_fits` before it is written or returned, or `RelationError` is raised.
-    `_fits` checks each relation at one point v0 mod a prime p, both drawn
-    per call: p in [2^61, 2^62) and prime to phi0's den, the lcm of every
-    rhs_k's denominator, so to every genuine den (den_m divides q den_{m-1},
-    and q's other factors are 2s), and v0 away from every 1/j, j <= edge(m_max).
-    It carries the last accepted entry's point, so each numerator is
-    evaluated once, against tables of v0's powers built for this call alone.
+    interrupted run keeps its progress.  A computed entry, whose shape
+    `rec_step` built, passes `_holds` before it is written or returned, or
+    `RelationError` is raised.  Both check each relation at one point v0
+    mod a prime p, drawn per call: p in [2^61, 2^62) and prime to phi0's
+    den, the lcm of every rhs_k's denominator, so to every genuine den
+    (den_m divides q den_{m-1}, and q's other factors are 2s), and v0 away
+    from every 1/j, j <= edge(m_max).  It carries the last accepted entry's
+    point, (0, 0, 0) for e_{-1}, so each numerator is evaluated once,
+    against tables of v0's powers built for this call alone.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
@@ -385,21 +379,21 @@ def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
     v0 = rng.randrange(2, p)
     while (pow(v0, -1, p) - family.edge(0)) % p <= m_max:  # 1/v0 = edge(k), k <= m_max
         v0 = rng.randrange(2, p)
-    tables, entries, at, reading = _Tables(p, v0), [], None, cache is not None
+    tables, entries, reading = _Tables(p, v0), [], cache is not None
+    prev, at = _ZERO, (0, 0, 0)
     for m in range(m_max + 1):
-        prev = entries[-1] if m else None
         entry = cache.read(family, m) if reading else None
         fit = None if entry is None else _fits(family, m, entry, prev, tables, at)
         if fit is None:  # no cache, or a miss: compute, and read no further
             reading = False
             entry = rec_step(family, m, prev)
-            fit = _fits(family, m, entry, prev, tables, at, rooted=True)
+            fit = _holds(family, m, entry, tables, at)
             if fit is None:
                 raise RelationError(f"computed entry {m} of {family} fails its relation")
             if cache is not None:
                 cache.write(family, m, entry)
         entries.append(entry)
-        at = fit
+        prev, at = entry, fit
     return SeqState(family, entries)
 
 

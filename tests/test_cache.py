@@ -168,19 +168,19 @@ def compute(cache_dir, m_max):
                  "--format", "json", "--cache-dir", str(cache_dir)])
 
 
-def rerun_with_forged_entry(cache_dir, capsys, forge):
-    """Run theta^2 to m = 4, replace the cached entry 3 by the numerator
-    and factors ``forge(entry 3)`` returns, and run again: the second run
-    must print what the first printed, and must have recomputed entry 3
+def rerun_with_forged_entry(cache_dir, capsys, forge, m=3):
+    """Run theta^2 to m = 4, replace the cached entry m by the numerator
+    and factors ``forge(entry m)`` returns, and run again: the second run
+    must print what the first printed, and must have recomputed entry m
     and rewritten its file."""
     assert compute(cache_dir, 4) == 0
     cold = capsys.readouterr().out
     cache = SeqCache(cache_dir)
-    path = cache.entry_path(THETA2, 3)
+    path = cache.entry_path(THETA2, m)
     good = path.read_bytes()
-    num, factors = forge(cache.read(THETA2, 3))
-    cache.write(THETA2, 3, RatFunc(num, factors))
-    assert cache.read(THETA2, 3) == RatFunc(num, factors)
+    num, factors = forge(cache.read(THETA2, m))
+    cache.write(THETA2, m, RatFunc(num, factors))
+    assert cache.read(THETA2, m) == RatFunc(num, factors)
     assert compute(cache_dir, 4) == 0
     assert capsys.readouterr().out == cold
     assert path.read_bytes() == good
@@ -213,6 +213,23 @@ def test_edge_factor_over_a_root_is_a_miss(tmp_path, capsys):
         return Poly.from_cleared(nums, entry.num.int_den), [(1, 5), (2, 3), (3, 1)]
 
     rerun_with_forged_entry(tmp_path, capsys, forge)
+
+
+def test_first_entry_over_a_factor_at_zero_is_a_miss(tmp_path, capsys):
+    # theta^2 has edge(0) = 0, and (1 - 0 v) = 1 is never a factor: e_0 = 1
+    # over (1 - 0 v) is the same function, and satisfies the relation
+    def forge(entry):
+        return entry.num, [(0, 1)]
+
+    rerun_with_forged_entry(tmp_path, capsys, forge, m=0)
+
+
+def test_first_entry_with_numerator_2_is_a_miss(tmp_path, capsys):
+    # e_0 = 2 has e_0's shape, but 2 (1 - 0 v) != rhs_0 = 1
+    def forge(entry):
+        return Poly([2]), entry.factors
+
+    rerun_with_forged_entry(tmp_path, capsys, forge, m=0)
 
 
 def test_forged_numerator_is_a_miss(tmp_path, capsys):

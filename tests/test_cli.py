@@ -20,7 +20,7 @@ from thetares import (
     rec_step,
     residue_report,
 )
-from thetares import checks, cli
+from thetares import checks, cli, qseries
 from thetares.cli import main
 from thetares.qseries import QSeries, cf_coeff, r2_count, sigma1
 
@@ -367,6 +367,19 @@ class TestScan:
         payload = json.loads(out)
         assert code == 1 and payload["passed"] is False
         assert payload["mismatches"] == mismatches
+
+
+# the two r2 counts of the oracle disagree at n = 5: its self-check fails
+@pytest.mark.parametrize("argv", [
+    ["scan", "--kind", "two-squares", "--m-max", "10"],
+    ["verify", "--suite", "residues", "--m-max", "6"],
+])
+def test_oracle_failing_its_self_check_exits_1(capsys, monkeypatch, argv):
+    divisor = qseries._r2_divisor
+    monkeypatch.setattr(qseries, "_r2_divisor", lambda n: divisor(n) + (n == 5))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: r2(5): lattice count 8 != divisor formula 9\n"
 
 
 class TestVerify:

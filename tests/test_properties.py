@@ -74,9 +74,9 @@ def moved(entry, i, k):
        st.sampled_from([1, 2**61 - 1]))
 def test_every_step_satisfies_the_relation_and_the_residue_identity(family, i, k):
     seq = rec_sequence(family, M_MAX)
-    tables, at = _Tables(P, V0), None
+    tables, at = _Tables(P, V0), (0, 0, 0)  # the point of e_{-1} = 0
     for m, entry in enumerate(seq.entries):
-        prev = seq.entries[m - 1] if m else None
+        prev = seq.entries[m - 1] if m else RatFunc(Poly())
         assert not relation_defect(family, m, entry, prev)
         at_prev, at = at, _fits(family, m, entry, prev, tables, at)
         assert at == _point(entry, tables) is not None

@@ -103,10 +103,24 @@ STEP_FAMILIES = [
 ]
 
 
+def _theta(nums):
+    """theta = v d/dv on an integer coefficient list."""
+    return [i * c for i, c in enumerate(nums)]
+
+
+def _combo(coeffs, lists):
+    """sum_k coeffs[k] * lists[k] for integer lists of any lengths."""
+    out = [0] * max(map(len, lists))
+    for c, xs in zip(coeffs, lists):
+        for i, x in enumerate(xs):
+            out[i] += c * x
+    return out
+
+
 def _five_product_step(family, m, prev):
-    """The reference for `rec_step` at m > 0: the step before
-    P = L theta M - A_1 M, with P = theta(M L) - A_2 M, A_2 = A_1 + theta L,
-    and the numerator formed from N L^2, M L and P."""
+    """The reference for `rec_step`, prev = e_{-1} = 0 at m = 0: the step
+    before P = L theta M - A_1 M, with P = theta(M L) - A_2 M,
+    A_2 = A_1 + theta L, and the numerator formed from N L^2, M L and P."""
     ell = [1]
     for j, _e in prev.factors:
         ell = backend.conv(ell, [1, -j])
@@ -115,17 +129,16 @@ def _five_product_step(family, m, prev):
         for i, c in enumerate(backend.divexact_linear(ell, j)):
             a1[i + 1] -= (e + 1) * j * c
             a2[i + 1] -= (e + 2) * j * c
-    theta, combo = recurrence._theta, recurrence._combo
     n = list(prev.num.int_coeffs)
     nl = backend.conv(n, ell)
-    mm = combo((1, -1), (theta(nl), backend.conv(n, a1)))
+    mm = _combo((1, -1), (_theta(nl), backend.conv(n, a1)))
     nl2 = backend.conv(nl, ell)
     ml = backend.conv(mm, ell)
-    p = combo((1, -1), (theta(ml), backend.conv(mm, a2)))
+    p = _combo((1, -1), (_theta(ml), backend.conv(mm, a2)))
     c0, cw, cw1 = m - 1 - family.beta, family.w / 4, (family.w + 1) / 4
     rhs = Fraction(family.rhs(m))
     q = lcm(c0.denominator, cw.denominator, cw1.denominator, 4, rhs.denominator)
-    t = combo(
+    t = _combo(
         (-int(c0 * q), q, -int(cw * q), -int(cw1 * q), -(q // 4)),
         ([0] + nl2, [0] + ml, [0, 0] + nl2, [0, 0] + ml, [0, 0] + p),
     )
@@ -134,11 +147,11 @@ def _five_product_step(family, m, prev):
         dl2 = [1]
         for j, e in factors:
             dl2 = backend.conv(dl2, [comb(e, i) * (-j) ** i for i in range(e + 1)])
-        t = combo((1, int(rhs * q) * prev.num.int_den), (t, dl2))
+        t = _combo((1, int(rhs * q) * prev.num.int_den), (t, dl2))
     s = family.edge(m)
-    if backend.eval_at_inv(t, s):
+    if s and backend.eval_at_inv(t, s):
         factors += ((s, 1),)
-    else:
+    elif s:
         t = backend.divexact_linear(t, s)
     return RatFunc(Poly.from_cleared(t, q * prev.num.int_den), factors)
 
@@ -148,8 +161,8 @@ class TestFourProductStep:
         rhs_over_factors = set()
         for text in STEP_FAMILIES:
             family = parse_family(text)
-            prev = rec_step(family, 0)
-            for m in range(1, 17):
+            prev = RatFunc(Poly())  # e_{-1} = 0
+            for m in range(17):
                 expect = _five_product_step(family, m, prev)
                 assert rec_step(family, m, prev) == expect, (text, m)
                 if family.rhs(m) and prev.factors:

@@ -77,6 +77,110 @@ MUTANTS = [
            "    square = a is b",
            "    square = True",
            ("tests/test_kernels.py",)),
+    Mutant("the read check takes a factor (1 - 0 v) at s = 0", "src/thetares/recurrence.py",
+           "shaped = (s > 0 and entry.factors == raised + ((s, 1),)",
+           "shaped = (entry.factors == raised + ((s, 1),)",
+           ("tests/test_cache.py",)),
+    Mutant("rec_step keeps a factor (1 - 0 v) at s = 0", "src/thetares/recurrence.py",
+           "    if s and backend.eval_at_inv(t, s):",
+           "    if not s or backend.eval_at_inv(t, s):",
+           ("tests/test_recurrence.py",)),
+    Mutant("the bracket pass adds c0 N L instead of subtracting it",
+           "src/thetares/recurrence.py",
+           "bracket[-1] += q * y - c0q * x",
+           "bracket[-1] += q * y + c0q * x",
+           ("tests/test_recurrence.py",)),
+    Mutant("the bracket pass drops theta M's q4 i", "src/thetares/recurrence.py",
+           "(cw1q + q4 * i) * y",
+           "cw1q * y",
+           ("tests/test_recurrence.py",)),
+    Mutant("rec_step drops the rhs term", "src/thetares/recurrence.py",
+           "    if rhs:\n        r = int(rhs * q)",
+           "    if False:\n        r = int(rhs * q)",
+           ("tests/test_recurrence.py",)),
+    Mutant("the read check skips its root test", "src/thetares/recurrence.py",
+           "\n                  and backend.eval_at_inv(entry.num.int_coeffs, s) != 0)",
+           ")",
+           ("tests/test_cache.py",)),
+    Mutant("a computed entry is returned without its relation check",
+           "src/thetares/recurrence.py",
+           "fit = _holds(family, m, entry, tables, at)",
+           "fit = _point(entry, tables)",
+           ("tests/test_cli.py",)),
+    Mutant("the residue sign follows the paper's (-1)^(m+a+1) for odd a",
+           "src/thetares/families.py",
+           "sign = -1 if (m + self.k + 1) % 2 else 1",
+           "sign = -1 if (m + self.a + self.k + 1) % 2 else 1",
+           ("tests/test_families.py",)),
+    Mutant("beta = b, without the polynomial degree k", "src/thetares/families.py",
+           "return Fraction(self.b4 + 4 * self.k, 4)",
+           "return Fraction(self.b4, 4)",
+           ("tests/test_families.py",)),
+    Mutant("expanded_den multiplies by (1 + j v)", "src/thetares/ratfunc.py",
+           "out[i] -= j * out[i - 1]",
+           "out[i] += j * out[i - 1]",
+           ("tests/test_kernels.py",)),
+    Mutant("a cache read ignores the family field", "src/thetares/cache.py",
+           'if data.get("family") != family.canonical() or data.get("m") != m:',
+           'if data.get("m") != m:',
+           ("tests/test_cache.py",)),
+    Mutant("a cache read ignores the engine field", "src/thetares/cache.py",
+           'data.get("format") != CACHE_FORMAT or data.get("engine") != __version__',
+           'data.get("format") != CACHE_FORMAT',
+           ("tests/test_cache.py",)),
+    Mutant("the drawn prime may divide a denominator", "src/thetares/recurrence.py",
+           "if _is_prime(p) and dens % p:",
+           "if _is_prime(p):",
+           ("tests/test_recurrence.py",)),
+    Mutant("the drawn point may sit at a pole 1/j", "src/thetares/recurrence.py",
+           "while (pow(v0, -1, p) - family.edge(0)) % p <= m_max:",
+           "while False:",
+           ("tests/test_recurrence.py",)),
+    Mutant("the jet stencil adds A at c_{i-1}", "src/thetares/recurrence.py",
+           "(pm1 - a) * cm1",
+           "(pm1 + a) * cm1",
+           ("tests/test_recurrence.py",)),
+    Mutant("the u-side adds r_{i-1} / 4", "src/thetares/recurrence.py",
+           "- dp * rm",
+           "+ dp * rm",
+           ("tests/test_recurrence.py",)),
+    Mutant("the Lehmer scan reports nothing", "src/thetares/recurrence.py",
+           "return [m for m in range(m_max + 1) if not _has_pole(DELTA256, 2 * m)]",
+           "return []",
+           ("tests/test_recurrence.py",)),
+    Mutant("an oracle failing its self-check ends in a traceback", "src/thetares/cli.py",
+           "except (RelationError, OracleConsistencyError) as exc:",
+           "except RelationError as exc:",
+           ("tests/test_cli.py",)),
+    Mutant("the plain parser takes a repeated flag", "src/thetares/cli.py",
+           "if kwargs is None or flag in given:",
+           "if kwargs is None:",
+           ("tests/test_cli.py",)),
+    Mutant("the plain parser takes a value starting with -", "src/thetares/cli.py",
+           'if value.startswith("-"):',
+           'if value == "-":',
+           ("tests/test_cli.py",)),
+    Mutant("the plain parser leaves a default out", "src/thetares/cli.py",
+           'given.get(flag, kwargs.get("default"))',
+           "given.get(flag)",
+           ("tests/test_cli.py",)),
+    Mutant("the plain parser does not check choices", "src/thetares/cli.py",
+           'if "choices" in kwargs and value not in kwargs["choices"]:',
+           "if False:",
+           ("tests/test_cli.py",)),
+    Mutant("the plain parser does not check required flags", "src/thetares/cli.py",
+           'any(kwargs.get("required") and flag not in given for flag, kwargs in flags.items())',
+           "False",
+           ("tests/test_cli.py",)),
+    Mutant("the plain parser does not check the qseries-dump group", "src/thetares/cli.py",
+           "or one_of and sum(flag in given for flag in one_of) != 1):",
+           "or False):",
+           ("tests/test_cli.py",)),
+    Mutant("the plain parser raises on a bad int instead of leaving it to argparse",
+           "src/thetares/cli.py",
+           "        except ValueError:\n            return None",
+           "        except TypeError:\n            return None",
+           ("tests/test_cli.py",)),
     Mutant("the exact jet's power route scaled by one more u", "src/thetares/recurrence.py",
            "un1, zi, jet = u ** (n - 1), 0, []",
            "un1, zi, jet = u ** n, 0, []",
