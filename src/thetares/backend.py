@@ -76,7 +76,8 @@ def _pack(a, width):
 
 
 def divexact_linear(nums, j):
-    """Quotient q with (1 - j*v)*q = nums, or None when not divisible."""
+    """Quotient q with (1 - j*v)*q = nums, or None when not divisible;
+    j >= 1 (at j = 0 it returns None for every nonzero nums)."""
     n = len(nums)
     if n == 0:
         return []
@@ -94,7 +95,7 @@ def eval_at_inv(nums, j):
     """j**deg * p(1/j) for the integer polynomial with coefficients ``nums``.
 
     Zero iff (1 - j*v) divides the polynomial, which is the only question
-    the callers ask.
+    the callers ask; j >= 1 (at j = 0 it returns the leading coefficient).
     """
     acc = 0
     for i in range(len(nums)):

@@ -8,7 +8,7 @@ divided by a product of integers (j - k)^e over the other factors.
 Values are immutable and fully reduced (no factor of the denominator
 divides the numerator).  The constructor does not reduce: its callers
 already hold reduced data, `recurrence.rec_step` by theorem and the cache
-read through the shape and relation check `recurrence._fits`.
+read through the shape and value check `recurrence._fits`.
 `expanded_den` is the one place a product of factors (1 - j v)^e is
 multiplied out: for `rec_step`'s L = prod (1 - j v) and rhs term, and
 the golden R4 check.

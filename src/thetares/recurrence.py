@@ -95,6 +95,15 @@ a divisor s, 4 or a denominator that p divides shows as den = 0 mod p
 too.  A nonzero residue mod p proves the pole, and the Lehmer and
 two-squares scans fall back to the exact jet only on a zero mod p or on
 den = 0 mod p.
+
+The same jet loop also checks the global entries.  Nothing above needs
+v0 = 1/s to be a pole: expanded at any point v0 mod p where every
+1 - s_k v0 is a unit, each step k <= m divides by its unit, the last one
+included, and jet[0] / den is e_k(v0) mod p.  So one mod-p pass of
+O(m^2) operations gives e_0(v0) .. e_m(v0), and `rec_sequence` accepts
+an entry, read or computed, only when its own value at v0 (one dot
+product) equals the jet's.  The theta-form step and the five-row stencil
+share no arithmetic, so each checks the other.
 """
 
 from __future__ import annotations
@@ -269,60 +278,51 @@ def _draw_prime(rng, dens: int) -> int:
 
 
 class _Tables:
-    """What `_point` needs at one point v0 mod a prime p, grown on demand and
-    never shared between points: p0[i] = v0^i, p1[i] = i v0^(i-1) and
-    p2[i] = C(i, 2) v0^(i-2), so that N(v0), N'(v0) and N''(v0)/2 are dot
-    products with N's coefficients, and for each factor index j the pair
-    (1 - j v0, j / (1 - j v0)), which needs 1 - j v0 != 0 mod p."""
+    """v0's powers mod a prime p, grown on demand and never shared between
+    points, so that N(v0) is one dot product with N's coefficients."""
 
-    __slots__ = ("p", "v0", "p0", "p1", "p2", "units")
+    __slots__ = ("p", "v0", "p0")
 
     def __init__(self, p: int, v0: int):
-        self.p, self.v0, self.p0, self.p1, self.p2, self.units = p, v0, [1, v0], [0, 1], [0, 0], {}
+        self.p, self.v0, self.p0 = p, v0, [1]
 
-    def powers(self, n: int) -> tuple:
-        """p0, p1 and p2, each at least n long."""
-        p0, p1, p2, p = self.p0, self.p1, self.p2, self.p
-        for i in range(len(p0), n):
-            p1.append(i * p0[i - 1] % p)
-            p2.append(i * (i - 1) // 2 * p0[i - 2] % p)
-            p0.append(p0[i - 1] * self.v0 % p)
-        return p0, p1, p2
-
-    def unit(self, j: int) -> tuple:
-        pair = self.units.get(j)
-        if pair is None:
-            u = (1 - j * self.v0) % self.p
-            pair = self.units[j] = (u, j * pow(u, -1, self.p) % self.p)
-        return pair
+    def powers(self, n: int) -> list:
+        """v0^0, v0^1, ... mod p, at least n of them."""
+        p0 = self.p0
+        while len(p0) < n:
+            p0.append(p0[-1] * self.v0 % self.p)
+        return p0
 
 
-def _point(entry: RatFunc, tables: _Tables) -> tuple | None:
-    """(e, e', e'') at v0 = tables.v0 mod p = tables.p, or None when p
-    divides den.  With e = N / (den D), lam = D'/D = -sum j e_j / (1 - j v) and
-    lam' = -sum j^2 e_j / (1 - j v)^2: e' = (N' - N lam) / (den D) and
-    e'' = (N'' - 2 N' lam - N lam' + N lam^2) / (den D).  N, N' and N''/2 are
-    three dot products with the tables, reduced once each: a product of a
-    coefficient and a table entry costs less than reducing the coefficient."""
-    nums, p = entry.num.int_coeffs, tables.p
-    n0, n1, n2 = (sum(map(mul, nums, pw)) % p for pw in tables.powers(len(nums)))
-    den, lam, lam1 = entry.num.int_den, 0, 0
+def _value(entry: RatFunc, tables: _Tables) -> int | None:
+    """e(v0) = N(v0) / (den D(v0)) mod p for v0 = tables.v0 and p = tables.p,
+    or None when p divides den D(v0).  N(v0) is one dot product with the
+    tables, reduced once: a product of a coefficient and a table entry costs
+    less than reducing the coefficient."""
+    nums, p, den = entry.num.int_coeffs, tables.p, entry.num.int_den
     for j, e in entry.factors:
-        u, t = tables.unit(j)
-        den, lam, lam1 = den * pow(u, e, p) % p, lam - e * t, lam1 - e * t * t
+        den = den * pow(1 - j * tables.v0, e, p) % p
     if not den % p:
         return None
-    inv = pow(den, -1, p)
-    return (n0 * inv % p, (n1 - n0 * lam) * inv % p,
-            (2 * n2 - 2 * n1 * lam - n0 * lam1 + n0 * lam * lam) * inv % p)
+    return sum(map(mul, nums, tables.powers(len(nums)))) * pow(den, -1, p) % p
 
 
 def _fits(family: Family, m: int, entry: RatFunc, prev: RatFunc,
-          tables: _Tables, at_prev: tuple) -> tuple | None:
-    """The point of a read ``entry`` if it has prev's factors raised by 2,
-    plus (1 - s v) only where s > 0 and the numerator is nonzero at v = 1/s,
-    and satisfies the m-th relation (`_holds`); None otherwise.  ``prev`` is
-    e_{m-1}, e_{-1} = 0 for m = 0, and ``at_prev`` its point."""
+          tables: _Tables, value: int) -> bool:
+    """Whether a read ``entry`` has prev's factors raised by 2, plus (1 - s v)
+    only where s > 0 and the numerator is nonzero at v = 1/s, and takes the
+    ``value`` the jet gives e_m at v0 (`rec_sequence`).  ``prev`` is e_{m-1},
+    e_{-1} = 0 for m = 0, and only its factors are read.
+
+    With the factors right, the entry and the true e_m = N_true / (den_true D)
+    share D up to (1 - s v), so they differ iff Z = den_true N - den N_true
+    (each numerator times (1 - s v) where only the other denominator has it)
+    is nonzero; Z has degree at most max(deg N, deg N_true) + 1.  A wrong
+    entry of the right shape passes only if p divides Z or v0 is one of its
+    roots mod p (Schwartz-Zippel): for a random p and v0, with probability
+    at most deg Z / 2^61 plus the share of the 5 * 10^16 primes in
+    [2^61, 2^62) that divide Z.  No genuine entry has p in its den, so one
+    with p there has no value and fails."""
     raised = tuple((j, e + 2) for j, e in prev.factors)
     s = family.edge(m)
     if entry.factors == raised:
@@ -330,30 +330,7 @@ def _fits(family: Family, m: int, entry: RatFunc, prev: RatFunc,
     else:
         shaped = (s > 0 and entry.factors == raised + ((s, 1),)
                   and backend.eval_at_inv(entry.num.int_coeffs, s) != 0)
-    return _holds(family, m, entry, tables, at_prev) if shaped else None
-
-
-def _holds(family: Family, m: int, entry: RatFunc, tables: _Tables,
-           at_prev: tuple) -> tuple | None:
-    """The point of ``entry`` (`_point(entry, tables)`) if it satisfies the
-    m-th relation R = e_m (1 - s v) + v G_m(e_{m-1}) - rhs_m at v0 mod
-    p = tables.p, with e_{m-1} at its point ``at_prev``; None otherwise.
-    No genuine entry has p in its den (`rec_sequence`), so one without a
-    point fails.  A wrong entry of the right shape passes only if p divides
-    R's integer numerator Z, or v0 is one of the at most deg Z roots of Z
-    mod p (Schwartz-Zippel): for a random p and v0, with probability at most
-    deg Z / 2^61 plus the share of the 5 * 10^16 primes in [2^61, 2^62)
-    that divide Z."""
-    at = _point(entry, tables)
-    if at is None:
-        return None
-    p, v0, s = tables.p, tables.v0, family.edge(m)
-    e, d1, d2 = at_prev
-    beta, w, rhs = (x.numerator * pow(x.denominator, -1, p)
-                    for x in (family.beta, family.w, family.rhs(m)))
-    th = v0 * d1  # theta e = v e', and theta^2 e = th + v^2 e''
-    g4 = 4 * (m - 1 - beta) * e - 4 * th + v0 * (w * e + (w + 2) * th + v0 * v0 * d2)  # 4 G
-    return None if (4 * at[0] * (1 - s * v0) + v0 * g4 - 4 * rhs) % p else at
+    return shaped and _value(entry, tables) == value
 
 
 def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
@@ -363,14 +340,17 @@ def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
     cached entries 0, 1, ... that pass `_fits` is read first, and each
     entry after it is computed and (re)written as soon as it exists, so an
     interrupted run keeps its progress.  A computed entry, whose shape
-    `rec_step` built, passes `_holds` before it is written or returned, or
-    `RelationError` is raised.  Both check each relation at one point v0
-    mod a prime p, drawn per call: p in [2^61, 2^62) and prime to phi0's
-    den, the lcm of every rhs_k's denominator, so to every genuine den
-    (den_m divides q den_{m-1}, and q's other factors are 2s), and v0 away
-    from every 1/j, j <= edge(m_max).  It carries the last accepted entry's
-    point, (0, 0, 0) for e_{-1}, so each numerator is evaluated once,
-    against tables of v0's powers built for this call alone.
+    `rec_step` built, must take the jet's value at v0 before it is written
+    or returned, or `RelationError` is raised.  Both checks compare an entry's
+    value at one point v0 mod a prime p with e_m(v0) from one mod-p jet
+    expanded at v0 (`_residue_jet`), which shares no arithmetic with
+    `rec_step`.  p and v0 are drawn per call: p in [2^61, 2^62) and prime
+    to phi0's den, the lcm of every rhs_k's denominator, so to every
+    genuine den (den_m divides q den_{m-1}, and q's other factors are 2s),
+    and v0 away from every 1/j, j <= edge(m_max).  That makes every divisor
+    of the jet a unit mod p too: 1/v0, q, rd and 1/v0 - edge(k).  Each
+    numerator is evaluated once, against tables of v0's powers built for
+    this call alone.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
@@ -379,21 +359,19 @@ def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
     v0 = rng.randrange(2, p)
     while (pow(v0, -1, p) - family.edge(0)) % p <= m_max:  # 1/v0 = edge(k), k <= m_max
         v0 = rng.randrange(2, p)
-    tables, entries, reading = _Tables(p, v0), [], cache is not None
-    prev, at = _ZERO, (0, 0, 0)
+    values, tables = _residue_jet(family, m_max, p, v0), _Tables(p, v0)
+    entries, reading, prev = [], cache is not None, _ZERO
     for m in range(m_max + 1):
         entry = cache.read(family, m) if reading else None
-        fit = None if entry is None else _fits(family, m, entry, prev, tables, at)
-        if fit is None:  # no cache, or a miss: compute, and read no further
-            reading = False
+        if entry is None or not _fits(family, m, entry, prev, tables, values[m]):
+            reading = False  # no cache, or a miss: compute, and read no further
             entry = rec_step(family, m, prev)
-            fit = _holds(family, m, entry, tables, at)
-            if fit is None:
+            if _value(entry, tables) != values[m]:
                 raise RelationError(f"computed entry {m} of {family} fails its relation")
             if cache is not None:
                 cache.write(family, m, entry)
         entries.append(entry)
-        prev, at = entry, fit
+        prev = entry
     return SeqState(family, entries)
 
 
@@ -476,7 +454,7 @@ def residue_report(seq: SeqState, m: int) -> ResidueReport:
 
 # -- local jets at the edge ----------------------------------------------------
 
-def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
+def _residue_jet(family: Family, m: int, modulus: int = 0, v0: int = 0) -> tuple | list:
     """Integers (num, den) with Res_{v=1/s} e_m = num / den, both reduced
     mod ``modulus`` when it is nonzero (derivation in the module docstring).
 
@@ -484,8 +462,13 @@ def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
     num / den mod p is the residue mod p whenever p does not divide den,
     and den = 0 mod p says that some divisor (s, s - s_k, 4, or a
     denominator of beta, w or rhs) is a multiple of p.
+
+    With a point ``v0`` mod a prime ``modulus``, the jet is expanded at v0
+    instead of at 1/s: s becomes 1/v0 mod p, every step k <= m divides by
+    its unit, and the list e_0(v0), ..., e_m(v0) mod p is returned.  Every
+    divisor must then be a unit mod p, as `rec_sequence` draws p and v0.
     """
-    s = family.edge(m)
+    s = pow(v0, -1, modulus) if v0 else family.edge(m)
     if s < 1:
         raise ValueError(f"entry {m} of family {family} has no edge pole (s = {s})")
     beta, cw, cw1 = family.beta, family.w / 4, (family.w + 1) / 4
@@ -502,7 +485,7 @@ def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
         [-q4 * (i + 1) * (i + 2) for i in idx],
     )
     rhs = [family.rhs(k) for k in range(m + 1)]
-    jet, den = [0] * (2 * m + 3), 1  # e_{-1} = 0, as a jet over den
+    jet, den, values = [0] * (2 * m + 3), 1, []  # e_{-1} = 0, as a jet over den
     for k, r in enumerate(rhs):
         rn, rd, a = r.numerator, r.denominator, s * ((k - 1) * q - bq)
         # f = rhs_k - v G_k(e) over den q s^2 rd: the stencil on the jet c
@@ -512,7 +495,7 @@ def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
              in zip(*rows, c, c[1:], c[2:], c[3:], c[4:])]
         f[0] += rn * den * q * s * s
         den *= b * rd
-        if k == m:  # e_m = f / (1 - s v) = -f / t and dv = dt / s
+        if k == m and not v0:  # e_m = f / (1 - s v) = -f / t and dv = dt / s
             num, den = -f[0], den * s * s
             break
         # e_k = s f / (u - s_k t), u = s - s_k: coefficient i of y = f / (u - s_k t)
@@ -526,6 +509,8 @@ def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
                 yi = (fi + sk * yi) * inv % modulus
                 jet.append(yi)
             den %= modulus
+            if v0:  # e_k(v0) = y_0 / den
+                values.append(jet[0] * pow(den, -1, modulus) % modulus)
             continue
         # the exact jet divides by u directly and keeps y over den when no
         # remainder appears: the power route below gives the same (num, den) then
@@ -549,6 +534,8 @@ def _residue_jet(family: Family, m: int, modulus: int = 0) -> tuple:
         # with the fewest forced factors u, cuts the gcd down soonest
         gcd = backend.content_gcd(reversed(jet), unit)
         jet, den = [y // gcd for y in jet], den * unit // gcd
+    if v0:
+        return values
     if modulus:
         return num % modulus, den % modulus
     return num, den

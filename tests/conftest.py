@@ -16,13 +16,6 @@ def rand_poly(rng: random.Random, max_deg: int = 6, bound: int = 20) -> Poly:
     return Poly([rand_rat(rng, bound) for _ in range(deg + 1)])
 
 
-def rand_nonzero_poly(rng: random.Random, max_deg: int = 6, bound: int = 20) -> Poly:
-    while True:
-        p = rand_poly(rng, max_deg, bound)
-        if p:
-            return p
-
-
 def rand_ratfunc(rng: random.Random, max_deg: int = 5, max_factors: int = 3) -> RatFunc:
     """A reduced value: factors sorted by j, and none at a root 1/j of the
     numerator (so a zero numerator has none)."""

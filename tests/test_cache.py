@@ -342,6 +342,23 @@ def test_one_root_test_per_entry_at_its_edge(tmp_path, monkeypatch):
     assert calls == [m for m in range(1, 21) if warm.entries[m].pole_order(m)]
 
 
+def test_no_kernel_runs_at_j_0(tmp_path, monkeypatch):
+    # theta^2 has a = 0, so e_0 sits at s = 0, where (1 - 0 v) = 1 is no
+    # factor and both (1 - j v) kernels would give wrong answers
+    seen = []
+    for name in ("eval_at_inv", "divexact_linear"):
+        def guarded(nums, j, kernel=getattr(backend, name), name=name):
+            assert j >= 1, f"{name} called at j = {j}"
+            seen.append(name)
+            return kernel(nums, j)
+
+        monkeypatch.setattr(backend, name, guarded)
+    cache = SeqCache(tmp_path)
+    cold = cached_sequence(THETA2, 8, cache)
+    assert cached_sequence(THETA2, 8, cache).entries == cold.entries
+    assert set(seen) == {"eval_at_inv", "divexact_linear"}
+
+
 def test_other_engine_version_is_a_miss(tmp_path):
     cache = SeqCache(tmp_path)
     cached_sequence(THETA2, 2, cache)

@@ -9,10 +9,11 @@ at most a simple pole at the edge, the residue there must recover the
 family's q-expansion coefficient from the independent q-series oracle
 and equal the residue of the local jet at the edge (exactly, and mod its
 prime), and the entries' Taylor coefficients must match the u-side
-resummation.  The cache's relation check (`_fits`, the relation at one
-point mod a drawn prime) accepts every entry and rejects the entry, or
-the previous entry, with one numerator coefficient moved by 1/den or by
-(2^61 - 1)/den, as `relation_defect` does.
+resummation.  The cache's check (`_fits`, each entry against its value
+at one point mod a drawn prime, read off the jet expanded there) accepts
+every entry and rejects the entry with one numerator coefficient moved
+by 1/den or by (2^61 - 1)/den, as `relation_defect` does; a moved
+previous entry is rejected one step earlier, at its own index.
 """
 
 import random
@@ -34,7 +35,7 @@ from thetares import (
     residue_report,
     resum_matrix,
 )
-from thetares.recurrence import PRIME, _draw_prime, _fits, _point, _Tables
+from thetares.recurrence import PRIME, _draw_prime, _fits, _residue_jet, _Tables
 
 M_MAX = 8
 RNG = random.Random(0)
@@ -74,19 +75,20 @@ def moved(entry, i, k):
        st.sampled_from([1, 2**61 - 1]))
 def test_every_step_satisfies_the_relation_and_the_residue_identity(family, i, k):
     seq = rec_sequence(family, M_MAX)
-    tables, at = _Tables(P, V0), (0, 0, 0)  # the point of e_{-1} = 0
+    tables, values = _Tables(P, V0), _residue_jet(family, M_MAX, P, V0)
     for m, entry in enumerate(seq.entries):
         prev = seq.entries[m - 1] if m else RatFunc(Poly())
         assert not relation_defect(family, m, entry, prev)
-        at_prev, at = at, _fits(family, m, entry, prev, tables, at)
-        assert at == _point(entry, tables) is not None
+        assert _fits(family, m, entry, prev, tables, values[m])
         bad = moved(entry, i, k)
         assert relation_defect(family, m, bad, prev)
-        assert _fits(family, m, bad, prev, tables, at_prev) is None
+        assert not _fits(family, m, bad, prev, tables, values[m])
         if m:
+            # moved(prev, i, k) was refused at m - 1 as that step's `bad`;
+            # at m, `_fits` reads only prev's factors, which it keeps
             bad = moved(prev, i, k)
             assert relation_defect(family, m, entry, bad)
-            assert _fits(family, m, entry, prev, tables, _point(bad, tables)) is None
+            assert _fits(family, m, entry, bad, tables, values[m])
         assert all(backend.eval_at_inv(entry.num.int_coeffs, j) for j, _e in entry.factors)
         assert entry.num or not entry.factors
         if m:

@@ -268,23 +268,17 @@ class TestRelationSubstitution:
                     assert relation_defect(family, m, entry, _bump(prev, i)), (family, m, i)
 
 
-def _horner_point(entry, p, v0):
-    """The reference for `recurrence._point`: one Horner pass for N, N' and
-    N''/2, reduced mod p at every coefficient, and each factor's unit and
-    its inverse formed afresh."""
-    n0 = n1 = n2 = lam = lam1 = 0
+def _horner_value(entry, p, v0):
+    """The reference for `recurrence._value`: N(v0) / (den D(v0)) mod p, N by
+    Horner, reduced mod p at every coefficient, and each factor's unit formed
+    afresh."""
+    n0 = 0
     for c in reversed(entry.num.int_coeffs):
-        n2, n1, n0 = (n2 * v0 + n1) % p, (n1 * v0 + n0) % p, (n0 * v0 + c) % p
+        n0 = (n0 * v0 + c) % p
     den = entry.num.int_den
     for j, e in entry.factors:
-        u = (1 - j * v0) % p
-        den, t = den * pow(u, e, p) % p, j * pow(u, -1, p) if u else 0
-        lam, lam1 = lam - e * t, lam1 - e * t * t
-    if not den % p:
-        return None
-    inv = pow(den, -1, p)
-    return (n0 * inv % p, (n1 - n0 * lam) * inv % p,
-            (2 * n2 - 2 * n1 * lam - n0 * lam1 + n0 * lam * lam) * inv % p)
+        den = den * pow(1 - j * v0, e, p) % p
+    return n0 * pow(den, -1, p) % p if den % p else None
 
 
 class _Draws:
@@ -321,7 +315,8 @@ class TestIsPrime:
 
 
 class TestPointCheck:
-    """`_point` and `_fits`, the relation check at one point v0 mod a drawn prime."""
+    """`_value` and `_fits`: each entry against its value at one point v0 mod a
+    drawn prime, read off the jet expanded at v0."""
 
     V0 = 0x1D2C3B4A59687706
 
@@ -332,7 +327,7 @@ class TestPointCheck:
                  RatFunc(Poly([Fraction(3, 7)]), [(1, 2), (3, 1)]),  # degree 0
                  *(rand_ratfunc(rng) for _ in range(40))]
         for entry in cases:
-            assert recurrence._point(entry, tables) == _horner_point(entry, P1, self.V0)
+            assert recurrence._value(entry, tables) == _horner_value(entry, P1, self.V0)
 
     def test_tables_grow_with_the_degree(self):
         # one set of tables for a whole sequence, degrees rising from 0, and
@@ -340,12 +335,25 @@ class TestPointCheck:
         tables = recurrence._Tables(P1, self.V0)
         entries = rec_sequence(DELTA256, 16).entries
         for entry in entries + entries[::-1]:
-            assert recurrence._point(entry, tables) == _horner_point(entry, P1, self.V0)
+            assert recurrence._value(entry, tables) == _horner_value(entry, P1, self.V0)
         assert len(tables.p0) == len(entries[-1].num.int_coeffs)
 
     def test_den_divisible_by_prime_has_no_point(self):
         entry = RatFunc(Poly([Fraction(1, P1), 1]), [(1, 1)])
-        assert recurrence._point(entry, recurrence._Tables(P1, self.V0)) is None
+        assert recurrence._value(entry, recurrence._Tables(P1, self.V0)) is None
+
+    @pytest.mark.parametrize("spec", [
+        "mult:0,0,2", "mult:2,8,8", "mult:1,0,0", "mult:3,2,6",
+        "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]",
+        "poly:1:[(0,1,1/2305843009213693951),(1,0,1)]",
+    ])
+    def test_jet_values_match_the_exact_entries(self, spec):
+        # the jet expanded at v0 gives e_0(v0) .. e_12(v0) in one pass, and
+        # shares no arithmetic with the theta-form step or with Horner
+        family = parse_family(spec)
+        entries = rec_sequence(family, 12).entries
+        values = recurrence._residue_jet(family, 12, P1, self.V0)
+        assert values == [_horner_value(entry, P1, self.V0) for entry in entries]
 
     def test_two_calls_with_their_own_points(self, tmp_path, monkeypatch):
         from thetares.cache import SeqCache

@@ -85,6 +85,10 @@ MUTANTS = [
            "    if s and backend.eval_at_inv(t, s):",
            "    if not s or backend.eval_at_inv(t, s):",
            ("tests/test_recurrence.py",)),
+    Mutant("rec_step runs its root test at s = 0 too", "src/thetares/recurrence.py",
+           "    if s and backend.eval_at_inv(t, s):",
+           "    if backend.eval_at_inv(t, s) and s:",
+           ("tests/test_cache.py",)),
     Mutant("the bracket pass adds c0 N L instead of subtracting it",
            "src/thetares/recurrence.py",
            "bracket[-1] += q * y - c0q * x",
@@ -102,11 +106,38 @@ MUTANTS = [
            "\n                  and backend.eval_at_inv(entry.num.int_coeffs, s) != 0)",
            ")",
            ("tests/test_cache.py",)),
-    Mutant("a computed entry is returned without its relation check",
+    Mutant("a computed entry is returned without its value check",
            "src/thetares/recurrence.py",
-           "fit = _holds(family, m, entry, tables, at)",
-           "fit = _point(entry, tables)",
+           "if _value(entry, tables) != values[m]:",
+           "if False:",
            ("tests/test_cli.py",)),
+    Mutant("a read entry's value is ignored", "src/thetares/recurrence.py",
+           "return shaped and _value(entry, tables) == value",
+           "return shaped",
+           ("tests/test_cache.py",)),
+    Mutant("a read entry is compared with the jet's value one index back",
+           "src/thetares/recurrence.py",
+           "_fits(family, m, entry, prev, tables, values[m])",
+           "_fits(family, m, entry, prev, tables, values[m - 1])",
+           ("tests/test_cache.py",)),
+    Mutant("_value drops the factor units", "src/thetares/recurrence.py",
+           "den = den * pow(1 - j * tables.v0, e, p) % p",
+           "den = den % p",
+           ("tests/test_recurrence.py",)),
+    Mutant("the jet records e_k(v0) from f, before the unit division",
+           "src/thetares/recurrence.py",
+           "values.append(jet[0] * pow(den, -1, modulus) % modulus)",
+           "values.append(f[0] * pow(den, -1, modulus) % modulus)",
+           ("tests/test_recurrence.py",)),
+    Mutant("the jet's values start at e_{-1}(v0) = 0, one index off",
+           "src/thetares/recurrence.py",
+           "jet, den, values = [0] * (2 * m + 3), 1, []",
+           "jet, den, values = [0] * (2 * m + 3), 1, [0]",
+           ("tests/test_recurrence.py",)),
+    Mutant("the jet at a point takes the pole step at k = m", "src/thetares/recurrence.py",
+           "if k == m and not v0:",
+           "if k == m:",
+           ("tests/test_recurrence.py",)),
     Mutant("the residue sign follows the paper's (-1)^(m+a+1) for odd a",
            "src/thetares/families.py",
            "sign = -1 if (m + self.k + 1) % 2 else 1",
