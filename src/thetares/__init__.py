@@ -40,7 +40,6 @@ from .recurrence import (
     local_residue_mod,
     rec_sequence,
     rec_step,
-    relation_defect,
     residue_report,
     resum_matrix,
     scan_lehmer,
@@ -81,7 +80,6 @@ __all__ = [
     "ramanujan_tau",
     "rec_sequence",
     "rec_step",
-    "relation_defect",
     "residue_report",
     "resum_matrix",
     "scan_lehmer",

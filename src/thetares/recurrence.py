@@ -23,10 +23,7 @@ Two coupled computations per family:
   formed in one more pass; then one root test at v = 1/s (none at s = 0).
   Every old pole 1/j gains exactly 2 in order (v/4 (1+theta)^2 adds
   e_j (e_j + 1) (j v)^2 / 4 times its top term, the rest at most order
-  e_j + 1), so only (1 - s v) can cancel, once at most (see below).
-  `relation_defect` checks a step independently: it substitutes Taylor
-  coefficients at v = 0 into the literal form of G, up to a degree bound
-  past which a nonzero relation cannot vanish;
+  e_j + 1), so only (1 - s v) can cancel, once at most (see below);
 
 * the u-side: polynomials phi_0, phi_1, ... from a three-term relation,
   whose factorially weighted coefficients resum to the same numbers.
@@ -77,33 +74,34 @@ m - 1 - beta (in A) and its rhs (in rd) change with k.
 
 Every division is by a fixed integer (s, s - s_k, 4, the denominators of
 beta, w and rhs).  Dividing f by the unit u - s_k t, u = s - s_k, gives
-y_i = (f_i + s_k y_{i-1}) / u.  The exact jet first divides by u
-directly; when every y_i is an integer it keeps y over the same den.
-Otherwise the step takes the power route: it forms the integers
+y_i = (f_i + s_k y_{i-1}) / u.  The exact division first divides by u
+directly and keeps y over the same den when every y_i is an integer.
+Otherwise it takes the power route: it forms the integers
 z_i = u^n y_i = u^(n-1) f_i + s_k z_{i-1} / u in one pass (z_{i-1} is a
 multiple of u^(n-i), so the division is exact), moves u^n into den, and
-takes the content of (c, den) against that new u^n (any common
-divisor keeps num / den exact, since `local_residue` returns
-Fraction(num, den)).  The two routes give the same (num, den): when y is
-integral, every u^n y_i is a multiple of u^n, so the content is u^n
-itself and the power route also leaves y over den.  The power route is
-taken only by steps where some y_i is not an integer, mostly at i = 0,
-where f_0 is no multiple of u.  The mod-p jet (`local_residue_mod`, p a
-large prime) multiplies by u^-1 mod p instead and keeps y over den, so
-it builds no powers of u; when p divides u it stops with den = 0, and
-a divisor s, 4 or a denominator that p divides shows as den = 0 mod p
-too.  A nonzero residue mod p proves the pole, and the Lehmer and
-two-squares scans fall back to the exact jet only on a zero mod p or on
-den = 0 mod p.
+takes the content of (c, den) against that new u^n (any common divisor
+keeps num / den exact).  When y is integral every u^n y_i is a multiple
+of u^n, so the content is u^n and both routes give the same (num, den);
+the power route runs mostly at i = 0, where f_0 is no multiple of u.
+The division mod a large prime p multiplies by u^-1 mod p instead, so
+it builds no powers of u, and gives den = 0 when p divides u; a divisor
+s, 4 or a denominator that p divides shows as den = 0 mod p too.  A
+nonzero residue mod p proves the pole, and the Lehmer and two-squares
+scans fall back to the exact jet only on a zero mod p or on den = 0.
 
-The same jet loop also checks the global entries.  Nothing above needs
-v0 = 1/s to be a pole: expanded at any point v0 mod p where every
-1 - s_k v0 is a unit, each step k <= m divides by its unit, the last one
-included, and jet[0] / den is e_k(v0) mod p.  So one mod-p pass of
-O(m^2) operations gives e_0(v0) .. e_m(v0), and `rec_sequence` accepts
-an entry, read or computed, only when its own value at v0 (one dot
-product) equals the jet's.  The theta-form step and the five-row stencil
-share no arithmetic, so each checks the other.
+Nothing above needs v0 = 1/s to be a pole: expanded at any point v0 mod p
+where every 1 - s_k v0 is a unit, e_k(v0) = f_k(v0) / (1 - s_k v0) for
+every k <= m, the last one included.  So one mod-p pass of O(m^2)
+operations gives e_0(v0) .. e_m(v0), and `rec_sequence` accepts an entry,
+read or computed, only when its value at v0 (one dot product) equals the
+jet's; the theta-form step and the stencil share no arithmetic.
+
+So one generator, `_stencil`, builds the rows once for jets at v = 1/s and
+yields f_k over den s for k = 0 .. m, taking e_k's jet between two steps
+from a division rule, `_divide_exact` or `_divide_mod`.  Its three
+consumers: `local_residue` (exact) and `local_residue_mod` (mod PRIME) read
+Res = -f_m[0] / (den s^2) (`_pole`), and `_jet_values` (mod p, s = 1/v0)
+reads e_k(v0) = f_k[0] / (den (1/v0 - s_k)) at every k.
 """
 
 from __future__ import annotations
@@ -111,6 +109,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import zip_longest
 from math import gcd, lcm, prod
 from operator import mul
@@ -190,54 +189,6 @@ def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
     elif s:
         t = backend.divexact_linear(t, s)
     return RatFunc(Poly.from_cleared(t, q * prev.num.int_den), factors)
-
-
-def relation_defect(family: Family, m: int, entry: RatFunc,
-                    prev: RatFunc | None) -> tuple | None:
-    """Check a candidate pair against the m-th relation
-    R = e_m (1 - s v) + v G_m(e_{m-1}) - rhs_m through its Taylor
-    coefficients at v = 0: None when R vanishes identically, else the
-    first nonzero coefficient as (index, value).
-
-    G is transcribed from the paper's literal form, not the theta-form of
-    `rec_step`, and the two share no arithmetic: the coefficient of v^n in
-    G_m(e) is (m-1-beta-n) e_n + ((w-1) n + n^2)/4 e_{n-1}.
-
-    Finitely many coefficients decide it.  Let D'_m be e_m's denominator
-    with one factor (1 - s v) removed if it has one, L = prod (1 - j v)
-    over the f distinct factors of e_{m-1}, and Y = lcm(D'_m, D_{m-1} L^2)
-    (Y = D'_0 for m = 0).  Each theta = v d/dv takes a numerator over D L^k
-    to one over D L^(k+1) and raises its degree by at most f, so
-    v G D_{m-1} L^2 is a polynomial of degree <= deg N_{m-1} + 2f + 2.
-    Hence R Y is a polynomial of degree at most
-
-        K = max(deg N_m + 1 + deg Y - deg D'_m,
-                deg N_{m-1} + 2 + deg Y - deg D_{m-1},  (m > 0 only)
-                deg Y),
-
-    counting deg 0 = -1.  Every factor (1 - j v) is a unit at v = 0, so
-    R = 0 iff R Y = 0 iff the coefficients of R up to v^K vanish.
-    """
-    s = family.edge(m)
-    den = dict(entry.factors)  # D'_m
-    if den.get(s):
-        den[s] -= 1
-    dl2 = {j: e + 2 for j, e in prev.factors} if m else {}  # D_{m-1} L^2
-    deg_y = sum(max(den.get(j, 0), dl2.get(j, 0)) for j in den.keys() | dl2.keys())
-    k = max(len(entry.num.int_coeffs) + deg_y - sum(den.values()), deg_y)
-    if m:
-        deg_d = sum(e for _j, e in prev.factors)
-        k = max(k, len(prev.num.int_coeffs) + 1 + deg_y - deg_d)
-    rel = list(entry.taylor(k))
-    for n in range(k, 0, -1):
-        rel[n] -= s * rel[n - 1]
-    rel[0] -= family.rhs(m)
-    if m:
-        e = prev.taylor(k)
-        c0, w1 = m - 1 - family.beta, family.w - 1
-        for n in range(k):
-            rel[n + 1] += (c0 - n) * e[n] + ((w1 * n + n * n) / 4 * e[n - 1] if n else 0)
-    return next(((n, c) for n, c in enumerate(rel) if c), None)
 
 
 SeqState = namedtuple("SeqState", "family entries")
@@ -343,7 +294,7 @@ def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
     `rec_step` built, must take the jet's value at v0 before it is written
     or returned, or `RelationError` is raised.  Both checks compare an entry's
     value at one point v0 mod a prime p with e_m(v0) from one mod-p jet
-    expanded at v0 (`_residue_jet`), which shares no arithmetic with
+    expanded at v0 (`_jet_values`), which shares no arithmetic with
     `rec_step`.  p and v0 are drawn per call: p in [2^61, 2^62) and prime
     to phi0's den, the lcm of every rhs_k's denominator, so to every
     genuine den (den_m divides q den_{m-1}, and q's other factors are 2s),
@@ -359,7 +310,7 @@ def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
     v0 = rng.randrange(2, p)
     while (pow(v0, -1, p) - family.edge(0)) % p <= m_max:  # 1/v0 = edge(k), k <= m_max
         v0 = rng.randrange(2, p)
-    values, tables = _residue_jet(family, m_max, p, v0), _Tables(p, v0)
+    values, tables = _jet_values(family, m_max, p, v0), _Tables(p, v0)
     entries, reading, prev = [], cache is not None, _ZERO
     for m in range(m_max + 1):
         entry = cache.read(family, m) if reading else None
@@ -454,23 +405,9 @@ def residue_report(seq: SeqState, m: int) -> ResidueReport:
 
 # -- local jets at the edge ----------------------------------------------------
 
-def _residue_jet(family: Family, m: int, modulus: int = 0, v0: int = 0) -> tuple | list:
-    """Integers (num, den) with Res_{v=1/s} e_m = num / den, both reduced
-    mod ``modulus`` when it is nonzero (derivation in the module docstring).
-
-    Mod p every step is a ring operation or a product with u^-1, so
-    num / den mod p is the residue mod p whenever p does not divide den,
-    and den = 0 mod p says that some divisor (s, s - s_k, 4, or a
-    denominator of beta, w or rhs) is a multiple of p.
-
-    With a point ``v0`` mod a prime ``modulus``, the jet is expanded at v0
-    instead of at 1/s: s becomes 1/v0 mod p, every step k <= m divides by
-    its unit, and the list e_0(v0), ..., e_m(v0) mod p is returned.  Every
-    divisor must then be a unit mod p, as `rec_sequence` draws p and v0.
-    """
-    s = pow(v0, -1, modulus) if v0 else family.edge(m)
-    if s < 1:
-        raise ValueError(f"entry {m} of family {family} has no edge pole (s = {s})")
+def _stencil(family: Family, m: int, s: int, divide):
+    """(f_k, den) for k = 0 .. m, f_k = rhs_k - v G_k(e_{k-1}) over den s on jets at
+    v = 1/s; between two steps ``divide(f, den, s - s_k, s_k)`` gives e_k's (jet, den)."""
     beta, cw, cw1 = family.beta, family.w / 4, (family.w + 1) / 4
     q = lcm(beta.denominator, cw.denominator, cw1.denominator, 4)
     cwq, cw1q, q4, bq, b = int(cw * q), int(cw1 * q), q // 4, int(beta * q), s * q
@@ -484,9 +421,9 @@ def _residue_jet(family: Family, m: int, modulus: int = 0, v0: int = 0) -> tuple
         [b - cw1q - q4 + (b - cw1q - 5 * q4 - 4 * q4 * i) * i for i in idx],
         [-q4 * (i + 1) * (i + 2) for i in idx],
     )
-    rhs = [family.rhs(k) for k in range(m + 1)]
-    jet, den, values = [0] * (2 * m + 3), 1, []  # e_{-1} = 0, as a jet over den
-    for k, r in enumerate(rhs):
+    jet, den = [0] * (2 * m + 3), 1  # e_{-1} = 0, as a jet over den
+    for k in range(m + 1):
+        r = family.rhs(k)
         rn, rd, a = r.numerator, r.denominator, s * ((k - 1) * q - bq)
         # f = rhs_k - v G_k(e) over den q s^2 rd: the stencil on the jet c
         c = [0, 0, *jet]
@@ -495,64 +432,76 @@ def _residue_jet(family: Family, m: int, modulus: int = 0, v0: int = 0) -> tuple
              in zip(*rows, c, c[1:], c[2:], c[3:], c[4:])]
         f[0] += rn * den * q * s * s
         den *= b * rd
-        if k == m and not v0:  # e_m = f / (1 - s v) = -f / t and dv = dt / s
-            num, den = -f[0], den * s * s
+        yield f, den
+        if k < m:
+            sk = family.edge(k)
+            jet, den = divide(f, den, s - sk, sk)
+
+
+def _divide_exact(f: list, den: int, u: int, sk: int) -> tuple:
+    """y = f / (u - s_k t) over den, exactly: y_i = (f_i + s_k y_{i-1}) / u by u
+    directly when no remainder appears, else over a power of u."""
+    y, yi = [], 0
+    for fi in f:
+        yi, rem = divmod(fi + sk * yi, u)
+        if rem:
             break
-        # e_k = s f / (u - s_k t), u = s - s_k: coefficient i of y = f / (u - s_k t)
-        # is y_i = (f_i + s_k y_{i-1}) / u
-        u, sk, n = s - family.edge(k), family.edge(k), len(f)
-        if modulus:  # times the inverse of u; p | u leaves no inverse: den = 0
-            if not u % modulus:
-                return 0, 0
-            inv, yi, jet = pow(u, -1, modulus), 0, []
-            for fi in f:
-                yi = (fi + sk * yi) * inv % modulus
-                jet.append(yi)
-            den %= modulus
-            if v0:  # e_k(v0) = y_0 / den
-                values.append(jet[0] * pow(den, -1, modulus) % modulus)
-            continue
-        # the exact jet divides by u directly and keeps y over den when no
-        # remainder appears: the power route below gives the same (num, den) then
-        y, yi = [], 0
-        for fi in f:
-            yi, rem = divmod(fi + sk * yi, u)
-            if rem:
-                break
-            y.append(yi)
-        else:
-            jet = y
-            continue
-        # the power route (exact steps with a remainder): coefficient i over
-        # u^n is z_i = u^n y_i = u^(n-1) f_i + s_k z_{i-1} / u, an exact division
-        un1, zi, jet = u ** (n - 1), 0, []
-        for fi in f:
-            zi = un1 * fi + sk * (zi // u)
-            jet.append(zi)
-        unit = un1 * u
-        # any divisor of the new unit power keeps num / den exact; the tail,
-        # with the fewest forced factors u, cuts the gcd down soonest
-        gcd = backend.content_gcd(reversed(jet), unit)
-        jet, den = [y // gcd for y in jet], den * unit // gcd
-    if v0:
-        return values
-    if modulus:
-        return num % modulus, den % modulus
-    return num, den
+        y.append(yi)
+    else:
+        return y, den
+    # the power route: coefficient i over u^n is z_i = u^n y_i
+    # = u^(n-1) f_i + s_k z_{i-1} / u, an exact division
+    un1, zi, jet = u ** (len(f) - 1), 0, []
+    for fi in f:
+        zi = un1 * fi + sk * (zi // u)
+        jet.append(zi)
+    unit = un1 * u
+    # the tail, with the fewest forced factors u, cuts the gcd down soonest
+    g = backend.content_gcd(reversed(jet), unit)
+    return [z // g for z in jet], den * unit // g
+
+
+def _divide_mod(p: int, f: list, den: int, u: int, sk: int) -> tuple:
+    """The same y mod a prime p, times u^-1 mod p; den = 0 when p divides u."""
+    if not u % p:
+        return f, 0
+    inv, yi, jet = pow(u, -1, p), 0, []
+    for fi in f:
+        yi = (fi + sk * yi) * inv % p
+        jet.append(yi)
+    return jet, den % p
+
+
+def _pole(family: Family, m: int, divide) -> tuple:
+    """(num, den) with Res_{v=1/s} e_m = num / den, s = edge(m): e_m = -f_m / t."""
+    s = family.edge(m)
+    if s < 1:
+        raise ValueError(f"entry {m} of family {family} has no edge pole (s = {s})")
+    for f, den in _stencil(family, m, s, divide):
+        pass
+    return -f[0], den * s * s
+
+
+def _jet_values(family: Family, m: int, p: int, v0: int) -> list:
+    """e_0(v0) .. e_m(v0) mod a prime p, from the jet at v = v0; every divisor
+    must be a unit mod p, as `rec_sequence` draws p and v0."""
+    s = pow(v0, -1, p)
+    return [f[0] * pow(den * (s - family.edge(k)), -1, p) % p
+            for k, (f, den) in enumerate(_stencil(family, m, s, partial(_divide_mod, p)))]
 
 
 def local_residue(family: Family, m: int) -> Rat:
     """Res_{v=1/s} e_m, s = edge(m), from the local jet at v = 1/s: exact,
     and without the entry e_m itself (see the module docstring)."""
-    num, den = _residue_jet(family, m)
+    num, den = _pole(family, m, _divide_exact)
     return Fraction(num, den)
 
 
 def local_residue_mod(family: Family, m: int) -> int | None:
     """Res_{v=1/s} e_m mod PRIME, from the same jet reduced mod PRIME; None
     when PRIME divides one of the jet's divisors."""
-    num, den = _residue_jet(family, m, PRIME)
-    return num * pow(den, -1, PRIME) % PRIME if den else None
+    num, den = _pole(family, m, partial(_divide_mod, PRIME))
+    return num * pow(den, -1, PRIME) % PRIME if den % PRIME else None
 
 
 def _has_pole(family: Family, m: int) -> bool:

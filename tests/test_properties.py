@@ -22,6 +22,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relation import relation_defect
 from thetares import (
     Family,
     Poly,
@@ -31,11 +32,10 @@ from thetares import (
     local_residue,
     local_residue_mod,
     rec_sequence,
-    relation_defect,
     residue_report,
     resum_matrix,
 )
-from thetares.recurrence import PRIME, _draw_prime, _fits, _residue_jet, _Tables
+from thetares.recurrence import PRIME, _draw_prime, _fits, _jet_values, _Tables
 
 M_MAX = 8
 RNG = random.Random(0)
@@ -75,7 +75,7 @@ def moved(entry, i, k):
        st.sampled_from([1, 2**61 - 1]))
 def test_every_step_satisfies_the_relation_and_the_residue_identity(family, i, k):
     seq = rec_sequence(family, M_MAX)
-    tables, values = _Tables(P, V0), _residue_jet(family, M_MAX, P, V0)
+    tables, values = _Tables(P, V0), _jet_values(family, M_MAX, P, V0)
     for m, entry in enumerate(seq.entries):
         prev = seq.entries[m - 1] if m else RatFunc(Poly())
         assert not relation_defect(family, m, entry, prev)

@@ -7,6 +7,7 @@ from math import comb, isqrt, lcm
 import pytest
 
 from conftest import rand_ratfunc
+from relation import relation_defect
 from thetares import backend, recurrence
 from thetares import (
     DELTA256,
@@ -25,7 +26,6 @@ from thetares import (
     r2_count,
     rec_sequence,
     rec_step,
-    relation_defect,
     residue_report,
     resum_matrix,
     scan_lehmer,
@@ -352,7 +352,7 @@ class TestPointCheck:
         # shares no arithmetic with the theta-form step or with Horner
         family = parse_family(spec)
         entries = rec_sequence(family, 12).entries
-        values = recurrence._residue_jet(family, 12, P1, self.V0)
+        values = recurrence._jet_values(family, 12, P1, self.V0)
         assert values == [_horner_value(entry, P1, self.V0) for entry in entries]
 
     def test_two_calls_with_their_own_points(self, tmp_path, monkeypatch):
@@ -605,11 +605,11 @@ class TestLocalJets:
             assert res == Fraction((-1) ** (m - 1) * r2_count(m), m * 16**m)
             assert local_residue_mod(THETA2, m) == res.numerator * pow(res.denominator, -1, p) % p
 
-    def test_exact_jet_matches_the_jet_mod_p(self):
+    def test_exact_jet_matches_the_jet_mod_p(self, monkeypatch):
         # the mod-p jet multiplies by the inverse of each unit, the exact jet
         # divides by the unit itself where it can: both must give the same
-        # residue, and den = 0 mod p exactly when p divides one of the jet's
-        # divisors, which is when `local_residue_mod` returns None
+        # residue, and `local_residue_mod` returns None exactly when p
+        # divides one of the jet's divisors
         families = [THETA2, THETA4, THETA, DELTA256] + [
             parse_family(spec)
             for spec in ("mult:1,0,0", "mult:2,8,8", "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]")
@@ -626,11 +626,11 @@ class TestLocalJets:
                             *(Fraction(family.rhs(k)).denominator for k in range(m + 1))]
                 res = local_residue(family, m)
                 for p in checked:
-                    num, den = recurrence._residue_jet(family, m, p)
-                    assert (den == 0) == any(d % p == 0 for d in divisors)
-                    if den:
-                        assert num * pow(den, -1, p) % p == (
-                            res.numerator * pow(res.denominator, -1, p) % p)
+                    monkeypatch.setattr(recurrence, "PRIME", p)
+                    jet = local_residue_mod(family, m)
+                    assert (jet is None) == any(d % p == 0 for d in divisors)
+                    if jet is not None:
+                        assert jet == res.numerator * pow(res.denominator, -1, p) % p
                         checked[p] += 1
         assert all(checked.values())
 
@@ -638,6 +638,8 @@ class TestLocalJets:
         assert local_residue(DELTA256, 0) == rec_step(DELTA256, 0).residue(2) == Fraction(-1, 2)
         with pytest.raises(ValueError):
             local_residue(THETA2, 0)  # a = 0: entry 0 has no pole
+        with pytest.raises(ValueError):
+            local_residue_mod(THETA2, 0)
 
     @pytest.fixture
     def prime_7(self, monkeypatch):

@@ -124,19 +124,28 @@ MUTANTS = [
            "den = den * pow(1 - j * tables.v0, e, p) % p",
            "den = den % p",
            ("tests/test_recurrence.py",)),
-    Mutant("the jet records e_k(v0) from f, before the unit division",
+    Mutant("the value read records f_k(v0), before the unit division",
            "src/thetares/recurrence.py",
-           "values.append(jet[0] * pow(den, -1, modulus) % modulus)",
-           "values.append(f[0] * pow(den, -1, modulus) % modulus)",
+           "pow(den * (s - family.edge(k)), -1, p)",
+           "pow(den * s, -1, p)",
+           ("tests/test_recurrence.py",)),
+    Mutant("the value read leaves out the unit (1/v0 - s_k)", "src/thetares/recurrence.py",
+           "pow(den * (s - family.edge(k)), -1, p)",
+           "pow(den, -1, p)",
            ("tests/test_recurrence.py",)),
     Mutant("the jet's values start at e_{-1}(v0) = 0, one index off",
            "src/thetares/recurrence.py",
-           "jet, den, values = [0] * (2 * m + 3), 1, []",
-           "jet, den, values = [0] * (2 * m + 3), 1, [0]",
+           "    return [f[0] * pow(den * (s - family.edge(k)), -1, p) % p",
+           "    return [0] + [f[0] * pow(den * (s - family.edge(k)), -1, p) % p",
            ("tests/test_recurrence.py",)),
-    Mutant("the jet at a point takes the pole step at k = m", "src/thetares/recurrence.py",
-           "if k == m and not v0:",
-           "if k == m:",
+    Mutant("the jet at a point leaves k = m to the pole read: no e_m(v0)",
+           "src/thetares/recurrence.py",
+           "enumerate(_stencil(family, m, s, partial(_divide_mod, p)))]",
+           "enumerate(_stencil(family, m, s, partial(_divide_mod, p))) if k < m]",
+           ("tests/test_recurrence.py",)),
+    Mutant("the mod-p division ignores p | u", "src/thetares/recurrence.py",
+           "    if not u % p:\n        return f, 0",
+           "    if False:\n        return f, 0",
            ("tests/test_recurrence.py",)),
     Mutant("the residue sign follows the paper's (-1)^(m+a+1) for odd a",
            "src/thetares/families.py",
@@ -213,8 +222,8 @@ MUTANTS = [
            "        except TypeError:\n            return None",
            ("tests/test_cli.py",)),
     Mutant("the exact jet's power route scaled by one more u", "src/thetares/recurrence.py",
-           "un1, zi, jet = u ** (n - 1), 0, []",
-           "un1, zi, jet = u ** n, 0, []",
+           "un1, zi, jet = u ** (len(f) - 1), 0, []",
+           "un1, zi, jet = u ** len(f), 0, []",
            equivalent="every z_i and the unit power gain the same factor u, so the "
                       "jet's num / den, and each residue read off it, is unchanged"),
 ]
