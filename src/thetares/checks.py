@@ -249,7 +249,7 @@ def _jet_check(family: Family, residues: dict) -> CheckResult:
         if exact != res or jet != res.numerator * pow(res.denominator, -1, PRIME) % PRIME:
             bad.append(f"at m = {m}: residue {res}, exact jet {exact}, jet mod p {jet}")
     return _result(
-        f"{family} local jets agree exactly and mod 2^61-1 with the residues "
+        f"{family} local jets agree exactly and mod {PRIME} with the residues "
         f"for m <= {max(residues)}",
         not bad,
         f"first mismatch {bad[0]}" if bad else "",

@@ -83,11 +83,13 @@ takes the content of (c, den) against that new u^n (any common divisor
 keeps num / den exact).  When y is integral every u^n y_i is a multiple
 of u^n, so the content is u^n and both routes give the same (num, den);
 the power route runs mostly at i = 0, where f_0 is no multiple of u.
-The division mod a large prime p multiplies by u^-1 mod p instead, so
-it builds no powers of u, and gives den = 0 when p divides u; a divisor
+The division mod a prime p multiplies by u^-1 mod p instead, so it
+builds no powers of u, and gives den = 0 when p divides u; a divisor
 s, 4 or a denominator that p divides shows as den = 0 mod p too.  A
-nonzero residue mod p proves the pole, and the Lehmer and two-squares
-scans fall back to the exact jet only on a zero mod p or on den = 0.
+nonzero residue mod any prime p proves the pole, so p's size costs no
+exactness: the Lehmer and two-squares scans take p = PRIME = 2^30 - 35,
+the largest prime below 2^30, whose residues CPython holds in one 30-bit
+digit, and fall back to the exact jet only on a zero mod p or on den = 0.
 
 Nothing above needs v0 = 1/s to be a pole: expanded at any point v0 mod p
 where every 1 - s_k v0 is a unit, e_k(v0) = f_k(v0) / (1 - s_k v0) for
@@ -119,7 +121,10 @@ from .families import DELTA256, THETA, THETA2, THETA4, Family
 from .rational import Poly, Rat
 from .ratfunc import RatFunc, expanded_den
 
-PRIME = 2**61 - 1  # the modulus of the jets (`local_residue_mod`)
+# the modulus of the scans' jets (`local_residue_mod`): the largest prime
+# below 2^30, so every jet value is one CPython digit; `rec_sequence` draws
+# its own prime in [2^61, 2^62) instead (`_draw_prime`)
+PRIME = 2**30 - 35
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # the first twelve primes
 _BASES_PRODUCT = prod(_BASES)
 

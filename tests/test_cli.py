@@ -20,7 +20,7 @@ from thetares import (
     rec_step,
     residue_report,
 )
-from thetares import checks, cli, qseries
+from thetares import checks, cli, qseries, recurrence
 from thetares.cli import main
 from thetares.qseries import QSeries, cf_coeff, r2_count, sigma1
 
@@ -446,8 +446,8 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "residues", "--m-max", "3")
         assert code == 1
         assert out.count("FAIL  ") == 1
-        assert ("FAIL  theta local jets agree exactly and mod 2^61-1 with the residues "
-                "for m <= 3 (first mismatch at m = 2: residue 0, exact jet 0, "
+        assert (f"FAIL  theta local jets agree exactly and mod {recurrence.PRIME} with the "
+                "residues for m <= 3 (first mismatch at m = 2: residue 0, exact jet 0, "
                 "jet mod p 1)\n") in out
 
     def test_resum_mismatch_exits_1(self, capsys, monkeypatch):

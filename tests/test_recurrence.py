@@ -390,6 +390,14 @@ class TestPointCheck:
         assert rec_sequence(family, 4).entries == expected
         assert draws == []
 
+    def test_prime_is_drawn_apart_from_the_scans_prime(self, monkeypatch):
+        # `rec_sequence`'s modulus keeps its own range, whatever PRIME is
+        monkeypatch.setattr(recurrence, "PRIME", 7)
+        rng = random.Random(61)
+        for _ in range(20):
+            p = recurrence._draw_prime(rng, 1)
+            assert 2**61 < p < 2**62 and recurrence._is_prime(p)
+
     def test_read_den_divisible_by_the_drawn_prime_is_a_miss(self, tmp_path, monkeypatch):
         from thetares.cache import SeqCache
 
@@ -634,6 +642,23 @@ class TestLocalJets:
                         checked[p] += 1
         assert all(checked.values())
 
+    def test_prime_is_one_digit(self):
+        # the largest prime below 2^30: CPython holds every jet value mod it
+        # in one 30-bit digit
+        p = recurrence.PRIME
+        assert p < 2**30 and recurrence._is_prime(p)
+        assert not any(recurrence._is_prime(n) for n in range(p + 1, 2**30))
+
+    def test_divisor_divisible_by_the_real_prime_falls_back_to_the_exact_jet(self):
+        # rhs_1 has PRIME as its denominator, so every jet from m = 1 on has
+        # a divisor PRIME divides; the exact jet decides each pole instead
+        family = parse_family(f"poly:1:[(0,1,1/{recurrence.PRIME}),(1,0,1)]")
+        seq = rec_sequence(family, 8)
+        for m in range(1, 9):
+            assert local_residue_mod(family, m) is None
+            assert local_residue(family, m) == residue_report(seq, m).residue
+            assert recurrence._has_pole(family, m)
+
     def test_initial_entry(self):
         assert local_residue(DELTA256, 0) == rec_step(DELTA256, 0).residue(2) == Fraction(-1, 2)
         with pytest.raises(ValueError):
@@ -680,7 +705,8 @@ class TestLocalJets:
         failed = [r.name for r in results if not r.passed]
         assert failed == [
             "theta^2 residues recover r2(m) for m <= 6",
-            "theta^2 local jets agree exactly and mod 2^61-1 with the residues for m <= 6",
+            f"theta^2 local jets agree exactly and mod {recurrence.PRIME} with the residues "
+            "for m <= 6",
         ]
 
     def test_residues_suite_catches_a_wrong_exact_jet(self, monkeypatch):
@@ -692,6 +718,7 @@ class TestLocalJets:
         results = checks.residues_suite(theta2_max=4)
         failed = [r.name for r in results if not r.passed]
         assert failed == [
-            f"{family} local jets agree exactly and mod 2^61-1 with the residues for m <= 4"
+            f"{family} local jets agree exactly and mod {recurrence.PRIME} with the residues "
+            "for m <= 4"
             for family in ("theta^2", "theta^4", "theta", "256*Delta")
         ]

@@ -172,6 +172,10 @@ MUTANTS = [
            "if _is_prime(p) and dens % p:",
            "if _is_prime(p):",
            ("tests/test_recurrence.py",)),
+    Mutant("rec_sequence draws its prime from PRIME's range", "src/thetares/recurrence.py",
+           "rng.randrange(2**61 + 1, 2**62, 2)",
+           "rng.randrange(2**29 + 1, 2**30, 2)",
+           ("tests/test_recurrence.py",)),
     Mutant("the drawn point may sit at a pole 1/j", "src/thetares/recurrence.py",
            "while (pow(v0, -1, p) - family.edge(0)) % p <= m_max:",
            "while False:",
@@ -187,6 +191,10 @@ MUTANTS = [
     Mutant("the Lehmer scan reports nothing", "src/thetares/recurrence.py",
            "return [m for m in range(m_max + 1) if not _has_pole(DELTA256, 2 * m)]",
            "return []",
+           ("tests/test_recurrence.py",)),
+    Mutant("_has_pole trusts a zero mod p", "src/thetares/recurrence.py",
+           "return bool(local_residue_mod(family, m) or local_residue(family, m))",
+           "return bool(local_residue_mod(family, m))",
            ("tests/test_recurrence.py",)),
     Mutant("an oracle failing its self-check ends in a traceback", "src/thetares/cli.py",
            "except (RelationError, OracleConsistencyError) as exc:",
