@@ -20,7 +20,6 @@ from .families import DELTA256, THETA, THETA2, THETA4, Family
 from .qseries import (
     QSeries,
     cf_coeff,
-    cf_series,
     delta_series,
     dstar,
     dstar_terms,
@@ -28,6 +27,7 @@ from .qseries import (
     r2_count,
     ramanujan_tau,
     t_series,
+    theta_part,
     theta_series,
     xy_form,
     xy_series,
@@ -171,7 +171,7 @@ def identities_suite(jacobi_trunc: int = 128, identity_trunc: int = 64,
         delta_series(identity_trunc) == (xy * (y - x)) ** 2 * Fraction(1, 256),
     ))
 
-    for family, tag in ((Family.polynomial([(0, 1, 1)], label="P=y"), "P=y"),
+    for family, tag in ((Family(monomials=((0, 1, 1),), label="P=y"), "P=y"),
                         (THETA2, "theta^2")):
         defect = max_three_term_defect(family, three_term_max, three_term_trunc)
         out.append(_result(
@@ -202,16 +202,17 @@ def max_three_term_defect(family: Family, n_max: int, trunc: int) -> QSeries | N
 
 
 def _form(family: Family, phi: Poly, d: int, trunc: int) -> QSeries:
-    """base x^d phi(y/x): one table combination, times F for the multiplicative kind.
+    """base x^d phi(y/x): one table combination, times the family's theta part.
 
     With phi = phi_n and d = n + head this is the weight-(w+2n) form g_n of
-    the three-term relation, where head = k, the degree of P: base = F for
-    a multiplicative family F (P = 1, head = 0), base = 1 for P.  deg phi_n
-    <= n + head (phi_0 = P(1, u) has degree at most k, each step adds at
-    most one), so each form is read off the x^a y^b table of
-    :func:`xy_form`; theta^2's phi_1 is zero."""
+    the three-term relation: head = k, the degree of P, and base is the
+    :func:`theta_part` y^a theta4^(4b) theta3^(4c) (1 for a = b = c = 0), so
+    g_0 = base P(x, y) = F.  deg phi_n <= n + head (phi_0 = P(1, u) has
+    degree at most k, each step adds at most one), so each form is read off
+    the x^a y^b table of :func:`xy_form`; theta^2's phi_1 is zero."""
     g = xy_form(phi, d, trunc)
-    return g * cf_series(family, trunc) if family.kind == "mult" and phi else g
+    theta = theta_part(family.a, family.b4, family.c4, trunc)
+    return g * theta if theta is not None and phi else g
 
 
 RESUM_FAMILIES = (THETA2, DELTA256)

@@ -250,7 +250,7 @@ def cmd_qseries_dump(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
-_FAMILY_HELP = "canonical family string, e.g. mult:0,0,2 or poly:1:[(0,1,1)]"
+_FAMILY_HELP = "canonical family string, e.g. mult:0,0,2, poly:1:[(0,1,1)] or both joined by *"
 _FAMILY = {"--family": dict(required=True, help=_FAMILY_HELP)}
 _M_MAX_FORMAT = {
     "--m-max": dict(type=int, default=0, help="last sequence index to compute"),

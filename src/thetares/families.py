@@ -1,15 +1,15 @@
 """Recurrence families.
 
-A family fixes one modular form and with it every constant appearing in
-the recurrences: either a monomial in the three theta fourth-powers,
-F = y^a * (-x)^b * (y-x)^c with a, 4b, 4c nonnegative integers (the
-"multiplicative" kind), or a homogeneous polynomial P(x, y) of degree k
-(the "polynomial" kind).  Both are F = y^a (-x)^b (y-x)^c P(x, y) with
-one part trivial: the multiplicative kind has P = 1 (the one monomial
-(0, 0, 1), k = 0), the polynomial kind a = b = c = 0.  So each constant
-is one formula for every family: weight w = 2(a + b + c + k),
-beta = b + k, edge(m) = m + a, phi_0 = P(1, u), rhs_m = [u^m] P(1, u)
-and the residue sign (-1)^(m+k+1).
+A family fixes one modular form for Gamma(2) and with it every constant
+appearing in the recurrences: F = y^a (-x)^b (y-x)^c P(x, y), a monomial
+in the three theta fourth-powers (y = theta2^4, -x = theta4^4,
+y - x = theta3^4, with a, 4b, 4c nonnegative integers) times a
+homogeneous polynomial P(x, y) of degree k.  Either part may be 1: the
+theta part when a = b = c = 0, P when it is the one monomial (0, 0, 1)
+(k = 0, the default).  Each constant is one formula for every family:
+weight w = 2(a + b + c + k), beta = b + k, edge(m) = m + a,
+phi_0 = P(1, u), rhs_m = [u^m] P(1, u) and the residue sign
+(-1)^(m+k+1).
 """
 
 from __future__ import annotations
@@ -26,61 +26,26 @@ class FamilyError(ValueError):
 
 class Family:
     """Immutable; equal families (and their hashes) ignore the label, so a
-    parsed "mult:0,0,2" is THETA2 and shares its cached series."""
+    parsed "mult:0,0,2" is THETA2 and shares its cached series.  The one
+    constructor checks that a, 4b and 4c are nonnegative integers, that P is
+    homogeneous with exact coefficients, and that the weight is not zero."""
 
     __slots__ = (
-        "kind",  # "mult" or "poly"
         "a",
         "b4",  # 4*b
         "c4",  # 4*c
-        "monomials",  # P as ((i, j, coeff), ...) with i + j = k; P = 1 by default
+        "monomials",  # P as sorted ((i, j, coeff), ...) with i + j = k
         "k",
         "label",
     )
 
-    def __init__(self, kind: str, a: int = 0, b4: int = 0, c4: int = 0,
-                 monomials: tuple = ((0, 0, Fraction(1)),), k: int = 0, label: str = ""):
-        for name, value in zip(self.__slots__, (kind, a, b4, c4, monomials, k, label)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Family is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Family is immutable: cannot delete {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.kind, self.a, self.b4, self.c4, self.monomials, self.k)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"Family({fields})"
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def multiplicative(a, b, c, label: str = "") -> "Family":
+    def __init__(self, a: int = 0, b=0, c=0, monomials=((0, 0, 1),), label: str = ""):
         if not isinstance(a, int) or a < 0:
             raise FamilyError("exponent a must be a nonnegative integer")
-        b, c = _as_rat(b), _as_rat(c)
-        if b < 0 or (4 * b).denominator != 1:
-            raise FamilyError("4*b must be a nonnegative integer")
-        if c < 0 or (4 * c).denominator != 1:
-            raise FamilyError("4*c must be a nonnegative integer")
-        if a == 0 and b == 0 and c == 0:
-            raise FamilyError("a = b = c = 0 gives weight zero")
-        return Family("mult", a=a, b4=int(4 * b), c4=int(4 * c), label=label)
-
-    @staticmethod
-    def polynomial(monomials, label: str = "") -> "Family":
+        quarters = [4 * _as_rat(b), 4 * _as_rat(c)]
+        for name, q in zip("bc", quarters):
+            if q < 0 or q.denominator != 1:
+                raise FamilyError(f"4*{name} must be a nonnegative integer")
         combined: dict = {}
         for i, j, coeff in monomials:
             if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
@@ -93,10 +58,32 @@ class Family:
         if len(degrees) != 1:
             raise FamilyError(f"polynomial is not homogeneous (degrees {sorted(degrees)})")
         k = degrees.pop()
-        if k < 1:
-            raise FamilyError("polynomial degree must be at least 1")
+        if not (a or any(quarters) or k):
+            raise FamilyError("a = b = c = 0 with a constant P gives weight zero")
         mons = tuple(sorted((i, j, c) for (i, j), c in combined.items()))
-        return Family("poly", monomials=mons, k=k, label=label)
+        for name, value in zip(self.__slots__, (a, *map(int, quarters), mons, k, label)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Family is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Family is immutable: cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.a, self.b4, self.c4, self.monomials, self.k)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"Family({fields})"
 
     # -- derived data ----------------------------------------------------------
 
@@ -132,7 +119,7 @@ class Family:
         family's form at the pole parameter, from the residue of entry m.
 
         The sign is (-1)^(m+k+1), whatever a is: the paper's (-1)^(m+a+1)
-        for the multiplicative kind gives the wrong sign for odd a.
+        for P = 1 gives the wrong sign for odd a.
         """
         p = self.edge(m)
         sign = -1 if (m + self.k + 1) % 2 else 1
@@ -141,17 +128,23 @@ class Family:
     # -- canonical string --------------------------------------------------------
 
     def canonical(self) -> str:
-        if self.kind == "mult":
-            return f"mult:{self.a},{self.b4},{self.c4}"
-        inner = ",".join(f"({i},{j},{c})" for i, j, c in self.monomials)
-        return f"poly:{self.k}:[{inner}]"
+        """"mult:a,4b,4c", "poly:k:[(i,j,coeff),...]", or both joined by "*"
+        when neither part is 1."""
+        parts = []
+        if self.a or self.b4 or self.c4:
+            parts.append(f"mult:{self.a},{self.b4},{self.c4}")
+        if self.monomials != ((0, 0, 1),):
+            inner = ",".join(f"({i},{j},{c})" for i, j, c in self.monomials)
+            parts.append(f"poly:{self.k}:[{inner}]")
+        return "*".join(parts)
 
     def __str__(self) -> str:
         return self.label or self.canonical()
 
 
-# patterns stay strings: only a poly: family string compiles them, and
-# the re module caches what it compiles
+# patterns stay strings (the re module caches what it compiles); every
+# fullmatch passes re.ASCII, so \d is 0-9 only and findall reads checked text
+_MULT = r"mult:(\d+),(\d+),(\d+)"
 _POLY = r"poly:(\d+):\[(.*)\]"
 _MONO = r"\((\d+),(\d+),(-?\d+(?:/\d+)?)\)"
 # the whole list: monomials separated by commas, whitespace around each
@@ -159,37 +152,34 @@ _MONO_LIST = rf"\s*{_MONO}\s*(?:,\s*{_MONO}\s*)*"
 
 
 def parse_family(text: str) -> Family:
-    """Parse the canonical family string ("mult:a,4b,4c" or
-    "poly:k:[(i,j,coeff),...]": monomials separated by commas, with
-    optional whitespace around each; anything else raises FamilyError)."""
-    text = text.strip()
-    if text.startswith("mult:"):
-        parts = text[5:].split(",")
-        if len(parts) != 3:
-            raise FamilyError(f"malformed multiplicative family {text!r}")
+    """Parse the canonical family string: "mult:a,4b,4c",
+    "poly:k:[(i,j,coeff),...]" (monomials separated by commas, with
+    optional whitespace around each), or "mult:a,4b,4c*poly:k:[...]" for
+    both parts; every number is ASCII digits.  Anything else raises
+    FamilyError."""
+    parts = text.strip().split("*")
+    mult = re.fullmatch(_MULT, parts[0], re.ASCII)
+    poly = re.fullmatch(_POLY, parts[-1], re.ASCII)
+    # one part matches one of the two, two parts must match both
+    if bool(mult) + bool(poly) != len(parts):
+        raise FamilyError(f"malformed family string {text!r}")
+    a, b4, c4 = (int(g) for g in mult.groups()) if mult else (0, 0, 0)
+    mons = [(0, 0, 1)]
+    if poly:
+        if not re.fullmatch(_MONO_LIST, poly[2], re.ASCII):
+            raise FamilyError(f"malformed polynomial in family {text!r}")
         try:
-            a, b4, c4 = (int(p) for p in parts)
-        except ValueError:
-            raise FamilyError(f"malformed multiplicative family {text!r}") from None
-        return Family.multiplicative(a, Fraction(b4, 4), Fraction(c4, 4))
-    match = re.fullmatch(_POLY, text)
-    if match:
-        k, body = int(match.group(1)), match.group(2)
-        if not re.fullmatch(_MONO_LIST, body):
-            raise FamilyError(f"malformed polynomial family {text!r}")
-        try:
-            mons = [(int(i), int(j), Fraction(c)) for i, j, c in re.findall(_MONO, body)]
+            mons = [(int(i), int(j), Fraction(c)) for i, j, c in re.findall(_MONO, poly[2])]
         except ZeroDivisionError:
-            raise FamilyError(f"zero denominator in polynomial family {text!r}") from None
-        family = Family.polynomial(mons)
-        if family.k != k:
-            raise FamilyError(f"declared degree {k} but monomials have degree {family.k}")
-        return family
-    raise FamilyError(f"unrecognized family string {text!r}")
+            raise FamilyError(f"zero denominator in family {text!r}") from None
+    family = Family(a, Fraction(b4, 4), Fraction(c4, 4), mons)
+    if poly and family.k != int(poly[1]):
+        raise FamilyError(f"declared degree {poly[1]} but monomials have degree {family.k}")
+    return family
 
 
 # The four families behind the number-theoretic scans.
-THETA2 = Family.multiplicative(0, 0, Fraction(1, 2), label="theta^2")
-THETA = Family.multiplicative(0, 0, Fraction(1, 4), label="theta")
-THETA4 = Family.multiplicative(0, 0, 1, label="theta^4")
-DELTA256 = Family.multiplicative(2, 2, 2, label="256*Delta")
+THETA2 = Family(c=Fraction(1, 2), label="theta^2")
+THETA = Family(c=Fraction(1, 4), label="theta")
+THETA4 = Family(c=1, label="theta^4")
+DELTA256 = Family(2, 2, 2, label="256*Delta")

@@ -284,23 +284,29 @@ def delta_series(trunc: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def cf_series(family: Family, trunc: int) -> QSeries:
-    """q-expansion of the family's form.
+def theta_part(a: int, b4: int, c4: int, trunc: int) -> QSeries | None:
+    """y^a theta4^(4b) theta3^(4c), the theta part of a family's form (-x =
+    theta4^4 and y - x = theta3^4, so fractional b and c still give
+    integral exponents 4b and 4c); None when a = 4b = 4c = 0."""
+    powers = []
+    if a:
+        powers.append(xy_series(trunc)[1] ** a)
+    if b4:
+        powers.append(theta_series(4, trunc) ** b4)
+    if c4:
+        powers.append(theta_series(3, trunc) ** c4)
+    return reduce(mul, powers) if powers else None
 
-    Multiplicative families are products of integer powers of the three
-    theta fourth-powers (y = theta2^4, -x = theta4^4, y - x = theta3^4),
-    so fractional b and c still give integral exponents 4b and 4c.
-    """
-    if family.kind == "mult":
-        powers = []
-        if family.a:
-            powers.append(xy_series(trunc)[1] ** family.a)
-        if family.b4:
-            powers.append(theta_series(4, trunc) ** family.b4)
-        if family.c4:
-            powers.append(theta_series(3, trunc) ** family.c4)
-        return reduce(mul, powers) if powers else QSeries.const(1, trunc)
-    return lincomb([(c, xy_monomial(i, j, trunc)) for i, j, c in family.monomials])
+
+@lru_cache(maxsize=None)
+def cf_series(family: Family, trunc: int) -> QSeries:
+    """q-expansion of the family's form: its theta part times P(x, y) off
+    the x^a y^b table, with no product when either part is 1."""
+    theta = theta_part(family.a, family.b4, family.c4, trunc)
+    if family.monomials == ((0, 0, 1),):
+        return theta
+    p = lincomb([(c, xy_monomial(i, j, trunc)) for i, j, c in family.monomials])
+    return p if theta is None else theta * p
 
 
 def cf_coeff(family: Family, n: int, trunc: int = DEFAULT_TRUNC) -> Rat:

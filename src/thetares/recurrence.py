@@ -303,18 +303,19 @@ def rec_sequence(family: Family, m_max: int, cache=None) -> SeqState:
     `rec_step`.  p and v0 are drawn per call: p in [2^61, 2^62) and prime
     to phi0's den, the lcm of every rhs_k's denominator, so to every
     genuine den (den_m divides q den_{m-1}, and q's other factors are 2s),
-    and v0 away from every 1/j, j <= edge(m_max).  That makes every divisor
-    of the jet a unit mod p too: 1/v0, q, rd and 1/v0 - edge(k).  Each
-    numerator is evaluated once, against tables of v0's powers built for
-    this call alone.
+    and 1/v0 in (edge(m_max), p), away from every edge.  That makes every
+    divisor of the jet a unit mod p too: 1/v0, q, rd and 1/v0 - edge(k).
+    Each numerator is evaluated once, against tables of v0's powers built
+    for this call alone.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     rng = random.SystemRandom()
     p = _draw_prime(rng, family.phi0().int_den)
-    v0 = rng.randrange(2, p)
-    while (pow(v0, -1, p) - family.edge(0)) % p <= m_max:  # 1/v0 = edge(k), k <= m_max
-        v0 = rng.randrange(2, p)
+    low = family.edge(m_max) + 1
+    if low >= p:
+        raise ValueError(f"m_max {m_max} reaches the drawn prime: no point is off every pole")
+    v0 = pow(rng.randrange(low, p), -1, p)
     values, tables = _jet_values(family, m_max, p, v0), _Tables(p, v0)
     entries, reading, prev = [], cache is not None, _ZERO
     for m in range(m_max + 1):

@@ -130,7 +130,7 @@ def test_criterion_7_qseries_identities():
     report(7, "Jacobi (trunc 128), derivative identities and discriminant (trunc 64)")
 
 def test_criterion_8_three_term_relation():
-    for family in (Family.polynomial([(0, 1, 1)]), THETA2):
+    for family in (Family(monomials=((0, 1, 1),)), THETA2):
         assert max_three_term_defect(family, 6, 40) is None
     report(8, "three-term relation for P=y and theta^2, n <= 6 (trunc 40)")
 

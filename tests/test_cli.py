@@ -513,9 +513,11 @@ class TestQSeriesDump:
 @pytest.mark.parametrize("argv", [
     ("residues", "--family", "mult:0,0,2", "--m-max", str(10**20)),
     ("qseries-dump", "--series", "t", "--trunc", str(10**20)),
+    ("compute", "--family", "mult:0,0,2", "--m-max", str(10**20)),
 ])
 def test_size_past_an_index_is_a_usage_error(capsys, argv):
-    # [0] * (trunc + 1) raises OverflowError; exit 1 would read as a mismatch
+    # [0] * (trunc + 1) raises OverflowError, and compute's m_max reaches past
+    # the prime its point is drawn mod; exit 1 would read as a mismatch
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith("error:") and "Traceback" not in err

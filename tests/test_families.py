@@ -10,34 +10,34 @@ from thetares.recurrence import upoly_sequence
 
 class TestMultiplicative:
     def test_theta_squared(self):
-        fam = Family.multiplicative(0, 0, Fraction(1, 2))
+        fam = Family(c=Fraction(1, 2))
         assert fam.w == 1 and fam.a == 0 and fam.b4 == 0 and fam.c4 == 2
         # the single theta family has the fractional weight w = 1/2
         assert THETA.w == Fraction(1, 2)
 
     def test_delta(self):
-        fam = Family.multiplicative(2, 2, 2)
+        fam = Family(2, 2, 2)
         assert fam.w == 12
         assert fam == DELTA256  # label is not part of identity
 
     def test_zero_weight_rejected(self):
         with pytest.raises(FamilyError):
-            Family.multiplicative(0, 0, 0)
+            Family()
 
     def test_quarter_integrality_enforced(self):
         with pytest.raises(FamilyError):
-            Family.multiplicative(0, Fraction(1, 3), 0)
+            Family(b=Fraction(1, 3), c=1)
         with pytest.raises(FamilyError):
-            Family.multiplicative(0, 0, Fraction(-1, 4))
+            Family(c=Fraction(-1, 4))
         with pytest.raises(FamilyError):
-            Family.multiplicative(-1, 0, 1)
+            Family(-1, c=1)
 
     def test_float_exponents_rejected(self):
         # like Poly([0.1]): a float is no exact rational, even when 4b is integral
         with pytest.raises(TypeError):
-            Family.multiplicative(0, 0.5, 0)
+            Family(b=0.5, c=1)
         with pytest.raises(TypeError):
-            Family.multiplicative(0, 0, 0.25)
+            Family(c=0.25)
 
     def test_edge_and_rhs(self):
         assert DELTA256.edge(0) == 2 and DELTA256.edge(4) == 6
@@ -47,35 +47,35 @@ class TestMultiplicative:
 
 class TestPolynomial:
     def test_p_equals_y(self):
-        fam = Family.polynomial([(0, 1, 1)])
+        fam = Family(monomials=[(0, 1, 1)])
         assert fam.k == 1
         assert fam.phi0() == Poly([0, 1])
         assert fam.rhs(0) == 0 and fam.rhs(1) == 1
 
     def test_x_minus_y(self):
-        fam = Family.polynomial([(1, 0, 1), (0, 1, -1)])
+        fam = Family(monomials=[(1, 0, 1), (0, 1, -1)])
         assert fam.phi0() == Poly([1, -1])
 
     def test_mixed_degrees_rejected(self):
         with pytest.raises(FamilyError):
-            Family.polynomial([(1, 0, 1), (0, 2, 1)])
+            Family(monomials=[(1, 0, 1), (0, 2, 1)])
 
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
-            Family.polynomial([(0, 1, 0.1)])
+            Family(monomials=[(0, 1, 0.1)])
         with pytest.raises(TypeError):
-            Family.polynomial([(1, 0, 1), (0, 1, 2.0)])
+            Family(monomials=[(1, 0, 1), (0, 1, 2.0)])
 
     def test_degree_zero_rejected(self):
         with pytest.raises(FamilyError):
-            Family.polynomial([(0, 0, 1)])
+            Family(monomials=[(0, 0, 1)])
 
     def test_cancellation_rejected(self):
         with pytest.raises(FamilyError):
-            Family.polynomial([(0, 1, 1), (0, 1, -1)])
+            Family(monomials=[(0, 1, 1), (0, 1, -1)])
 
     def test_duplicate_monomials_combine(self):
-        fam = Family.polynomial([(0, 1, 1), (0, 1, 2)])
+        fam = Family(monomials=[(0, 1, 1), (0, 1, 2)])
         assert fam.phi0() == Poly([0, 3])
 
 
@@ -87,13 +87,25 @@ class TestCanonicalStrings:
             assert parse_family(fam.canonical()) == fam
 
     def test_poly_whitespace_around_monomials(self):
-        assert parse_family(" poly:1:[ (0,1,1) ,\t(1,0,-2/3) ] ") == Family.polynomial(
-            [(0, 1, 1), (1, 0, Fraction(-2, 3))])
+        assert parse_family(" poly:1:[ (0,1,1) ,\t(1,0,-2/3) ] ") == Family(
+            monomials=[(0, 1, 1), (1, 0, Fraction(-2, 3))])
 
     def test_poly_round_trip(self):
-        fam = Family.polynomial([(0, 2, Fraction(1, 2)), (1, 1, -3)])
+        fam = Family(monomials=[(0, 2, Fraction(1, 2)), (1, 1, -3)])
         assert fam.canonical() == "poly:2:[(0,2,1/2),(1,1,-3)]"
         assert parse_family(fam.canonical()) == fam
+
+    def test_mixed_round_trip(self):
+        fam = Family(1, 0, 1, [(0, 1, 1), (1, 0, 1)])
+        assert fam.canonical() == "mult:1,0,4*poly:1:[(0,1,1),(1,0,1)]"
+        assert parse_family(fam.canonical()) == fam
+        assert fam.w == 6 and fam.beta == 1 and fam.edge(0) == 1
+        # a constant P other than 1 keeps its poly: part; P = 1 spelled out is
+        # the mult: family itself, so both spellings share one cache name
+        scaled = Family(c=Fraction(1, 2), monomials=[(0, 0, 3)])
+        assert scaled.canonical() == "mult:0,0,2*poly:0:[(0,0,3)]" and scaled.k == 0
+        assert parse_family(scaled.canonical()) == scaled != THETA2
+        assert parse_family("mult:0,0,2*poly:0:[(0,0,1)]").canonical() == "mult:0,0,2"
 
     def test_malformed_rejected(self):
         bad_strings = (
@@ -101,6 +113,15 @@ class TestCanonicalStrings:
             # every character of the list must belong to a monomial or a separator
             "poly:1:[(0,1,1),(-1,2,1)]", "poly:1:[(0,1,1),garbage]",
             "poly:1:[(0,1,1);(1,0,2)]", "poly:1:[(0,1,1),]", "poly:1:[(1,0,1/0)]",
+            # numbers are ASCII digits only: no Python literals, signs, spaces
+            # or other scripts' digits
+            "mult:0,0,2_0", "mult:0,0,+2", "mult: 0,0,2", "mult:0,0,\u0662",
+            "poly:1:[(\u0660,1,1)]", "poly:\u0661:[(0,1,1)]",
+            # a mixed family is one mult: part, one "*" and one poly: part
+            "mult:0,0,2*", "*poly:1:[(0,1,1)]", "poly:1:[(0,1,1)]*mult:0,0,2",
+            "mult:0,0,2**poly:1:[(0,1,1)]", "mult:0,0,2*poly:1:[(0,1,1)]*poly:1:[(1,0,1)]",
+            "mult:0,0,2*mult:0,0,2", "mult:0,0,2 * poly:1:[(0,1,1)]",
+            "mult:0,0,0*poly:0:[(0,0,1)]", "mult:0,0,2*poly:2:[(0,1,1)]",
         )
         for bad in bad_strings:
             with pytest.raises(FamilyError):
@@ -118,26 +139,31 @@ class TestWeights:
 
 
 # every mult: family with a <= 5 (odd a included) and 4b, 4c in a spread of
-# 0..8, and poly: families of degree k <= 4 with rational coefficients, four
-# of them with P(1, 0) = 0 (no x^k term)
+# 0..8, poly: families of degree k <= 4 with rational coefficients, four
+# of them with P(1, 0) = 0 (no x^k term), and mixed families with both
+# parts non-trivial, one of them a constant P other than 1
 GRID = [f"mult:{a},{b4},{c4}" for a in range(6) for b4 in (0, 1, 2, 3, 8)
         for c4 in (0, 1, 2, 5, 8) if a or b4 or c4] + [
     "poly:1:[(0,1,1)]", "poly:1:[(1,0,1/3),(0,1,-2/7)]",
     "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]", "poly:2:[(1,1,3/4)]",
     "poly:3:[(3,0,-1/5),(1,2,2)]", "poly:3:[(2,1,1/6),(0,3,-4)]",
     "poly:4:[(0,4,1),(2,2,-7/3),(4,0,5)]", "poly:4:[(3,1,5/9),(1,3,-1/2)]",
+] + [
+    "mult:1,0,4*poly:1:[(0,1,1),(1,0,1)]", "mult:0,3,0*poly:1:[(1,0,1)]",
+    "mult:2,6,8*poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]", "mult:0,0,2*poly:0:[(0,0,3)]",
+    "mult:3,1,5*poly:4:[(3,1,5/9),(1,3,-1/2)]",
 ]
 
 
 def _per_kind(fam):
-    """The constants as each kind defines them on its own: w, beta, the
-    edge offset, rhs(m) for m <= k + 2, phi0 and the sign's offset."""
-    if fam.kind == "mult":
-        b, c = Fraction(fam.b4, 4), Fraction(fam.c4, 4)
-        return 2 * (fam.a + b + c), b, fam.a, [1, 0, 0], Poly([1]), 1
-    coeffs = {j: c for _i, j, c in fam.monomials}
+    """The constants written out from F = y^a (-x)^b (y-x)^c P(x, y), where
+    each kind once had its own definitions: w, beta, the edge offset, rhs(m)
+    for m <= k + 2, phi0 and the sign's offset."""
+    b, c = Fraction(fam.b4, 4), Fraction(fam.c4, 4)
+    coeffs = {j: coeff for _i, j, coeff in fam.monomials}
     rhs = [coeffs.get(m, 0) for m in range(fam.k + 3)]
-    return 2 * fam.k, fam.k, 0, rhs, Poly(rhs[:fam.k + 1]), fam.k + 1
+    return (2 * (fam.a + b + c + fam.k), b + fam.k, fam.a, rhs, Poly(rhs[:fam.k + 1]),
+            fam.k + 1)
 
 
 class TestOneFormula:

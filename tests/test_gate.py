@@ -57,14 +57,16 @@ def test_scan(kind, m_max):
     assert thetares("scan", "--kind", kind, "--m-max", str(m_max), "--format", "json")[0] == 0
 
 
-@pytest.mark.parametrize("family", ["mult:0,0,2", "mult:1,0,0", "mult:3,2,6", RATIONAL_DEG2])
+@pytest.mark.parametrize("family", ["mult:0,0,2", "mult:1,0,0", "mult:3,2,6", RATIONAL_DEG2,
+                                    f"mult:1,3,5*{RATIONAL_DEG2}"])
 def test_residues_to_60(family):
     """The residue table by exact local jets to entry 60, exit 1 on any
     mismatch with the q-series oracle.  theta^2 takes about 0.3 s, against
-    about 2.4 s for the global prefix of entries.  The other three are the
+    about 2.4 s for the global prefix of entries.  Three more are the
     families where the weight, beta, edge, rhs and sign formulas once
     differed by kind: odd a (mult:1,0,0 and mult:3,2,6) and a degree-2 P
-    with rational coefficients (about 0.6 s each)."""
+    with rational coefficients (about 0.6 s each).  The last has both
+    parts: a theta part with odd a, 4b and 4c times that P."""
     code, _ = thetares("residues", "--family", family, "--m-max", "60", "--format", "json")
     assert code == 0
 

@@ -177,10 +177,17 @@ class TestCfCoeff:
         assert cf_coeff(THETA4, 3) == 32  # 8*sigma(3)
 
     def test_poly_family(self):
-        fam = Family.polynomial([(0, 1, 1)])
+        fam = Family(monomials=((0, 1, 1),))
         _, y = xy_series(16)
         assert cf_series(fam, 16) == y
         assert cf_coeff(fam, 1) == 16
+
+    def test_mixed_family(self):
+        # theta3^4 y = (y - x) y by Jacobi, and theta^2 (x + y) / 2
+        x, y = xy_series(16)
+        assert cf_series(parse_family("mult:0,0,4*poly:1:[(0,1,1)]"), 16) == (y - x) * y
+        half = parse_family("mult:0,0,2*poly:1:[(0,1,1/2),(1,0,1/2)]")
+        assert cf_series(half, 16) == theta_series(3, 16) ** 2 * (x + y) * Fraction(1, 2)
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
@@ -211,15 +218,14 @@ class TestCfCoeff:
 
 
 def direct_forms(family, phis, trunc):
-    """g_k = base * x^(k+head) * sum_i c_i u^i, each built from scratch
-    through u = y/x and its powers, not read off the x^a y^b table; g_{-1} = 0
-    is the last entry, so index -1 reads it."""
-    x, _ = xy_series(trunc)
+    """g_k = base * x^(k+head) * sum_i c_i u^i, with base = y^a theta4^(4b)
+    theta3^(4c) and head = k, each built from scratch through u = y/x and
+    its powers, not read off the x^a y^b table; g_{-1} = 0 is the last
+    entry, so index -1 reads it."""
+    x, y = xy_series(trunc)
     u = u_series(trunc)
-    if family.kind == "mult":
-        base, head = cf_series(family, trunc), 0
-    else:
-        base, head = QSeries.const(1, trunc), family.k
+    base = y**family.a * theta_series(4, trunc) ** family.b4 * theta_series(3, trunc) ** family.c4
+    head = family.k
     forms = []
     for k, phi in enumerate(phis):
         phi_u = QSeries.zero(trunc)
@@ -238,14 +244,15 @@ def direct_three_term_defect(family, phis, n, trunc):
             + x * y * Fraction(1, 4) * g[n - 1])
 
 
-# one of each admissible kind: weight 1/2, odd a, every b4/c4 parity,
-# rational and integral P of degree 1 and 2, and P = x, whose phi_0 is 1
+RATIONAL_DEG2 = "poly:2:[(2,0,1),(1,1,-3/5),(0,2,7)]"
+# one of each admissible shape: weight 1/2, odd a, every b4/c4 parity,
+# rational and integral P of degree 1 and 2, P = x, whose phi_0 is 1, and
+# theta parts times another rational degree-2 P
 ADMISSIBLE = [
     "mult:0,0,1", "mult:0,0,4", "mult:2,8,8", "mult:1,0,0", "mult:0,1,3",
-    "mult:1,4,4", "poly:1:[(1,0,1/3),(0,1,-2/7)]",
-    "poly:2:[(2,0,1),(1,1,-3/5),(0,2,7)]", "poly:1:[(1,0,1)]",
-]
-RATIONAL_DEG2 = "poly:2:[(2,0,1),(1,1,-3/5),(0,2,7)]"
+    "mult:1,4,4", "poly:1:[(1,0,1/3),(0,1,-2/7)]", RATIONAL_DEG2, "poly:1:[(1,0,1)]",
+] + [f"mult:{theta}*poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]"
+     for theta in ("1,0,4", "0,4,4", "2,8,8", "1,3,5")]
 
 
 class TestThreeTermDefect:
@@ -253,9 +260,10 @@ class TestThreeTermDefect:
     def test_relation_holds(self, text):
         assert checks.max_three_term_defect(parse_family(text), 6, 40) is None
 
-    @pytest.mark.parametrize("family", [Family.polynomial([(0, 1, 1)]), THETA2,
-                                        parse_family(RATIONAL_DEG2)],
-                             ids=["P=y", "theta^2", "rational-deg2"])
+    @pytest.mark.parametrize("family", [Family(monomials=((0, 1, 1),)), THETA2,
+                                        parse_family(RATIONAL_DEG2),
+                                        parse_family(f"mult:1,3,5*{RATIONAL_DEG2}")],
+                             ids=["P=y", "theta^2", "rational-deg2", "mixed"])
     def test_forms_equal_the_u_route(self, family):
         phis = upoly_sequence(family, 7)
         forms = [checks._form(family, phi, n + family.k, 30) for n, phi in enumerate(phis)]
@@ -263,7 +271,7 @@ class TestThreeTermDefect:
         if family == THETA2:
             assert not phis[1] and not forms[1]
 
-    @pytest.mark.parametrize("family", [Family.polynomial([(0, 1, 1)]), THETA2],
+    @pytest.mark.parametrize("family", [Family(monomials=((0, 1, 1),)), THETA2],
                              ids=["P=y", "theta^2"])
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_scaled_phi_is_caught(self, monkeypatch, family, k):
@@ -324,7 +332,7 @@ class TestXYTable:
             assert qseries.xy_form(p, d, 24) == x**d * p_u
         assert qseries.xy_form(Poly(), 2, 24) == QSeries.zero(24)
 
-    @pytest.mark.parametrize("family", [Family.polynomial([(0, 1, 1)]), THETA2,
+    @pytest.mark.parametrize("family", [Family(monomials=((0, 1, 1),)), THETA2,
                                         parse_family(RATIONAL_DEG2)],
                              ids=["P=y", "theta^2", "rational-deg2"])
     def test_xy_times_form_is_read_off_the_table(self, family):

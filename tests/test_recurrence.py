@@ -19,6 +19,7 @@ from thetares import (
     Poly,
     RatFunc,
     SeqState,
+    cf_coeff,
     check_perfect_odd,
     local_residue,
     local_residue_mod,
@@ -35,7 +36,17 @@ from thetares import (
     upoly_step,
 )
 
-P_EQ_Y = Family.polynomial([(0, 1, 1)], label="P=y")
+P_EQ_Y = Family(monomials=((0, 1, 1),), label="P=y")
+RATIONAL_DEG2 = "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]"
+# both parts non-trivial: every theta part with a <= 2, 4b in {0, 3, 6} and
+# 4c in {0, 4, 8} but 1, times P = x + y, y, x and a rational degree-2 P
+MIXED = [f"mult:{a},{b4},{c4}*{poly}" for a in range(3) for b4 in (0, 3, 6)
+         for c4 in (0, 4, 8) if a or b4 or c4
+         for poly in ("poly:1:[(0,1,1),(1,0,1)]", "poly:1:[(0,1,1)]", "poly:1:[(1,0,1)]",
+                      RATIONAL_DEG2)]
+# the mixed families whose resummation is checked here and whose three-term
+# relation test_qseries.py checks
+MIXED_DEEP = [f"mult:{theta}*{RATIONAL_DEG2}" for theta in ("1,0,4", "0,4,4", "2,8,8", "1,3,5")]
 # theta^2, theta, theta^4, 256*Delta, three more monomials and three P(x, y)
 U_SIDE_FAMILIES = [
     "mult:0,0,2", "mult:0,0,1", "mult:0,0,4", "mult:2,8,8",
@@ -285,12 +296,13 @@ class _Draws:
     """Stands in for random.SystemRandom: hands out the given draws in order."""
 
     def __init__(self, draws):
-        self.draws = draws
+        self.draws, self.ranges = draws, []
 
     def __call__(self):
         return self
 
-    def randrange(self, *_range):
+    def randrange(self, *range_):
+        self.ranges.append(range_)
         return self.draws.pop(0)
 
 
@@ -373,12 +385,13 @@ class TestPointCheck:
         assert draws == []
 
     def test_point_is_drawn_away_from_every_pole(self, monkeypatch):
-        # v0 = 1/2 mod p makes theta^2's factor (1 - 2v) vanish there
-        expected = rec_sequence(THETA2, 4).entries
-        draws = [P1, pow(2, -1, P1), self.V0]
-        monkeypatch.setattr(recurrence.random, "SystemRandom", _Draws(draws))
-        assert rec_sequence(THETA2, 4).entries == expected
-        assert draws == []
+        # 1/v0 is drawn past edge(m_max), so no factor (1 - edge(k) v) of an
+        # entry vanishes at v0; 256*Delta's edges run 2..6 to m = 4
+        expected = rec_sequence(DELTA256, 4).entries
+        draws = _Draws([P1, self.V0])
+        monkeypatch.setattr(recurrence.random, "SystemRandom", draws)
+        assert rec_sequence(DELTA256, 4).entries == expected
+        assert draws.ranges[1] == (DELTA256.edge(4) + 1, P1)
 
     def test_prime_is_drawn_away_from_every_denominator(self, monkeypatch):
         # a composite draw and then P1, the denominator of rhs_1, are passed
@@ -513,6 +526,32 @@ class TestResummation:
         matrix = resum_matrix(P_EQ_Y, 4, 8)
         for m in range(5):
             assert tuple(matrix[m]) == seq.entries[m].taylor(8)
+
+
+class TestMixedFamilies:
+    """F = y^a (-x)^b (y-x)^c P(x, y) with both parts non-trivial."""
+
+    def test_jet_residues_recover_the_oracle(self):
+        assert len(MIXED) == 104
+        for text in MIXED:
+            family = parse_family(text)
+            for m in range(1, 11):
+                recovered = family.recovered_from_residue(m, local_residue(family, m))
+                assert recovered == cf_coeff(family, family.edge(m)), (text, m)
+
+    def test_global_residues_equal_the_jet(self):
+        family = parse_family(f"mult:1,4,4*{RATIONAL_DEG2}")
+        seq = rec_sequence(family, 8)
+        for m in range(1, 9):
+            assert residue_report(seq, m).residue == local_residue(family, m)
+
+    @pytest.mark.parametrize("text", MIXED_DEEP)
+    def test_resummation_matches_taylor(self, text):
+        family = parse_family(text)
+        seq = rec_sequence(family, 5)
+        matrix = resum_matrix(family, 5, 10)
+        for m in range(6):
+            assert tuple(matrix[m]) == seq.entries[m].taylor(10)
 
 
 class TestResidueReport:

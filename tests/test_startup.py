@@ -89,7 +89,8 @@ class TestFamily:
     def test_other_families_differ(self):
         assert parse_family("mult:0,0,1") != THETA2
         assert parse_family("poly:2:[(0,2,1)]") != parse_family("poly:2:[(1,1,1)]")
-        assert THETA2 != (THETA2.kind, THETA2.a)
+        assert parse_family("mult:0,0,2*poly:1:[(0,1,1)]") != parse_family("poly:1:[(0,1,1)]")
+        assert THETA2 != (THETA2.a, THETA2.b4, THETA2.c4, THETA2.monomials, THETA2.k)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):

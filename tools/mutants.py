@@ -156,6 +156,28 @@ MUTANTS = [
            "return Fraction(self.b4 + 4 * self.k, 4)",
            "return Fraction(self.b4, 4)",
            ("tests/test_families.py",)),
+    Mutant("a mixed family's cache name drops its mult: part", "src/thetares/families.py",
+           'return "*".join(parts)',
+           "return parts[-1]",
+           ("tests/test_families.py",)),
+    Mutant("parse_family reads any script's digits in a mult: part",
+           "src/thetares/families.py",
+           "re.fullmatch(_MULT, parts[0], re.ASCII)",
+           "re.fullmatch(_MULT, parts[0])",
+           ("tests/test_families.py",)),
+    Mutant("parse_family reads any script's digits in a monomial",
+           "src/thetares/families.py",
+           "re.fullmatch(_MONO_LIST, poly[2], re.ASCII)",
+           "re.fullmatch(_MONO_LIST, poly[2])",
+           ("tests/test_families.py",)),
+    Mutant("the theta part dropped from cf_series", "src/thetares/qseries.py",
+           "return p if theta is None else theta * p",
+           "return p",
+           ("tests/test_qseries.py",)),
+    Mutant("the theta part dropped from _form", "src/thetares/checks.py",
+           "return g * theta if theta is not None and phi else g",
+           "return g",
+           ("tests/test_qseries.py",)),
     Mutant("expanded_den multiplies by (1 + j v)", "src/thetares/ratfunc.py",
            "out[i] -= j * out[i - 1]",
            "out[i] += j * out[i - 1]",
@@ -177,8 +199,8 @@ MUTANTS = [
            "rng.randrange(2**29 + 1, 2**30, 2)",
            ("tests/test_recurrence.py",)),
     Mutant("the drawn point may sit at a pole 1/j", "src/thetares/recurrence.py",
-           "while (pow(v0, -1, p) - family.edge(0)) % p <= m_max:",
-           "while False:",
+           "v0 = pow(rng.randrange(low, p), -1, p)",
+           "v0 = pow(rng.randrange(2, p), -1, p)",
            ("tests/test_recurrence.py",)),
     Mutant("the jet stencil adds A at c_{i-1}", "src/thetares/recurrence.py",
            "(pm1 - a) * cm1",
