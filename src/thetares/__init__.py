@@ -10,6 +10,7 @@ arithmetic and verified against an independent q-series oracle.
 
 __version__ = "0.1.0"
 
+# the public names: `from thetares import *` binds each of them
 from .backend import BACKEND
 from .families import DELTA256, THETA, THETA2, THETA4, Family, FamilyError, parse_family
 from .qseries import (
@@ -29,7 +30,7 @@ from .qseries import (
     u_series,
     xy_series,
 )
-from .rational import Poly, Rat
+from .rational import Poly
 from .ratfunc import HigherOrderPoleError, RatFunc
 from .recurrence import (
     RelationError,
@@ -48,48 +49,3 @@ from .recurrence import (
     upoly_sequence,
     upoly_step,
 )
-
-__all__ = [
-    "BACKEND",
-    "DEFAULT_TRUNC",
-    "DELTA256",
-    "Family",
-    "FamilyError",
-    "HigherOrderPoleError",
-    "OracleConsistencyError",
-    "Poly",
-    "QSeries",
-    "Rat",
-    "RatFunc",
-    "RelationError",
-    "ResidueReport",
-    "SeqState",
-    "THETA",
-    "THETA2",
-    "THETA4",
-    "TruncationError",
-    "cf_coeff",
-    "cf_series",
-    "check_perfect_odd",
-    "delta_series",
-    "dstar",
-    "local_residue",
-    "local_residue_mod",
-    "parse_family",
-    "r2_count",
-    "ramanujan_tau",
-    "rec_sequence",
-    "rec_step",
-    "residue_report",
-    "resum_matrix",
-    "scan_lehmer",
-    "scan_squares",
-    "scan_two_squares",
-    "sigma1",
-    "t_series",
-    "theta_series",
-    "u_series",
-    "upoly_sequence",
-    "upoly_step",
-    "xy_series",
-]

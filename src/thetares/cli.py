@@ -5,8 +5,9 @@ table against the q-series oracle), scan (two-squares / squares / lehmer
 / perfect-odd), verify (the named check suite), qseries-dump.
 
 Exit codes: 0 all checks pass, 1 theory/oracle mismatch, 2 usage or
-configuration error.  Output is deterministic: JSON is emitted with
-sorted keys and exact rational strings, never floats.
+configuration error, 3 internal error (a crash: its traceback goes to
+stderr, and nothing to stdout).  Output is deterministic: JSON is
+emitted with sorted keys and exact rational strings, never floats.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ CACHE_ENV = "THETARES_CACHE_DIR"
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _emit_json(payload) -> None:
@@ -359,6 +361,12 @@ def main(argv=None) -> int:
     except (RelationError, OracleConsistencyError) as exc:  # a failed self-check: no result
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except Exception as exc:  # a bug: neither a mismatch nor a usage error
+        import traceback  # only a crash needs it: a plain run skips its load
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

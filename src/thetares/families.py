@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .rational import Poly, Rat, _as_rat
+from .rational import Poly, _as_rat
 
 
 class FamilyError(ValueError):
@@ -88,12 +88,12 @@ class Family:
     # -- derived data ----------------------------------------------------------
 
     @property
-    def w(self) -> Rat:
+    def w(self) -> Fraction:
         """Weight: 2(a + b + c + k)."""
         return Fraction(4 * (self.a + self.k) + self.b4 + self.c4, 2)
 
     @property
-    def beta(self) -> Rat:
+    def beta(self) -> Fraction:
         """b + k, the constant in the (m - 1 - beta) term of the relation."""
         return Fraction(self.b4 + 4 * self.k, 4)
 
@@ -109,12 +109,12 @@ class Family:
             coeffs[j] = c
         return Poly(coeffs)
 
-    def rhs(self, m: int) -> Rat:
+    def rhs(self, m: int) -> Fraction:
         """Right-hand side of the m-th relation (after clearing the 1/v):
         [u^m] P(1, u), the m-th coefficient of `phi0`."""
         return next((c for _i, j, c in self.monomials if j == m), Fraction(0))
 
-    def recovered_from_residue(self, m: int, residue: Rat) -> Rat:
+    def recovered_from_residue(self, m: int, residue: Fraction) -> Fraction:
         """Invert the residue identity: the q-expansion coefficient of the
         family's form at the pole parameter, from the residue of entry m.
 

@@ -21,15 +21,7 @@ from operator import mul
 
 from . import backend
 from .families import Family
-from .rational import (
-    Poly,
-    Rat,
-    _as_rat,
-    canonical,
-    clear,
-    format_rationals,
-    power,
-)
+from .rational import Poly, _as_rat, canonical, clear, format_rationals
 
 DEFAULT_TRUNC = 128
 
@@ -90,7 +82,7 @@ class QSeries:
     def coeffs(self) -> tuple:
         return tuple(Fraction(c, self._den) for c in self._nums)
 
-    def coeff(self, n: int) -> Rat:
+    def coeff(self, n: int) -> Fraction:
         if not 0 <= n <= self.trunc:
             raise TruncationError(f"coefficient {n} beyond truncation {self.trunc}")
         return Fraction(self._nums[n], self._den)
@@ -127,7 +119,17 @@ class QSeries:
         return lincomb([(other, self)])
 
     def __pow__(self, e: int) -> "QSeries":
-        return power(self, e, QSeries.const(1, self.trunc))
+        """self**e by repeated squaring; the constant 1 only for e = 0."""
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("powers must be nonnegative integers")
+        out, base = None, self
+        while e:
+            if e & 1:
+                out = base if out is None else out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return QSeries.const(1, self.trunc) if out is None else out
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; needs a nonzero constant term."""
@@ -309,7 +311,7 @@ def cf_series(family: Family, trunc: int) -> QSeries:
     return p if theta is None else theta * p
 
 
-def cf_coeff(family: Family, n: int, trunc: int = DEFAULT_TRUNC) -> Rat:
+def cf_coeff(family: Family, n: int, trunc: int = DEFAULT_TRUNC) -> Fraction:
     """Coefficient of q^n in the family's form."""
     if n > trunc:
         raise TruncationError(f"coefficient {n} beyond truncation {trunc}")
@@ -344,31 +346,22 @@ def _r2_lattice(n: int) -> int:
     return lattice
 
 
+def _divisors(n: int) -> list:
+    """The positive divisors of n, each once."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 def _r2_divisor(n: int) -> int:
     """r2(n) = 4(d_1(n) - d_3(n)), the divisors of n that are 1 and 3 mod 4."""
-    divisor = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            for e in {d, n // d}:
-                rem = e % 4
-                if rem == 1:
-                    divisor += 1
-                elif rem == 3:
-                    divisor -= 1
-    return 4 * divisor
+    return 4 * sum((d % 4 == 1) - (d % 4 == 3) for d in _divisors(n))
 
 
 def sigma1(n: int) -> int:
     """Sum of the positive divisors."""
     if n < 1:
         raise ValueError("n must be positive")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d
-            if d != n // d:
-                total += n // d
-    return total
+    return sum(_divisors(n))
 
 
 def ramanujan_tau(n: int) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import backend
-from .rational import Poly, Rat
+from .rational import Poly
 
 
 def expanded_den(factors) -> list:
@@ -76,7 +76,7 @@ class RatFunc:
 
     # -- poles, residues, expansion -----------------------------------------
 
-    def residue(self, j: int) -> Rat:
+    def residue(self, j: int) -> Fraction:
         """Residue at v = 1/j; requires the pole there to be at most simple."""
         e = self.pole_order(j)
         if e == 0:
@@ -117,7 +117,7 @@ class RatFunc:
         }
 
     def __str__(self) -> str:
-        num = self._num.to_str()
+        num = str(self._num)
         if not self._den:
             return num
         den = "".join(

@@ -1,6 +1,6 @@
 """Exact rationals and dense univariate polynomial values over them.
 
-``Rat`` is the stdlib :class:`fractions.Fraction`, which already
+Rationals are the stdlib :class:`fractions.Fraction`, which already
 guarantees the canonical form everything here relies on: fully reduced,
 positive denominator, zero stored as 0/1.
 
@@ -17,9 +17,9 @@ shared positive denominator with gcd(content, denominator) = 1, so the
 hot operations (convolution, synthetic division, root tests) run on
 plain ints through :mod:`thetares.backend`.  This module owns that form:
 :func:`clear` puts values over one denominator and :func:`canonical`
-reduces it.  :func:`power`, repeated squaring, serves ``QSeries.__pow__``.
-A :class:`Poly` is a value with no arithmetic: the recurrences compute
-on its cleared integers through the kernels and build the result once.
+reduces it.  A :class:`Poly` is a value with no arithmetic: the
+recurrences compute on its cleared integers through the kernels and
+build the result once.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import backend
-
-Rat = Fraction
 
 
 def _as_rat(value) -> Fraction:
@@ -93,21 +91,6 @@ def canonical(nums, den: int) -> tuple:
     return tuple(nums), den
 
 
-def power(base, e: int, one):
-    """base**e by repeated squaring; ``one``, the unit, is returned for e = 0
-    and never multiplied."""
-    if not isinstance(e, int) or e < 0:
-        raise ValueError("powers must be nonnegative integers")
-    out = None
-    while e:
-        if e & 1:
-            out = base if out is None else out * base
-        e >>= 1
-        if e:
-            base = base * base
-    return one if out is None else out
-
-
 def _normalize(nums: list, den: int):
     """Trailing zeros stripped, then :func:`canonical`; the zero polynomial
     is ((), 1)."""
@@ -117,7 +100,7 @@ def _normalize(nums: list, den: int):
 
 
 class Poly:
-    """Dense univariate polynomial over Rat; index = exponent.
+    """Dense univariate polynomial over the rationals; index = exponent.
 
     An immutable value with no ring operations.  The stored coefficient
     list never has a trailing zero; the zero polynomial stores an empty
@@ -176,7 +159,7 @@ class Poly:
 
     # -- printing ----------------------------------------------------------
 
-    def to_str(self, var: str = "v") -> str:
+    def __str__(self) -> str:
         if not self._nums:
             return "0"
         parts = []
@@ -190,12 +173,9 @@ class Poly:
                 body = mag
             else:
                 head = "" if mag == "1" else mag
-                body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+                body = f"{head}v" if i == 1 else f"{head}v^{i}"
             parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
         return " ".join(parts)
 
-    def __str__(self) -> str:
-        return self.to_str()
-
     def __repr__(self) -> str:
-        return f"Poly('{self.to_str()}')"
+        return f"Poly('{self}')"

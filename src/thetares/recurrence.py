@@ -118,7 +118,7 @@ from operator import mul
 
 from . import backend
 from .families import DELTA256, THETA, THETA2, THETA4, Family
-from .rational import Poly, Rat
+from .rational import Poly
 from .ratfunc import RatFunc, expanded_den
 
 # the modulus of the scans' jets (`local_residue_mod`): the largest prime
@@ -143,17 +143,15 @@ def _edge_terms(factors: tuple):
 _ZERO = RatFunc(Poly())  # e_{-1} = 0, the entry before e_0
 
 
-def rec_step(family: Family, m: int, prev: RatFunc | None = None) -> RatFunc:
+def rec_step(family: Family, m: int, prev: RatFunc) -> RatFunc:
     """The m-th entry of the family's v-side sequence.
 
-    ``prev`` must be the (m-1)-th entry; for m = 0 it is e_{-1} = 0 and may
-    be left out.
+    ``prev`` must be the (m-1)-th entry; for m = 0 it is e_{-1} = 0.
     """
     if m < 0:
         raise ValueError("sequence index must be nonnegative")
-    if prev is None if m else prev:  # prev is e_{m-1}: absent, or e_{-1} = 0, at m = 0
-        raise ValueError(f"entry {m} needs entry {m - 1} (e_-1 = 0)")
-    prev = prev or _ZERO
+    if prev and not m:
+        raise ValueError(f"entry 0 needs e_-1 = 0, got {prev}")
     s = family.edge(m)
     if prev.factors and prev.factors[-1][0] >= s:
         raise ValueError(f"entry {m - 1} has no pole at v = 1/j, j >= {s}: {prev.factors}")
@@ -496,7 +494,7 @@ def _jet_values(family: Family, m: int, p: int, v0: int) -> list:
             for k, (f, den) in enumerate(_stencil(family, m, s, partial(_divide_mod, p)))]
 
 
-def local_residue(family: Family, m: int) -> Rat:
+def local_residue(family: Family, m: int) -> Fraction:
     """Res_{v=1/s} e_m, s = edge(m), from the local jet at v = 1/s: exact,
     and without the entry e_m itself (see the module docstring)."""
     num, den = _pole(family, m, _divide_exact)

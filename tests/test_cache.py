@@ -152,7 +152,7 @@ def test_distinct_families_do_not_collide(tmp_path):
 def test_interrupted_run_keeps_its_progress(tmp_path, monkeypatch):
     cache = SeqCache(tmp_path)
 
-    def step(family, m, prev=None):
+    def step(family, m, prev):
         if m == 3:
             raise RuntimeError("interrupted")
         return rec_step(family, m, prev)
@@ -316,7 +316,7 @@ def test_prefix_is_read_back_whole(tmp_path, monkeypatch, text):
     cache = SeqCache(tmp_path)
     cold = cached_sequence(family, 12, cache)
 
-    def step(family, m, prev=None):
+    def step(family, m, prev):
         raise AssertionError(f"entry {m} was recomputed")
 
     monkeypatch.setattr(recurrence, "rec_step", step)

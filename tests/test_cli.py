@@ -117,7 +117,7 @@ class TestCompute:
         # a step wrong by one coefficient from entry 3 on: the relation check
         # raises, and the CLI prints one error line and no entry, writes no
         # entry past 2, and exits 1
-        def wrong_step(family, m, prev=None):
+        def wrong_step(family, m, prev):
             entry = rec_step(family, m, prev)
             if m < 3:
                 return entry
@@ -521,6 +521,25 @@ def test_size_past_an_index_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("residues", "--family", "mult:0,0,2", "--m-max", "5"),
+    ("scan", "--kind", "lehmer", "--m-max", "5"),
+    ("verify", "--suite", "residues", "--m-max", "5"),
+])
+def test_crash_is_an_internal_error(capsys, monkeypatch, argv):
+    # a bug in the engine, here the jet dividing by zero, is neither a
+    # mismatch (exit 1) nor a usage error (exit 2): exit 3 and a traceback
+    def crash(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(recurrence, "_stencil", crash)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback") and "in crash" in err
+    assert [line for line in err.splitlines() if line.startswith("internal error:")] == [
+        "internal error: ZeroDivisionError: division by zero"]
 
 
 def test_compute_deterministic(capsys):

@@ -382,6 +382,16 @@ class TestOracles:
         assert sigma1(1) == 1
         assert sigma1(28) == 56  # perfect
 
+    def test_divisor_sums_match_trial_division(self):
+        # sigma1 and r2's divisor count read one divisor list; here each
+        # divisor is found by trying every d <= n
+        assert qseries._divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
+        for n in range(1, 301):
+            divisors = [d for d in range(1, n + 1) if n % d == 0]
+            assert sigma1(n) == sum(divisors)
+            assert qseries._r2_divisor(n) == 4 * sum((d % 4 == 1) - (d % 4 == 3)
+                                                     for d in divisors)
+
     def test_tau(self):
         assert ramanujan_tau(1) == 1
         assert ramanujan_tau(2) == -24

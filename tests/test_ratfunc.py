@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from conftest import rand_ratfunc
-from thetares import HigherOrderPoleError, Poly, RatFunc, backend
+from thetares import DELTA256, THETA2, HigherOrderPoleError, Poly, RatFunc, backend, rec_sequence
+from thetares.checks import _laurent_constant
 
 
 ONE = RatFunc(Poly([1]))
@@ -69,6 +71,49 @@ class TestPolesAndResidues:
             assert f.residue(j) != 0
             checked += 1
         assert checked > 100
+
+
+def _laurent_by_derivative(f: RatFunc, j: int) -> Fraction:
+    """The golden suite's former route to the Laurent constant at a simple
+    pole 1/j: -g'(1/j) / j for g = N / D~, D~ = prod_{k != j} (1 - k v)^e_k,
+    with g' = (N' + N sum_{k != j} e_k k / (1 - k v)) / D~ and every value at
+    1/j summed in Fraction."""
+    point = Fraction(1, j)
+    others = [(k, e) for k, e in f.factors if k != j]
+    dtilde = prod((1 - k * point) ** e for k, e in others)
+    log_deriv = sum(e * k / (1 - k * point) for k, e in others)
+    coeffs = f.num.coeffs
+    n_at = sum(c * point**i for i, c in enumerate(coeffs))
+    n_prime_at = sum(i * c * point ** (i - 1) for i, c in enumerate(coeffs) if i)
+    return -(n_prime_at + n_at * log_deriv) / dtilde / j
+
+
+class TestLaurentConstant:
+    """The constant term at a simple pole, as two residues over f's factors."""
+
+    def test_matches_the_derivative_route_at_every_simple_edge_pole(self):
+        checked = 0
+        for family, m_max in ((THETA2, 20), (DELTA256, 16)):
+            seq = rec_sequence(family, m_max)
+            for m in range(1, m_max + 1):
+                entry, s = seq.entries[m], family.edge(m)
+                if entry.pole_order(s) == 1:
+                    assert _laurent_constant(entry, s) == _laurent_by_derivative(entry, s)
+                    checked += 1
+        # r2(n) > 0 at 12 of n = 1..20; 256 Delta has poles at the even edges 4..18
+        assert checked == 12 + 8
+        assert _laurent_constant(seq.entries[4], 6) == Fraction(-2241, 16384)  # R4
+
+    def test_matches_the_derivative_route_on_random_values(self):
+        rng = random.Random(1618)
+        checked = 0
+        for _ in range(200):
+            f = rand_ratfunc(rng)
+            for j, e in f.factors:
+                if e == 1:
+                    assert _laurent_constant(f, j) == _laurent_by_derivative(f, j)
+                    checked += 1
+        assert checked > 50
 
 
 class TestTaylor:

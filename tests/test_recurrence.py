@@ -36,6 +36,7 @@ from thetares import (
     upoly_step,
 )
 
+ZERO = RatFunc(Poly())  # e_{-1} = 0, the entry rec_step takes before e_0
 P_EQ_Y = Family(monomials=((0, 1, 1),), label="P=y")
 RATIONAL_DEG2 = "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]"
 # both parts non-trivial: every theta part with a <= 2, 4b in {0, 3, 6} and
@@ -68,31 +69,33 @@ def delta_seq():
 
 class TestRecStep:
     def test_theta2_initial(self):
-        assert rec_step(THETA2, 0) == RatFunc(Poly([1]))
+        assert rec_step(THETA2, 0, ZERO) == RatFunc(Poly([1]))
 
     def test_theta2_first(self):
-        prev = rec_step(THETA2, 0)
+        prev = rec_step(THETA2, 0, ZERO)
         expect = RatFunc(Poly([0, 0, Fraction(-1, 4)]), [(1, 1)])
         assert rec_step(THETA2, 1, prev) == expect
 
     def test_delta_initial(self):
-        assert rec_step(DELTA256, 0) == RatFunc(Poly([1]), [(2, 1)])
+        assert rec_step(DELTA256, 0, ZERO) == RatFunc(Poly([1]), [(2, 1)])
 
     def test_poly_family_initial_is_constant(self):
         # for P = y the zeroth coefficient of P(1, u) vanishes
-        assert rec_step(P_EQ_Y, 0) == RatFunc(Poly())
+        assert rec_step(P_EQ_Y, 0, ZERO) == RatFunc(Poly())
 
     def test_poly_family_first(self):
-        h1 = rec_step(P_EQ_Y, 1, rec_step(P_EQ_Y, 0))
+        h1 = rec_step(P_EQ_Y, 1, rec_step(P_EQ_Y, 0, ZERO))
         assert h1 == RatFunc(Poly([1]), [(1, 1)])
 
     def test_usage_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             rec_step(THETA2, 1)  # missing previous entry
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
+            rec_step(THETA2, 0)  # e_-1 = 0 is passed like any other entry
+        with pytest.raises(ValueError, match="entry 0 needs e_-1 = 0"):
             rec_step(THETA2, 0, RatFunc(Poly([1])))  # spurious previous entry
         with pytest.raises(ValueError):
-            rec_step(THETA2, -1)
+            rec_step(THETA2, -1, ZERO)
 
     def test_previous_entry_with_a_pole_at_or_past_the_edge_is_refused(self):
         # entry 2 has poles only at v = 1/1 and 1/2; one at 1/3 would
@@ -172,7 +175,7 @@ class TestFourProductStep:
         rhs_over_factors = set()
         for text in STEP_FAMILIES:
             family = parse_family(text)
-            prev = RatFunc(Poly())  # e_{-1} = 0
+            prev = ZERO
             for m in range(17):
                 expect = _five_product_step(family, m, prev)
                 assert rec_step(family, m, prev) == expect, (text, m)
@@ -193,7 +196,7 @@ class TestFourProductStep:
 
         monkeypatch.setattr(backend, "conv", counted)
         for family in (THETA2, DELTA256):
-            prev = rec_step(family, 0)
+            prev = rec_step(family, 0, ZERO)
             for m in range(1, 13):
                 assert family.rhs(m) == 0
                 calls.clear()
@@ -377,7 +380,7 @@ class TestPointCheck:
         cache = SeqCache(tmp_path)
         cold = rec_sequence(DELTA256, 12, cache)
 
-        def step(family, m, prev=None):
+        def step(family, m, prev):
             raise AssertionError(f"entry {m} was recomputed")
 
         monkeypatch.setattr(recurrence, "rec_step", step)
@@ -580,7 +583,7 @@ class TestResidueReport:
         assert len(seq.entries) == 3
 
     def test_double_edge_pole_has_no_residue(self):
-        seq = SeqState(THETA2, [rec_step(THETA2, 0), RatFunc(Poly([1]), [(1, 2)])])
+        seq = SeqState(THETA2, [rec_step(THETA2, 0, ZERO), RatFunc(Poly([1]), [(1, 2)])])
         with pytest.raises(HigherOrderPoleError, match="order 2 at v = 1/1"):
             residue_report(seq, 1)
 
@@ -699,7 +702,8 @@ class TestLocalJets:
             assert recurrence._has_pole(family, m)
 
     def test_initial_entry(self):
-        assert local_residue(DELTA256, 0) == rec_step(DELTA256, 0).residue(2) == Fraction(-1, 2)
+        e0 = rec_step(DELTA256, 0, ZERO)
+        assert local_residue(DELTA256, 0) == e0.residue(2) == Fraction(-1, 2)
         with pytest.raises(ValueError):
             local_residue(THETA2, 0)  # a = 0: entry 0 has no pole
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Start-up contract: what `import thetares.cli` loads, and the plain
-`Family` class that replaced the dataclass."""
+"""Start-up contract: what `from thetares import *` binds, what
+`import thetares.cli` loads, and the plain `Family` class that replaced
+the dataclass."""
 
 import json
 import os
@@ -19,6 +20,29 @@ PARSER = {"argparse", "gettext", "locale"}
 # modules a CLI run must not pay for at import: dataclasses pulls in inspect
 # (and ast, dis, tokenize), csv serves one output format, hashlib only the cache
 FORBIDDEN = {"dataclasses", "inspect", "csv", "hashlib", "typing"} | PARSER
+
+# the public names the README's Library section lists, then the rest of the
+# names the package's top-level imports make public
+README_NAMES = {
+    "Family", "HigherOrderPoleError", "OracleConsistencyError", "Poly", "QSeries",
+    "RatFunc", "RelationError", "SeqState", "THETA2", "cf_coeff", "local_residue",
+    "local_residue_mod", "r2_count", "ramanujan_tau", "rec_sequence", "rec_step",
+    "residue_report", "resum_matrix", "sigma1", "upoly_sequence", "upoly_step",
+}
+OTHER_NAMES = {
+    "BACKEND", "DEFAULT_TRUNC", "DELTA256", "FamilyError", "ResidueReport", "THETA",
+    "THETA4", "TruncationError", "cf_series", "check_perfect_odd", "delta_series",
+    "dstar", "parse_family", "scan_lehmer", "scan_squares", "scan_two_squares",
+    "t_series", "theta_series", "u_series", "xy_series",
+}
+
+
+def test_star_import_binds_every_public_name():
+    bound = {}
+    exec("from thetares import *", bound)
+    assert README_NAMES | OTHER_NAMES <= bound.keys()
+    assert "Rat" not in bound  # rationals are Fraction, under no second name
+
 
 _PROBE = """
 import json, sys

@@ -38,6 +38,10 @@ MUTANTS = [
            "terms.append((Fraction(1, 4), _form(",
            "terms.append((0, _form(",
            ("tests/test_qseries.py",)),
+    Mutant("the Laurent constant without its log-derivative term", "src/thetares/checks.py",
+           "return n_prime.residue(j) + f.residue(j) * log_deriv",
+           "return n_prime.residue(j)",
+           ("tests/test_cli.py",)),
     Mutant("D* in the three-term defect at weight w, not w + 2n", "src/thetares/checks.py",
            "dstar_terms(g, w + 2 * n)",
            "dstar_terms(g, w)",
@@ -60,6 +64,10 @@ MUTANTS = [
            "    print(f\"suite {args.suite}: {'PASS' if passed else 'FAIL'}\")\n"
            "    return EXIT_OK",
            ("tests/test_cli.py",)),
+    Mutant("the divisor list leaves out n // d", "src/thetares/qseries.py",
+           "return small + [n // d for d in reversed(small) if d * d != n]",
+           "return small",
+           ("tests/test_qseries.py",)),
     Mutant("r2_count's lattice-versus-divisor self-check switched off",
            "src/thetares/qseries.py",
            "    if lattice != divisor:",
@@ -218,9 +226,18 @@ MUTANTS = [
            "return bool(local_residue_mod(family, m) or local_residue(family, m))",
            "return bool(local_residue_mod(family, m))",
            ("tests/test_recurrence.py",)),
-    Mutant("an oracle failing its self-check ends in a traceback", "src/thetares/cli.py",
+    Mutant("an oracle failing its self-check is an internal error", "src/thetares/cli.py",
            "except (RelationError, OracleConsistencyError) as exc:",
            "except RelationError as exc:",
+           ("tests/test_cli.py",)),
+    Mutant("a crash escapes main and exits 1, the code for a mismatch", "src/thetares/cli.py",
+           "    except Exception as exc:  # a bug: neither a mismatch nor a usage error\n"
+           "        import traceback  # only a crash needs it: a plain run skips its load\n"
+           "\n"
+           "        traceback.print_exc()\n"
+           '        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)\n'
+           "        return EXIT_INTERNAL\n",
+           "",
            ("tests/test_cli.py",)),
     Mutant("the plain parser takes a repeated flag", "src/thetares/cli.py",
            "if kwargs is None or flag in given:",
