@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # the public names: `from thetares import *` binds each of them
 from .backend import BACKEND
-from .families import DELTA256, THETA, THETA2, THETA4, Family, FamilyError, parse_family
+from .families import DELTA256, THETA, THETA2, THETA4, Family, FamilyError, UsageError, parse_family
 from .qseries import (
     DEFAULT_TRUNC,
     OracleConsistencyError,

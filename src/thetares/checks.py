@@ -4,8 +4,9 @@ Four suites: golden values (the two worked sequence entries with their
 published numerator/denominator and residues), q-series identities,
 resummation equivalence between the u-side and v-side computations, and
 residue-vs-coefficient tables.  Each check is exact; a suite passes only
-if every check does.  The identities suite's three-term check reads every
-form of both its families off one shared table of x^a y^b.
+if every check does.  The identities suite's three-term check builds every
+form of both its families with qseries.theta_form, off one shared table of
+x^a y^b.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .qseries import (
     r2_count,
     ramanujan_tau,
     t_series,
-    theta_part,
+    theta_form,
     theta_series,
-    xy_form,
     xy_series,
 )
 from .ratfunc import RatFunc, expanded_den
@@ -177,35 +177,23 @@ def identities_suite(jacobi_trunc: int = 128, identity_trunc: int = 64,
 
 
 def max_three_term_defect(family: Family, n_max: int, trunc: int) -> QSeries | None:
-    """First nonzero defect of (n+1)(n+w) g_{n+1} + 2 D* g_n + xy g_{n-1}/4 (g_n as in
-    :func:`_form`), one sum each; None when it holds for all n <= n_max."""
+    """First nonzero defect of (n+1)(n+w) g_{n+1} + 2 D* g_n + xy g_{n-1}/4, one
+    sum each; None when it holds for all n <= n_max.  g_n, of weight w + 2n, is
+    :func:`theta_form` at phi_n and d = n + head (head = k, so g_0 = F; deg phi_n
+    <= n + head, as each step adds at most one).  theta^2's phi_1 is zero."""
     phis = upoly_sequence(family, n_max + 1)
     w, head = family.w, family.k
-    g_next = _form(family, phis[0], head, trunc)
+    g_next = theta_form(family, phis[0], head, trunc)
     for n in range(n_max + 1):
-        g, g_next = g_next, _form(family, phis[n + 1], n + 1 + head, trunc)
+        g, g_next = g_next, theta_form(family, phis[n + 1], n + 1 + head, trunc)
         terms = [((n + 1) * (n + w), g_next)] + [(2 * c, s) for c, s in dstar_terms(g, w + 2 * n)]
-        if n and phis[n - 1]:  # xy g_{n-1} = base x^(n+head+1) (u phi_{n-1})(y/x); g_{-1} = 0
+        if n and phis[n - 1]:  # xy g_{n-1} = theta x^(n+head+1) (u phi_{n-1})(y/x); g_{-1} = 0
             u_phi = Poly.from_cleared((0,) + phis[n - 1].int_coeffs, phis[n - 1].int_den)
-            terms.append((Fraction(1, 4), _form(family, u_phi, n + head + 1, trunc)))
+            terms.append((Fraction(1, 4), theta_form(family, u_phi, n + head + 1, trunc)))
         defect = lincomb(terms)
         if defect:
             return defect
     return None
-
-
-def _form(family: Family, phi: Poly, d: int, trunc: int) -> QSeries:
-    """base x^d phi(y/x): one table combination, times the family's theta part.
-
-    With phi = phi_n and d = n + head this is the weight-(w+2n) form g_n of
-    the three-term relation: head = k, the degree of P, and base is the
-    :func:`theta_part` y^a theta4^(4b) theta3^(4c) (1 for a = b = c = 0), so
-    g_0 = base P(x, y) = F.  deg phi_n <= n + head (phi_0 = P(1, u) has
-    degree at most k, each step adds at most one), so each form is read off
-    the x^a y^b table of :func:`xy_form`; theta^2's phi_1 is zero."""
-    g = xy_form(phi, d, trunc)
-    theta = theta_part(family.a, family.b4, family.c4, trunc)
-    return g * theta if theta is not None and phi else g
 
 
 RESUM_FAMILIES = (THETA2, DELTA256)

@@ -4,10 +4,11 @@ Subcommands: compute (sequence entries as JSON), residues (pole/residue
 table against the q-series oracle), scan (two-squares / squares / lehmer
 / perfect-odd), verify (the named check suite), qseries-dump.
 
-Exit codes: 0 all checks pass, 1 theory/oracle mismatch, 2 usage or
-configuration error, 3 internal error (a crash: its traceback goes to
-stderr, and nothing to stdout).  Output is deterministic: JSON is
-emitted with sorted keys and exact rational strings, never floats.
+Exit codes: 0 all checks pass, 1 theory/oracle mismatch, 2 usage error (a
+UsageError, a size of 2^60 or more among them, or argparse's), 3 internal
+error (any other exception, a bug: traceback to stderr, nothing to
+stdout).  Output is deterministic: JSON is emitted with sorted keys and
+exact rational strings, never floats.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 
 from .cache import SeqCache
 from .checks import SUITES
-from .families import DELTA256, parse_family
+from .families import DELTA256, UsageError, parse_family
 from .qseries import (
     DEFAULT_TRUNC,
     OracleConsistencyError,
@@ -67,19 +68,27 @@ def _emit_csv(header, rows) -> None:
                      for row in rows)
 
 
+def _check_size(flag: str, value: int, low: int, reach: int) -> None:
+    """Refuse a flag's value below low, or one that reaches a truncation or
+    pole parameter of 2^60 or more: no list that long fits, no scan ends."""
+    if value < low:
+        raise UsageError(f"{flag} must be at least {low}")
+    if reach >= 2**60:
+        raise UsageError(f"{flag} {value} reaches size {reach}, not below 2^60")
+
+
 # -- compute ---------------------------------------------------------------
 
 
 def cmd_compute(args) -> int:
     family = parse_family(args.family)
-    if args.m_max < 0:
-        raise ValueError("--m-max must be nonnegative")
+    _check_size("--m-max", args.m_max, 0, family.edge(args.m_max))
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     try:
         cache = SeqCache(Path(cache_dir)) if cache_dir else None
         seq = rec_sequence(family, args.m_max, cache)
     except OSError as exc:  # a regular file in the way, no permission, a full disk, ...
-        raise ValueError(f"unusable cache directory {cache_dir!r}: {exc.strerror}") from None
+        raise UsageError(f"unusable cache directory {cache_dir!r}: {exc.strerror}") from None
     if args.format == "json":
         rows = [{"m": m, **entry.to_json_dict()} for m, entry in enumerate(seq.entries)]
         _emit_json({"family": family.canonical(), "entries": rows})
@@ -98,10 +107,9 @@ def cmd_compute(args) -> int:
 
 def cmd_residues(args) -> int:
     family = parse_family(args.family)
-    if args.m_max < 1:
-        raise ValueError("--m-max must be at least 1")
+    _check_size("--m-max", args.m_max, 1, family.edge(args.m_max))
     if args.normalize_delta and family != DELTA256:
-        raise ValueError("--normalize-delta only applies to the 256*Delta family mult:2,8,8")
+        raise UsageError("--normalize-delta only applies to the 256*Delta family mult:2,8,8")
     norm = 256 if args.normalize_delta else 1
     # coefficient n of a q-series is exact at any truncation >= n, so the
     # oracle only has to reach the last pole parameter read
@@ -154,9 +162,8 @@ _SET_SCANS = {
 
 
 def cmd_scan(args) -> int:
-    if args.m_max < 1:
-        raise ValueError("--m-max must be at least 1")
     kind, m = args.kind, args.m_max
+    _check_size("--m-max", m, 1, DELTA256.edge(2 * m) if kind == "lehmer" else m)
     payload = {"kind": kind, "m_max": m}
 
     if kind in _SET_SCANS:
@@ -202,9 +209,8 @@ def cmd_verify(args) -> int:
     kwargs = {}
     if args.m_max is not None:
         if args.suite != "residues":
-            raise ValueError("--m-max only applies to --suite residues")
-        if args.m_max < 1:
-            raise ValueError("--m-max must be at least 1")
+            raise UsageError("--m-max only applies to --suite residues")
+        _check_size("--m-max", args.m_max, 1, args.m_max)
         kwargs = {"theta2_max": args.m_max}
     results = SUITES[args.suite](**kwargs)
     passed = all(r.passed for r in results)
@@ -241,6 +247,7 @@ _SERIES = {
 
 
 def cmd_qseries_dump(args) -> int:
+    _check_size("--trunc", args.trunc, 2 if args.series == "delta" else 0, args.trunc)
     if args.series:
         qs = _SERIES[args.series](args.trunc)
     else:
@@ -355,7 +362,7 @@ def main(argv=None) -> int:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.run(args)
-    except (ValueError, OverflowError) as exc:  # FamilyError, bad parameters, sizes past an index
+    except UsageError as exc:  # FamilyError and the commands' own checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RelationError, OracleConsistencyError) as exc:  # a failed self-check: no result

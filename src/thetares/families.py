@@ -20,7 +20,11 @@ from fractions import Fraction
 from .rational import Poly, _as_rat
 
 
-class FamilyError(ValueError):
+class UsageError(ValueError):
+    """A parameter the caller gave that the program refuses: exit 2 in the CLI."""
+
+
+class FamilyError(UsageError):
     """Family parameters outside the admissible shape."""
 
 
@@ -163,18 +167,19 @@ def parse_family(text: str) -> Family:
     # one part matches one of the two, two parts must match both
     if bool(mult) + bool(poly) != len(parts):
         raise FamilyError(f"malformed family string {text!r}")
-    a, b4, c4 = (int(g) for g in mult.groups()) if mult else (0, 0, 0)
-    mons = [(0, 0, 1)]
-    if poly:
-        if not re.fullmatch(_MONO_LIST, poly[2], re.ASCII):
-            raise FamilyError(f"malformed polynomial in family {text!r}")
-        try:
-            mons = [(int(i), int(j), Fraction(c)) for i, j, c in re.findall(_MONO, poly[2])]
-        except ZeroDivisionError:
-            raise FamilyError(f"zero denominator in family {text!r}") from None
+    if poly and not re.fullmatch(_MONO_LIST, poly[2], re.ASCII):
+        raise FamilyError(f"malformed polynomial in family {text!r}")
+    try:
+        a, b4, c4 = (int(g) for g in mult.groups()) if mult else (0, 0, 0)
+        k, found = (int(poly[1]), re.findall(_MONO, poly[2])) if poly else (0, [(0, 0, 1)])
+        mons = [(int(i), int(j), Fraction(c)) for i, j, c in found]
+    except ZeroDivisionError:
+        raise FamilyError(f"zero denominator in family {text!r}") from None
+    except ValueError:  # the only one int() raises on ASCII digits
+        raise FamilyError(f"a number past int()'s digit limit in family {text!r}") from None
     family = Family(a, Fraction(b4, 4), Fraction(c4, 4), mons)
-    if poly and family.k != int(poly[1]):
-        raise FamilyError(f"declared degree {poly[1]} but monomials have degree {family.k}")
+    if family.k != k:
+        raise FamilyError(f"declared degree {k} but monomials have degree {family.k}")
     return family
 
 

@@ -1,12 +1,12 @@
 """Truncated q-expansions (q = e^(pi*i*tau)) and elementary oracles.
 
-This is the independent verification side of the package: theta
-constants, the weight-2 generators x and y and the table of x^a y^b, the
-logarithmic half-derivative t, the weight-raising operator D*, the
-discriminant from its product expansion, and the arithmetic functions
-r2, sigma, tau.  The discriminant is built from the pentagonal-number
-series, not from x and y, so the identity Delta = x^2 y^2 (y-x)^2 / 256
-is a genuine cross-check between unrelated constructions.
+This is the independent verification side of the package: theta constants,
+the weight-2 generators x and y, the x^a y^b table and the forms (theta
+part) x^d phi(y/x) read off it, the logarithmic half-derivative t, the
+weight-raising operator D*, the discriminant from its product expansion, and
+the arithmetic functions r2, sigma, tau.  The discriminant is built from the
+pentagonal-number series, not from x and y, so the identity Delta = x^2 y^2
+(y-x)^2 / 256 is a genuine cross-check between unrelated constructions.
 
 Convention: the coefficient index is the exponent of q = e^(pi*i*tau),
 so the discriminant occupies even indices only and tau(n) sits at 2n.
@@ -189,8 +189,6 @@ def xy_series(trunc: int):
     """The weight-2 generators: x = -theta4^4 and
     y = 16 q (sum_{n>=0} q^(n^2+n))^4."""
     x = -(theta_series(4, trunc) ** 4)
-    if trunc == 0:
-        return x, QSeries.zero(0)
     nums = [0] * trunc
     n = 0
     while n * n + n <= trunc - 1:
@@ -292,7 +290,7 @@ def theta_part(a: int, b4: int, c4: int, trunc: int) -> QSeries | None:
     integral exponents 4b and 4c); None when a = 4b = 4c = 0."""
     powers = []
     if a:
-        powers.append(xy_series(trunc)[1] ** a)
+        powers.append(xy_monomial(0, a, trunc))
     if b4:
         powers.append(theta_series(4, trunc) ** b4)
     if c4:
@@ -300,21 +298,23 @@ def theta_part(a: int, b4: int, c4: int, trunc: int) -> QSeries | None:
     return reduce(mul, powers) if powers else None
 
 
+def theta_form(family: Family, phi: Poly, d: int, trunc: int) -> QSeries:
+    """The family's :func:`theta_part` times x^d phi(y/x) off the x^a y^b table,
+    with no product when either is 1 (no theta part, phi = 0, or phi = 1, d = 0)."""
+    theta = theta_part(family.a, family.b4, family.c4, trunc)
+    if theta is None or not phi:
+        return xy_form(phi, d, trunc)
+    return theta if not d and phi.coeffs == (1,) else theta * xy_form(phi, d, trunc)
+
+
 @lru_cache(maxsize=None)
 def cf_series(family: Family, trunc: int) -> QSeries:
-    """q-expansion of the family's form: its theta part times P(x, y) off
-    the x^a y^b table, with no product when either part is 1."""
-    theta = theta_part(family.a, family.b4, family.c4, trunc)
-    if family.monomials == ((0, 0, 1),):
-        return theta
-    p = lincomb([(c, xy_monomial(i, j, trunc)) for i, j, c in family.monomials])
-    return p if theta is None else theta * p
+    """q-expansion of the family's form: :func:`theta_form` at P(1, u), d = k."""
+    return theta_form(family, family.phi0(), family.k, trunc)
 
 
 def cf_coeff(family: Family, n: int, trunc: int = DEFAULT_TRUNC) -> Fraction:
-    """Coefficient of q^n in the family's form."""
-    if n > trunc:
-        raise TruncationError(f"coefficient {n} beyond truncation {trunc}")
+    """Coefficient of q^n in the family's form; TruncationError past trunc."""
     return cf_series(family, trunc).coeff(n)
 
 

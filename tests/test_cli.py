@@ -15,6 +15,7 @@ from thetares import (
     Poly,
     RatFunc,
     RelationError,
+    UsageError,
     parse_family,
     rec_sequence,
     rec_step,
@@ -516,11 +517,70 @@ class TestQSeriesDump:
     ("compute", "--family", "mult:0,0,2", "--m-max", str(10**20)),
 ])
 def test_size_past_an_index_is_a_usage_error(capsys, argv):
-    # [0] * (trunc + 1) raises OverflowError, and compute's m_max reaches past
-    # the prime its point is drawn mod; exit 1 would read as a mismatch
+    # each reaches a size of 2^60 or more, which the command refuses before
+    # it runs; exit 1 would read as a mismatch
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--kind", "lehmer", "--m-max", str(10**20)),
+    ("scan", "--kind", "two-squares", "--m-max", str(10**20)),
+    ("compute", "--family", f"mult:{2**61},0,0"),
+    # the largest pole parameter, not --m-max alone, meets the bound: 2m + 2
+    # for lehmer, m + a for a family
+    ("scan", "--kind", "lehmer", "--m-max", str(2**59 - 1)),
+    ("compute", "--family", f"mult:{2**59},0,0", "--m-max", str(2**59)),
+    ("residues", "--family", f"mult:{2**60 - 1},0,0", "--m-max", "1"),
+    ("verify", "--suite", "residues", "--m-max", str(2**60)),
+    ("qseries-dump", "--family", "mult:0,0,2", "--trunc", str(2**60)),
+])
+def test_size_bound_is_a_usage_error(capsys, monkeypatch, argv):
+    # refused at once: the engine never runs, where a scan this long would
+    # not end and a list this long would not fit
+    def refuse(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(recurrence, "_stencil", refuse)
+    monkeypatch.setattr(recurrence, "rec_step", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("not below 2^60\n")
+
+
+def test_size_bound_is_2_to_the_60():
+    cli._check_size("--trunc", 2**60 - 1, 0, 2**60 - 1)
+    with pytest.raises(UsageError, match=r"^--m-max 3 reaches size 1152921504606846976, "):
+        cli._check_size("--m-max", 3, 1, 2**60)
+
+
+@pytest.mark.parametrize("trunc", [0, 1])
+def test_delta_below_q2_is_a_usage_error(capsys, trunc):
+    # the discriminant starts at q^2: the command refuses, not delta_series
+    code, out, err = run_cli(capsys, "qseries-dump", "--series", "delta", "--trunc", str(trunc))
+    assert (code, out, err) == (2, "", "error: --trunc must be at least 2\n")
+
+
+def test_oracle_truncation_one_short_is_an_internal_error(capsys, monkeypatch):
+    # a TruncationError is a ValueError, but a program bug: exit 3, not 2
+    monkeypatch.setattr(cli, "cf_coeff", lambda family, n, trunc: cf_coeff(family, n, trunc - 1))
+    code, out, err = run_cli(capsys, "residues", "--family", "mult:0,0,2", "--m-max", "5")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback")
+    assert err.endswith("internal error: TruncationError: coefficient 5 beyond truncation 4\n")
+
+
+def test_value_error_from_rec_step_is_an_internal_error(capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("entry 1 has no pole at v = 1/j, j >= 2: ()")
+
+    monkeypatch.delenv("THETARES_CACHE_DIR", raising=False)
+    monkeypatch.setattr(recurrence, "rec_step", broken)
+    code, out, err = run_cli(capsys, "compute", "--family", "mult:0,0,2", "--m-max", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback") and "in broken" in err
+    assert err.endswith("internal error: ValueError: entry 1 has no pole at v = 1/j, j >= 2: ()\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,12 @@
 """Family construction, validation and canonical strings."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from thetares import DELTA256, THETA, THETA2, THETA4, Family, FamilyError, Poly, parse_family
+from thetares import (DELTA256, THETA, THETA2, THETA4, Family, FamilyError, Poly, UsageError,
+                      parse_family)
 from thetares.recurrence import upoly_sequence
 
 
@@ -126,6 +128,17 @@ class TestCanonicalStrings:
         for bad in bad_strings:
             with pytest.raises(FamilyError):
                 parse_family(bad)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python's int() has no digit limit")
+    @pytest.mark.parametrize("spelling", ["mult:{},0,0", "poly:{}:[(0,1,1)]",
+                                          "poly:1:[(0,{},1)]", "poly:1:[(0,1,-1/{})]"])
+    def test_number_past_the_digit_limit_is_a_family_error(self, spelling):
+        # int() raises a plain ValueError there, which is not a usage error
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(FamilyError, match="digit limit"):
+            parse_family(spelling.format(digits))
+        assert issubclass(FamilyError, UsageError)
 
 
 class TestWeights:

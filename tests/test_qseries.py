@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -63,6 +65,11 @@ class TestXY:
     def test_jacobi_identity_small(self):
         x, y = xy_series(8)
         assert theta_series(3, 8) ** 4 == y - x
+
+    def test_constant_window(self):
+        # y = 16 q (...)^4 has no constant term: the general path gives 0
+        x, y = xy_series(0)
+        assert x.coeffs == (-1,) and y.coeffs == (0,)
 
 
 class TestArithmetic:
@@ -193,6 +200,12 @@ class TestCfCoeff:
         with pytest.raises(TruncationError):
             cf_coeff(THETA2, 10, trunc=5)
 
+    @pytest.mark.parametrize("n", [6, -1])
+    def test_truncation_message(self, n):
+        # QSeries.coeff is the one check, past trunc and below 0 alike
+        with pytest.raises(TruncationError, match=rf"^coefficient {n} beyond truncation 5$"):
+            cf_coeff(THETA2, n, trunc=5)
+
     def test_matches_r2_oracle(self):
         series = cf_series(THETA2, 40)
         for n in range(1, 41):
@@ -215,6 +228,40 @@ class TestCfCoeff:
                             lambda a, b, n: calls.append(n) or conv_trunc(a, b, n))
         cf_series(family, trunc)
         assert len(calls) == products
+
+    def test_equals_the_old_route(self):
+        assert len(OLD_ROUTE_FAMILIES) == 168
+        for text in OLD_ROUTE_FAMILIES:  # equal (nums, den), as QSeries compares
+            family = parse_family(text)
+            assert cf_series(family, 40) == old_route(family, 40), text
+
+
+def old_route(family, trunc):
+    """The family's form as cf_series built it before theta_form: the theta
+    part, as plain powers, times one combination of P's monomials off the
+    x^a y^b table, with no product when either part is 1."""
+    _, y = xy_series(trunc)
+    powers = [s**e for s, e in ((y, family.a), (theta_series(4, trunc), family.b4),
+                                (theta_series(3, trunc), family.c4)) if e]
+    theta = reduce(mul, powers) if powers else None
+    if family.monomials == ((0, 0, 1),):
+        return theta
+    p = qseries.lincomb([(c, qseries.xy_monomial(i, j, trunc)) for i, j, c in family.monomials])
+    return p if theta is None else theta * p
+
+
+# the 104 mixed families of test_recurrence.py, their four P alone, the 59
+# theta parts with a <= 2, 4b <= 3 and 4c <= 4, and 2 theta^2 (a constant P
+# other than 1)
+_OLD_ROUTE_P = ("poly:1:[(0,1,1),(1,0,1)]", "poly:1:[(0,1,1)]", "poly:1:[(1,0,1)]",
+                "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]")
+OLD_ROUTE_FAMILIES = [
+    f"mult:{a},{b4},{c4}*{poly}" for a in range(3) for b4 in (0, 3, 6) for c4 in (0, 4, 8)
+    if a or b4 or c4 for poly in _OLD_ROUTE_P
+] + list(_OLD_ROUTE_P) + [
+    f"mult:{a},{b4},{c4}" for a in range(3) for b4 in range(4) for c4 in range(5)
+    if a or b4 or c4
+] + ["mult:0,0,2*poly:0:[(0,0,2)]"]
 
 
 def direct_forms(family, phis, trunc):
@@ -266,7 +313,7 @@ class TestThreeTermDefect:
                              ids=["P=y", "theta^2", "rational-deg2", "mixed"])
     def test_forms_equal_the_u_route(self, family):
         phis = upoly_sequence(family, 7)
-        forms = [checks._form(family, phi, n + family.k, 30) for n, phi in enumerate(phis)]
+        forms = [qseries.theta_form(family, phi, n + family.k, 30) for n, phi in enumerate(phis)]
         assert forms == direct_forms(family, phis, 30)[:-1]
         if family == THETA2:
             assert not phis[1] and not forms[1]
@@ -341,8 +388,8 @@ class TestXYTable:
         for n, phi in enumerate(upoly_sequence(family, 6)):
             d = n + family.k
             u_phi = Poly.from_cleared((0,) + phi.int_coeffs, phi.int_den)
-            xy_g = x * y * checks._form(family, phi, d, 30)
-            assert checks._form(family, u_phi, d + 2, 30) == xy_g
+            xy_g = x * y * qseries.theta_form(family, phi, d, 30)
+            assert qseries.theta_form(family, u_phi, d + 2, 30) == xy_g
 
     def test_identities_suite_work(self, monkeypatch):
         # the benchmark's sizes from cold caches: one x^a y^b table for both
@@ -356,7 +403,24 @@ class TestXYTable:
         monkeypatch.setattr(backend, "conv_trunc",
                             lambda a, b, n: calls.append(n) or conv_trunc(a, b, n))
         assert all(r.passed for r in checks.identities_suite(768, 384, 192, 8))
-        assert len(calls) <= 115
+        assert len(calls) <= 114
+
+    def test_theta_form_takes_no_product_when_a_part_is_1(self, monkeypatch):
+        # no theta part, phi = 0, or phi = 1 at d = 0; a constant phi = 2
+        # at d = 0 is a product, not the theta part itself
+        p_eq_y, trunc = Family(monomials=((0, 1, 1),)), 24
+        theta = qseries.theta_part(0, 0, 2, trunc)
+        _, y = xy_series(trunc)
+        calls = []
+        conv_trunc = backend.conv_trunc
+        monkeypatch.setattr(backend, "conv_trunc",
+                            lambda a, b, n: calls.append(n) or conv_trunc(a, b, n))
+        assert qseries.theta_form(THETA2, Poly([1]), 0, trunc) is theta
+        assert qseries.theta_form(THETA2, Poly(), 3, trunc) == QSeries.zero(trunc)
+        assert qseries.theta_form(p_eq_y, Poly([0, 1]), 1, trunc) == y
+        assert not calls
+        assert qseries.theta_form(THETA2, Poly([2]), 0, trunc) == theta * 2
+        assert len(calls) == 1
 
 
 class TestOracles:

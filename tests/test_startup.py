@@ -33,7 +33,7 @@ OTHER_NAMES = {
     "BACKEND", "DEFAULT_TRUNC", "DELTA256", "FamilyError", "ResidueReport", "THETA",
     "THETA4", "TruncationError", "cf_series", "check_perfect_odd", "delta_series",
     "dstar", "parse_family", "scan_lehmer", "scan_squares", "scan_two_squares",
-    "t_series", "theta_series", "u_series", "xy_series",
+    "t_series", "theta_series", "u_series", "UsageError", "xy_series",
 }
 
 

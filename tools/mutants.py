@@ -35,8 +35,8 @@ Mutant = namedtuple("Mutant", "name file old new tests equivalent", defaults=(()
 
 MUTANTS = [
     Mutant("three-term defect without its xy/4 term", "src/thetares/checks.py",
-           "terms.append((Fraction(1, 4), _form(",
-           "terms.append((0, _form(",
+           "terms.append((Fraction(1, 4), theta_form(",
+           "terms.append((0, theta_form(",
            ("tests/test_qseries.py",)),
     Mutant("the Laurent constant without its log-derivative term", "src/thetares/checks.py",
            "return n_prime.residue(j) + f.residue(j) * log_deriv",
@@ -178,13 +178,14 @@ MUTANTS = [
            "re.fullmatch(_MONO_LIST, poly[2], re.ASCII)",
            "re.fullmatch(_MONO_LIST, poly[2])",
            ("tests/test_families.py",)),
-    Mutant("the theta part dropped from cf_series", "src/thetares/qseries.py",
-           "return p if theta is None else theta * p",
-           "return p",
+    Mutant("the theta part dropped from theta_form", "src/thetares/qseries.py",
+           "else theta * xy_form(phi, d, trunc)",
+           "else xy_form(phi, d, trunc)",
            ("tests/test_qseries.py",)),
-    Mutant("the theta part dropped from _form", "src/thetares/checks.py",
-           "return g * theta if theta is not None and phi else g",
-           "return g",
+    Mutant("theta_form's P = 1 shortcut taken for every constant phi",
+           "src/thetares/qseries.py",
+           "return theta if not d and phi.coeffs == (1,) else",
+           "return theta if not d else",
            ("tests/test_qseries.py",)),
     Mutant("expanded_den multiplies by (1 + j v)", "src/thetares/ratfunc.py",
            "out[i] -= j * out[i - 1]",
@@ -226,6 +227,23 @@ MUTANTS = [
            "return bool(local_residue_mod(family, m) or local_residue(family, m))",
            "return bool(local_residue_mod(family, m))",
            ("tests/test_recurrence.py",)),
+    Mutant("main maps ValueError to 2", "src/thetares/cli.py",
+           "    except UsageError as exc:",
+           "    except ValueError as exc:",
+           ("tests/test_cli.py",)),
+    Mutant("residues' oracle truncation one short", "src/thetares/cli.py",
+           "    trunc = family.edge(args.m_max)\n",
+           "    trunc = family.edge(args.m_max) - 1\n",
+           ("tests/test_cli.py",)),
+    Mutant("the CLI's size bound switched off", "src/thetares/cli.py",
+           "    if reach >= 2**60:",
+           "    if False:",
+           ("tests/test_cli.py",)),
+    Mutant("parse_family lets int()'s digit-limit ValueError escape",
+           "src/thetares/families.py",
+           "    except ValueError:  # the only one int() raises on ASCII digits",
+           "    except TypeError:",
+           ("tests/test_families.py",)),
     Mutant("an oracle failing its self-check is an internal error", "src/thetares/cli.py",
            "except (RelationError, OracleConsistencyError) as exc:",
            "except RelationError as exc:",
