@@ -37,15 +37,13 @@ from .recurrence import (
     ResidueReport,
     SeqState,
     check_perfect_odd,
+    has_pole,
     local_residue,
     local_residue_mod,
     rec_sequence,
     rec_step,
     residue_report,
     resum_matrix,
-    scan_lehmer,
-    scan_squares,
-    scan_two_squares,
     upoly_sequence,
     upoly_step,
 )

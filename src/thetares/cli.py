@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 from .cache import SeqCache
 from .checks import SUITES
-from .families import DELTA256, UsageError, parse_family
+from .families import DELTA256, THETA, THETA2, UsageError, parse_family
 from .qseries import (
     DEFAULT_TRUNC,
     OracleConsistencyError,
@@ -39,11 +39,9 @@ from .qseries import (
 from .recurrence import (
     RelationError,
     check_perfect_odd,
+    has_pole,
     local_residue,
     rec_sequence,
-    scan_lehmer,
-    scan_squares,
-    scan_two_squares,
 )
 
 CACHE_ENV = "THETARES_CACHE_DIR"
@@ -152,12 +150,11 @@ def cmd_residues(args) -> int:
 # -- scans ------------------------------------------------------------------
 
 
-# kind -> (scan to m, the set it must find up to m); every scan kind is
-# decided by local jets, builds no entry and leaves the cache alone
+# kind -> (family, the n <= m whose entry n has its edge pole); every scan
+# kind reads local jets, builds no entry and leaves the cache alone
 _SET_SCANS = {
-    "two-squares": (scan_two_squares,
-                    lambda m: {n for n in range(1, m + 1) if r2_count(n) > 0}),
-    "squares": (scan_squares, lambda m: {k * k for k in range(1, isqrt(m) + 1)}),
+    "two-squares": (THETA2, lambda m: {n for n in range(1, m + 1) if r2_count(n) > 0}),
+    "squares": (THETA, lambda m: {k * k for k in range(1, isqrt(m) + 1)}),
 }
 
 
@@ -167,19 +164,20 @@ def cmd_scan(args) -> int:
     payload = {"kind": kind, "m_max": m}
 
     if kind in _SET_SCANS:
-        scan, oracle_set = _SET_SCANS[kind]
-        found = scan(m)
+        family, oracle_set = _SET_SCANS[kind]
+        found = {n for n in range(1, m + 1) if has_pole(family, n)}
         oracle = oracle_set(m)
         payload.update(found=sorted(found), oracle=sorted(oracle),
                        mismatches=sorted(found ^ oracle))
-    elif kind == "lehmer":  # decided by local jets, like two-squares
-        violations = scan_lehmer(m)
+    elif kind == "lehmer":
+        # k with no pole at v = 1/(2k + 2) on entry 2k: tau(k + 1) = 0
+        violations = [k for k in range(m + 1) if not has_pole(DELTA256, 2 * k)]
         delta = delta_series(2 * m + 2)  # tau(n) is the coefficient of q^(2n)
         oracle = [k for k in range(m + 1) if delta.coeff(2 * k + 2) == 0]
         payload.update(violations=violations, oracle_tau_zeros=oracle,
                        mismatches=sorted(set(violations) ^ set(oracle)))
     else:  # perfect-odd
-        rows = check_perfect_odd(m)  # residues off local jets, like two-squares
+        rows = check_perfect_odd(m)
         payload.update(
             rows=[{"m": mm, "residue": str(res), "is_perfect": flag} for mm, res, flag in rows],
             perfect=[mm for mm, _res, flag in rows if flag],

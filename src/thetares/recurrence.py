@@ -34,9 +34,10 @@ Two coupled computations per family:
 
 The pole of e_m at v = 1/s is at most simple, and its residue recovers the
 q-expansion coefficient c(s) of the family's form up to a sign (see
-`Family.recovered_from_residue`) and the factor s 16^s.  The scans at the
-bottom turn that into membership tests (sums of two squares, perfect
-numbers, squares, vanishing of Ramanujan's tau).
+`Family.recovered_from_residue`) and the factor s 16^s.  So e_m has its
+pole iff c(s) != 0: `has_pole` at the bottom is that test, and the scans
+read membership off it (sums of two squares, squares, vanishing of
+Ramanujan's tau); `check_perfect_odd` compares theta^4's residues.
 
 The residue also has a local route that never builds e_m
 (`local_residue`).  Fix m and s = s_m, and write s_k = k + a for the
@@ -87,9 +88,9 @@ The division mod a prime p multiplies by u^-1 mod p instead, so it
 builds no powers of u, and gives den = 0 when p divides u; a divisor
 s, 4 or a denominator that p divides shows as den = 0 mod p too.  A
 nonzero residue mod any prime p proves the pole, so p's size costs no
-exactness: the Lehmer and two-squares scans take p = PRIME = 2^30 - 35,
-the largest prime below 2^30, whose residues CPython holds in one 30-bit
-digit, and fall back to the exact jet only on a zero mod p or on den = 0.
+exactness: `has_pole` takes p = PRIME = 2^30 - 35, the largest prime
+below 2^30, whose residues CPython holds in one 30-bit digit, and falls
+back to the exact jet only on a zero mod p or on den = 0.
 
 Nothing above needs v0 = 1/s to be a pole: expanded at any point v0 mod p
 where every 1 - s_k v0 is a unit, e_k(v0) = f_k(v0) / (1 - s_k v0) for
@@ -117,7 +118,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from . import backend
-from .families import DELTA256, THETA, THETA2, THETA4, Family
+from .families import THETA4, Family
 from .rational import Poly
 from .ratfunc import RatFunc, expanded_den
 
@@ -385,7 +386,7 @@ def resum_matrix(family: Family, m_max: int, n_max: int) -> list:
     return rows
 
 
-# -- residues and scans -------------------------------------------------------
+# -- residues -----------------------------------------------------------------
 
 
 # pole: the pole parameter m + a; recovered: the q-expansion coefficient
@@ -508,36 +509,12 @@ def local_residue_mod(family: Family, m: int) -> int | None:
     return num * pow(den, -1, PRIME) % PRIME if den % PRIME else None
 
 
-def _has_pole(family: Family, m: int) -> bool:
-    """Whether entry m has its (at most simple) pole at v = 1/edge(m),
-    decided by the jet mod PRIME; only a zero there, or a divisor PRIME
-    divides, goes to the exact jet."""
+def has_pole(family: Family, m: int) -> bool:
+    """Whether entry m has its (at most simple) pole at v = 1/edge(m), that
+    is whether the form's coefficient c(edge(m)) is nonzero: the one pole
+    test behind every scan.  The jet mod PRIME decides it; only a zero
+    there, or a divisor PRIME divides, goes to the exact jet."""
     return bool(local_residue_mod(family, m) or local_residue(family, m))
-
-
-def scan_two_squares(m_max: int) -> set:
-    """n <= m_max whose theta^2 entry has a (simple) pole at v = 1/n;
-    these are exactly the sums of two squares."""
-    return {n for n in range(1, m_max + 1) if _has_pole(THETA2, n)}
-
-
-def scan_squares(m_max: int) -> set:
-    """m <= m_max whose theta entry has a pole at v = 1/m: the squares.
-
-    Poles of this weight-1/2 family sit only at squares, so nearly every
-    residue mod PRIME would be zero and go to the exact jet anyway: the
-    scan reads the exact jet alone.
-    """
-    return {m for m in range(1, m_max + 1) if local_residue(THETA, m)}
-
-
-def scan_lehmer(m_max: int) -> list:
-    """m <= m_max where the 256*Delta entry 2m has NO pole at v = 1/(2m+2).
-
-    Each such m would be a counterexample witness tau(m+1) = 0; the list
-    is expected to be empty.
-    """
-    return [m for m in range(m_max + 1) if not _has_pole(DELTA256, 2 * m)]
 
 
 def check_perfect_odd(m_max: int) -> list:

@@ -18,6 +18,7 @@ from thetares import (
     Poly,
     backend,
     check_perfect_odd,
+    has_pole,
     local_residue,
     local_residue_mod,
     r2_count,
@@ -25,9 +26,6 @@ from thetares import (
     rec_sequence,
     residue_report,
     resum_matrix,
-    scan_lehmer,
-    scan_squares,
-    scan_two_squares,
     sigma1,
 )
 from thetares.checks import (
@@ -136,7 +134,7 @@ def test_criterion_8_three_term_relation():
 
 def test_criterion_9_number_theoretic_scans(theta2_seq, delta_seq, theta4_seq):
     # two-squares scan against brute-force enumeration
-    found = scan_two_squares(40)
+    found = {n for n in range(1, 41) if has_pole(THETA2, n)}
     brute = {
         n for n in range(1, 41)
         if any(a * a <= n and _is_square(n - a * a) for a in range(7))
@@ -145,9 +143,9 @@ def test_criterion_9_number_theoretic_scans(theta2_seq, delta_seq, theta4_seq):
     # the local jets agree with the global entries' pole orders
     assert found == {n for n in range(1, 41) if theta2_seq.entries[n].pole_order(n) == 1}
 
-    assert scan_squares(16) == {1, 4, 9, 16}
+    assert {n for n in range(1, 17) if has_pole(THETA, n)} == {1, 4, 9, 16}
 
-    violations = scan_lehmer(8)
+    violations = [m for m in range(9) if not has_pole(DELTA256, 2 * m)]
     assert violations == []
     # the local jets agree with the global entries' pole orders
     assert violations == [

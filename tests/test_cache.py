@@ -1,6 +1,8 @@
 """Entry cache: round-trips, corruption handling, CLI integration."""
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -161,6 +163,18 @@ def test_interrupted_run_keeps_its_progress(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="interrupted"):
         cached_sequence(THETA2, 5, cache)
     assert [cache.read(THETA2, m) is not None for m in range(4)] == [True] * 3 + [False]
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "no space left"), KeyboardInterrupt()])
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, error):
+    def replace(src, dst):
+        raise error
+
+    cache = SeqCache(tmp_path)
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(type(error)):
+        cache.write(THETA2, 0, rec_step(THETA2, 0, RatFunc(Poly())))
+    assert list(tmp_path.iterdir()) == []
 
 
 def compute(cache_dir, m_max):

@@ -16,6 +16,7 @@ from thetares import (
     RatFunc,
     RelationError,
     UsageError,
+    has_pole,
     parse_family,
     rec_sequence,
     rec_step,
@@ -363,6 +364,19 @@ class TestScan:
     ])
     def test_mismatch_exits_1(self, capsys, monkeypatch, kind, patch, mismatches):
         patch(monkeypatch)
+        code, out, _ = run_cli(capsys, "scan", "--kind", kind, "--m-max", "10",
+                               "--format", "json")
+        payload = json.loads(out)
+        assert code == 1 and payload["passed"] is False
+        assert payload["mismatches"] == mismatches
+
+    # each pole scan driven into a mismatch on the jet side: has_pole misses
+    # the pole of one entry (256*Delta entry 4 belongs to lehmer's k = 2)
+    @pytest.mark.parametrize("kind,entry,mismatches", [
+        ("two-squares", 5, [5]), ("squares", 9, [9]), ("lehmer", 4, [2]),
+    ])
+    def test_missed_pole_exits_1(self, capsys, monkeypatch, kind, entry, mismatches):
+        monkeypatch.setattr(cli, "has_pole", lambda family, m: m != entry and has_pole(family, m))
         code, out, _ = run_cli(capsys, "scan", "--kind", kind, "--m-max", "10",
                                "--format", "json")
         payload = json.loads(out)

@@ -68,6 +68,11 @@ class TestPolynomial:
         with pytest.raises(TypeError):
             Family(monomials=[(1, 0, 1), (0, 1, 2.0)])
 
+    @pytest.mark.parametrize("monomials", [[(-1, 2, 1)], [(1, -1, 1)], [(0, 1.0, 1)]])
+    def test_exponents_must_be_nonnegative_integers(self, monomials):
+        with pytest.raises(FamilyError, match="monomial exponents"):
+            Family(monomials=monomials)
+
     def test_degree_zero_rejected(self):
         with pytest.raises(FamilyError):
             Family(monomials=[(0, 0, 1)])

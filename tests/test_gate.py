@@ -51,8 +51,9 @@ def test_scan(kind, m_max):
       residue 0 mod p, so the exact jet decides it (about 2 s), checked
       against r2;
     - perfect-odd, the odd-perfect residue test, to theta^4 entry 31;
-    - squares to 100 by the jets of theta (about 1.6 s), checked against
-      the squares.
+    - squares to 100 through has_pole on theta: nearly every residue is 0
+      mod p, so the exact jet runs after the jet mod p (1.4-1.8 s),
+      checked against the squares.
     """
     assert thetares("scan", "--kind", kind, "--m-max", str(m_max), "--format", "json")[0] == 0
 

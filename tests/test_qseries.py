@@ -105,6 +105,18 @@ class TestArithmetic:
         monkeypatch.undo()
         assert fourth == th * th * th * th
 
+    def test_constructor_needs_a_window(self):
+        with pytest.raises(ValueError, match="at least the constant term"):
+            QSeries([])
+        with pytest.raises(ValueError, match="truncation must be nonnegative"):
+            QSeries([1, 2], trunc=-1)
+        assert QSeries([], trunc=2) == QSeries.zero(2)
+
+    def test_shift(self):
+        assert QSeries([1, 2]).shift(2).coeffs == (0, 0, 1, 2)
+        with pytest.raises(ValueError, match="shift must be nonnegative"):
+            QSeries([1, 2]).shift(-1)
+
     def test_json_round_trip(self):
         f = QSeries([1, Fraction(-1, 2), 0, 4])
         assert f.to_json_dict() == {"trunc": 3, "coeffs": ["1", "-1/2", "0", "4"]}

@@ -21,6 +21,7 @@ from thetares import (
     SeqState,
     cf_coeff,
     check_perfect_odd,
+    has_pole,
     local_residue,
     local_residue_mod,
     parse_family,
@@ -29,9 +30,6 @@ from thetares import (
     rec_step,
     residue_report,
     resum_matrix,
-    scan_lehmer,
-    scan_squares,
-    scan_two_squares,
     upoly_sequence,
     upoly_step,
 )
@@ -470,6 +468,12 @@ class TestUPoly:
         p1 = upoly_step(P_EQ_Y, 0, Poly([0, 1]), Poly())
         assert p1 == Poly([0, Fraction(1, 2)])
 
+    def test_negative_index_is_refused(self):
+        with pytest.raises(ValueError, match="sequence index must be nonnegative"):
+            upoly_step(THETA2, -1, Poly([1]), Poly())
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+            upoly_sequence(THETA2, -1)
+
     def test_degree_growth(self):
         for family in (THETA2, DELTA256, P_EQ_Y):
             phis = upoly_sequence(family, 10)
@@ -582,29 +586,75 @@ class TestResidueReport:
             residue_report(seq, 3)
         assert len(seq.entries) == 3
 
+    def test_rec_sequence_refuses_a_range_it_cannot_check(self):
+        with pytest.raises(ValueError, match="m_max must be nonnegative"):
+            rec_sequence(THETA2, -1)
+        # every edge up to 2^62 + 1: no point below the prime drawn in
+        # [2^61, 2^62) is off every pole
+        with pytest.raises(ValueError, match="reaches the drawn prime"):
+            rec_sequence(DELTA256, 2**62 - 1)
+
     def test_double_edge_pole_has_no_residue(self):
         seq = SeqState(THETA2, [rec_step(THETA2, 0, ZERO), RatFunc(Poly([1]), [(1, 2)])])
         with pytest.raises(HigherOrderPoleError, match="order 2 at v = 1/1"):
             residue_report(seq, 1)
 
 
+def pole_set(family, m_max):
+    """m <= m_max whose entry has its edge pole, as the set scans read it."""
+    return {m for m in range(1, m_max + 1) if has_pole(family, m)}
+
+
+def lehmer_violations(m_max):
+    """m <= m_max whose 256*Delta entry 2m has no pole: tau(m + 1) = 0."""
+    return [m for m in range(m_max + 1) if not has_pole(DELTA256, 2 * m)]
+
+
+def coefficient_set(family, m_max):
+    """m <= m_max with c(edge(m)) != 0: the poles the residue identity predicts."""
+    return {m for m in range(1, m_max + 1) if cf_coeff(family, family.edge(m))}
+
+
 class TestScans:
     def test_two_squares_small(self):
-        assert scan_two_squares(5) == {1, 2, 4, 5}
-        assert scan_two_squares(1) == {1}
-        assert 3 not in scan_two_squares(3)
+        assert pole_set(THETA2, 5) == {1, 2, 4, 5}
+        assert pole_set(THETA2, 1) == {1}
+        assert 3 not in pole_set(THETA2, 3)
 
     def test_squares_small(self):
-        # the global entries are the reference: scan_squares reads only jets
+        # the global entries are the reference: has_pole reads only jets
         entries = rec_sequence(THETA, 30).entries
-        found = scan_squares(30)
+        found = pole_set(THETA, 30)
         assert found == {k * k for k in range(1, 6)}
         assert found == {m for m in range(1, 31) if entries[m].pole_order(m) == 1}
-        assert scan_squares(10) == {1, 4, 9}
-        assert scan_squares(3) == {1}
+        assert pole_set(THETA, 10) == {1, 4, 9}
+        assert pole_set(THETA, 3) == {1}
 
     def test_lehmer_small(self):
-        assert scan_lehmer(2) == []
+        assert lehmer_violations(2) == []
+
+    def test_three_squares_to_100(self):
+        # Legendre: n is a sum of three squares iff n is not 4^a (8b + 7)
+        def three_squares(n):
+            while n % 4 == 0:
+                n //= 4
+            return n % 8 != 7
+
+        found = pole_set(parse_family("mult:0,0,3"), 100)
+        assert found == {n for n in range(1, 101) if three_squares(n)}
+
+    def test_mixed_grid_poles_are_the_nonzero_coefficients(self):
+        for text in MIXED:
+            family = parse_family(text)
+            assert pole_set(family, 10) == coefficient_set(family, 10), text
+
+    @pytest.mark.parametrize("text", ["poly:1:[(0,1,1)]", "mult:1,0,0*poly:1:[(0,1,1)]"])
+    def test_poles_where_rhs_0_is_0(self, text):
+        # P(1, 0) = 0, so rhs_0 = 0; the second has edge(m) = m + 1
+        family = parse_family(text)
+        assert family.rhs(0) == 0
+        found = pole_set(family, 40)
+        assert found == coefficient_set(family, 40) and len(found) == 20
 
     def test_perfect_odd_small(self):
         rows = check_perfect_odd(9)
@@ -699,7 +749,7 @@ class TestLocalJets:
         for m in range(1, 9):
             assert local_residue_mod(family, m) is None
             assert local_residue(family, m) == residue_report(seq, m).residue
-            assert recurrence._has_pole(family, m)
+            assert has_pole(family, m)
 
     def test_initial_entry(self):
         e0 = rec_step(DELTA256, 0, ZERO)
@@ -711,7 +761,7 @@ class TestLocalJets:
 
     @pytest.fixture
     def prime_7(self, monkeypatch):
-        """Reduce the scan's jets mod 7 and record every exact fallback."""
+        """Reduce has_pole's jets mod 7 and record every exact fallback."""
         monkeypatch.setattr(recurrence, "PRIME", 7)
         calls = []
 
@@ -726,13 +776,13 @@ class TestLocalJets:
         # tau(3) = 252 = 2^2 3^2 7: the residue -21/32768 of entry 4 is 0 mod 7
         assert local_residue(DELTA256, 4) == Fraction(-21, 32768)
         assert local_residue_mod(DELTA256, 4) == 0
-        assert scan_lehmer(2) == []
+        assert lehmer_violations(2) == []
         assert prime_7 == [4]
 
     def test_divisor_divisible_by_p_falls_back_to_the_exact_jet(self, prime_7):
         # entry 8 sits at v = 1/10, and s - s_1 = 10 - 3 = 7 is no unit mod 7
         assert local_residue_mod(DELTA256, 8) is None
-        assert scan_lehmer(4) == []
+        assert lehmer_violations(4) == []
         assert prime_7 == [4, 8]
 
     def test_residues_suite_catches_a_wrong_global_residue(self, monkeypatch):

@@ -25,15 +25,15 @@ FORBIDDEN = {"dataclasses", "inspect", "csv", "hashlib", "typing"} | PARSER
 # names the package's top-level imports make public
 README_NAMES = {
     "Family", "HigherOrderPoleError", "OracleConsistencyError", "Poly", "QSeries",
-    "RatFunc", "RelationError", "SeqState", "THETA2", "cf_coeff", "local_residue",
-    "local_residue_mod", "r2_count", "ramanujan_tau", "rec_sequence", "rec_step",
-    "residue_report", "resum_matrix", "sigma1", "upoly_sequence", "upoly_step",
+    "RatFunc", "RelationError", "SeqState", "THETA2", "cf_coeff", "has_pole",
+    "local_residue", "local_residue_mod", "r2_count", "ramanujan_tau", "rec_sequence",
+    "rec_step", "residue_report", "resum_matrix", "sigma1", "upoly_sequence", "upoly_step",
 }
 OTHER_NAMES = {
     "BACKEND", "DEFAULT_TRUNC", "DELTA256", "FamilyError", "ResidueReport", "THETA",
     "THETA4", "TruncationError", "cf_series", "check_perfect_odd", "delta_series",
-    "dstar", "parse_family", "scan_lehmer", "scan_squares", "scan_two_squares",
-    "t_series", "theta_series", "u_series", "UsageError", "xy_series",
+    "dstar", "parse_family", "t_series", "theta_series", "u_series", "UsageError",
+    "xy_series",
 }
 
 

@@ -219,11 +219,15 @@ MUTANTS = [
            "- dp * rm",
            "+ dp * rm",
            ("tests/test_recurrence.py",)),
-    Mutant("the Lehmer scan reports nothing", "src/thetares/recurrence.py",
-           "return [m for m in range(m_max + 1) if not _has_pole(DELTA256, 2 * m)]",
-           "return []",
-           ("tests/test_recurrence.py",)),
-    Mutant("_has_pole trusts a zero mod p", "src/thetares/recurrence.py",
+    Mutant("the Lehmer scan reports nothing", "src/thetares/cli.py",
+           "violations = [k for k in range(m + 1) if not has_pole(DELTA256, 2 * k)]",
+           "violations = []",
+           ("tests/test_cli.py",)),
+    Mutant("the squares kind scans theta^2 instead of theta", "src/thetares/cli.py",
+           '"squares": (THETA,',
+           '"squares": (THETA2,',
+           ("tests/test_cli.py",)),
+    Mutant("has_pole trusts a zero mod p", "src/thetares/recurrence.py",
            "return bool(local_residue_mod(family, m) or local_residue(family, m))",
            "return bool(local_residue_mod(family, m))",
            ("tests/test_recurrence.py",)),
