@@ -43,7 +43,6 @@ from .recurrence import (
     rec_sequence,
     rec_step,
     residue_report,
-    resum_matrix,
     upoly_sequence,
     upoly_step,
 )

@@ -6,7 +6,9 @@ resummation equivalence between the u-side and v-side computations, and
 residue-vs-coefficient tables.  Each check is exact; a suite passes only
 if every check does.  The identities suite's three-term check builds every
 form of both its families with qseries.theta_form, off one shared table of
-x^a y^b.
+x^a y^b.  The resum suite checks whole entries: each u-side column times
+the entry's denominator, expanded by ratfunc.expanded_den, must give its
+numerator.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
 
 from . import backend
 from .families import DELTA256, THETA, THETA2, THETA4, Family
@@ -39,8 +42,8 @@ from .recurrence import (
     local_residue_mod,
     rec_sequence,
     residue_report,
-    resum_matrix,
     upoly_sequence,
+    upoly_step,
 )
 
 
@@ -196,24 +199,52 @@ def max_three_term_defect(family: Family, n_max: int, trunc: int) -> QSeries | N
     return None
 
 
-RESUM_FAMILIES = (THETA2, DELTA256)
-RESUM_M, RESUM_N = 6, 12  # entries m <= RESUM_M, Taylor columns i <= RESUM_N
+# each family with the last entry m whose whole numerator the u-side fixes;
+# the third is mult:1,3,5*poly:2:[(0,2,1),(1,1,-3/2),(2,0,2)], built unparsed
+MIXED = Family(1, Fraction(3, 4), Fraction(5, 4), ((0, 2, 1), (1, 1, Fraction(-3, 2)), (2, 0, 2)))
+RESUM_RUNS = ((THETA2, 20), (DELTA256, 20), (MIXED, 12))
+RESUM_EXTRA = 8  # coefficients past deg N that den D T must leave zero
+
+
+def u_columns(family: Family, lengths) -> list:
+    """Column m of the weighted u-side for m < len(lengths), as a Poly in v:
+    coefficient i < lengths[m] is weight(i) [u^m] phi_i, weight(i) =
+    prod_{t <= i} t (t - 1 + w), which resums to e_m's Taylor coefficient at
+    v^i.  The stencil is lower triangular in the u-index, so each phi is cut
+    to u^0 .. u^M, M = len(lengths) - 1, before `upoly_step` runs on it."""
+    columns = [[] for _ in lengths]
+    weight, phi, prev = Fraction(1), family.phi0(), Poly()
+    for i in range(max(lengths)):
+        if i:
+            weight *= i * (i - 1 + family.w)
+            cut = Poly.from_cleared(phi.int_coeffs[:len(lengths)], phi.int_den)
+            phi, prev = upoly_step(family, i - 1, cut, prev), cut
+        for m, column in enumerate(columns):
+            if i < lengths[m]:
+                column.append(weight * phi.coeff(m))
+    return [Poly(column) for column in columns]
 
 
 def resum_suite() -> list:
+    """Every entry e_m = N / (den D) against its u-side column T, of length
+    L = deg N + 1 + RESUM_EXTRA: den D T = N mod v^L, one `conv_trunc` by the
+    expanded D.  That fixes every coefficient of N, and the RESUM_EXTRA past
+    it must vanish, which tests the factor list too."""
     out = []
-    for family in RESUM_FAMILIES:
-        seq = rec_sequence(family, RESUM_M)
-        matrix = resum_matrix(family, RESUM_M, RESUM_N)
+    for family, m_max in RESUM_RUNS:
+        entries = rec_sequence(family, m_max).entries
+        lengths = [len(entry.num.int_coeffs) + RESUM_EXTRA for entry in entries]
         bad = []
-        for m in range(RESUM_M + 1):
-            taylor = seq.entries[m].taylor(RESUM_N)
-            for i in range(RESUM_N + 1):
-                if matrix[m][i] != taylor[i]:
-                    bad.append(f"at m = {m}, i = {i}: u-side {matrix[m][i]}, "
-                               f"v-side {taylor[i]}")
+        for m, (entry, t) in enumerate(zip(entries, u_columns(family, lengths))):
+            nums, den = entry.num.int_coeffs, entry.num.int_den
+            dt = backend.conv_trunc(expanded_den(entry.factors), t.int_coeffs, lengths[m])
+            bad += [f"at m = {m}, coefficient {i}: u-side D T {Fraction(x, t.int_den)}, "
+                    f"v-side N / den {Fraction(y, den)}"
+                    for i, (x, y) in enumerate(zip_longest(dt, nums, fillvalue=0))
+                    if den * x != t.int_den * y][:1]
         out.append(_result(
-            f"resummation equivalence for {family} (m <= {RESUM_M}, i <= {RESUM_N})",
+            f"resummation equivalence for {family}, every entry m <= {m_max} "
+            f"({RESUM_EXTRA} coefficients past deg N vanish)",
             not bad,
             f"first mismatch {bad[0]}" if bad else "",
         ))

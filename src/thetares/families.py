@@ -32,7 +32,8 @@ class Family:
     """Immutable; equal families (and their hashes) ignore the label, so a
     parsed "mult:0,0,2" is THETA2 and shares its cached series.  The one
     constructor checks that a, 4b and 4c are nonnegative integers, that P is
-    homogeneous with exact coefficients, and that the weight is not zero."""
+    homogeneous with exact coefficients, that the weight is not zero, and
+    that a and k are below 2^60."""
 
     __slots__ = (
         "a",
@@ -62,6 +63,8 @@ class Family:
         if len(degrees) != 1:
             raise FamilyError(f"polynomial is not homogeneous (degrees {sorted(degrees)})")
         k = degrees.pop()
+        if max(a, k) >= 2**60:  # phi0 holds k + 1 coefficients; x^a recurses per bit of a
+            raise FamilyError(f"family size max(a, k) = {max(a, k)}, not below 2^60")
         if not (a or any(quarters) or k):
             raise FamilyError("a = b = c = 0 with a constant P gives weight zero")
         mons = tuple(sorted((i, j, c) for (i, j), c in combined.items()))

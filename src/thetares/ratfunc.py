@@ -10,8 +10,8 @@ divides the numerator).  The constructor does not reduce: its callers
 already hold reduced data, `recurrence.rec_step` by theorem and the cache
 read through the shape and value check `recurrence._fits`.
 `expanded_den` is the one place a product of factors (1 - j v)^e is
-multiplied out: for `rec_step`'s L = prod (1 - j v) and rhs term, and
-the golden R4 check.
+multiplied out: for `rec_step`'s L = prod (1 - j v) and rhs term, the
+golden R4 check, and the resum suite's product D T with a u-side column.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class RatFunc:
             return self._num == other._num and self._den == other._den
         return NotImplemented
 
-    # -- poles, residues, expansion -----------------------------------------
+    # -- poles and residues ------------------------------------------------
 
     def residue(self, j: int) -> Fraction:
         """Residue at v = 1/j; requires the pole there to be at most simple."""
@@ -93,20 +93,6 @@ class RatFunc:
                 top *= j**e
                 bottom *= (j - k) ** e
         return Fraction(top, bottom)
-
-    def taylor(self, n: int) -> tuple:
-        """Taylor coefficients at v = 0 up to and including v**n."""
-        if n < 0:
-            raise ValueError("truncation order must be nonnegative")
-        m = n + 1
-        cur = list(self._num.int_coeffs[:m])
-        cur.extend([0] * (m - len(cur)))
-        for j, e in self._den:
-            for _ in range(e):  # divide by (1 - j v) in place
-                for i in range(1, m):
-                    cur[i] += j * cur[i - 1]
-        den = self._num.int_den
-        return tuple(Fraction(c, den) for c in cur)
 
     # -- serialization ---------------------------------------------------------
 

@@ -365,27 +365,6 @@ def upoly_sequence(family: Family, n_max: int) -> list:
     return phis
 
 
-def resum_matrix(family: Family, m_max: int, n_max: int) -> list:
-    """Coefficient of u^m v^i of the weighted double series
-    sum_n weight(n) phi_n(u) v^n, as rows m <= m_max, columns i <= n_max.
-
-    Column i only sees phi_i, since the v-power is attached to the
-    weight; row m of the matrix must match the Taylor expansion of the
-    m-th v-side entry.
-    """
-    phis = upoly_sequence(family, n_max)
-    rows = [[Fraction(0)] * (n_max + 1) for _ in range(m_max + 1)]
-    weight = Fraction(1)
-    for i, phi in enumerate(phis):
-        if i:
-            weight *= i * (i - 1 + family.w)
-        for m in range(m_max + 1):
-            c = phi.coeff(m)
-            if c:
-                rows[m][i] = weight * c
-    return rows
-
-
 # -- residues -----------------------------------------------------------------
 
 

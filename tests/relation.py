@@ -1,9 +1,26 @@
 """`relation_defect`: an independent check of one step of the v-side
 recurrence, through Taylor coefficients at v = 0 and the literal form of
 G_m, which shares no arithmetic with `thetares.recurrence.rec_step` or
-with the jets.  The tests import it from here."""
+with the jets; and `taylor`, those coefficients, the reference the
+u-side columns are compared with.  The tests import both from here."""
+
+from fractions import Fraction
 
 from thetares import Family, RatFunc
+
+
+def taylor(f: RatFunc, n: int) -> tuple:
+    """Taylor coefficients of f at v = 0 up to and including v**n: the
+    numerator divided by each factor (1 - j v) in place, once per power."""
+    if n < 0:
+        raise ValueError("truncation order must be nonnegative")
+    cur = list(f.num.int_coeffs[:n + 1])
+    cur.extend([0] * (n + 1 - len(cur)))
+    for j, e in f.factors:
+        for _ in range(e):
+            for i in range(1, n + 1):
+                cur[i] += j * cur[i - 1]
+    return tuple(Fraction(c, f.num.int_den) for c in cur)
 
 
 def relation_defect(family: Family, m: int, entry: RatFunc,
@@ -42,12 +59,12 @@ def relation_defect(family: Family, m: int, entry: RatFunc,
     if m:
         deg_d = sum(e for _j, e in prev.factors)
         k = max(k, len(prev.num.int_coeffs) + 1 + deg_y - deg_d)
-    rel = list(entry.taylor(k))
+    rel = list(taylor(entry, k))
     for n in range(k, 0, -1):
         rel[n] -= s * rel[n - 1]
     rel[0] -= family.rhs(m)
     if m:
-        e = prev.taylor(k)
+        e = taylor(prev, k)
         c0, w1 = m - 1 - family.beta, family.w - 1
         for n in range(k):
             rel[n + 1] += (c0 - n) * e[n] + ((w1 * n + n * n) / 4 * e[n - 1] if n else 0)

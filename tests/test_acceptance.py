@@ -25,7 +25,6 @@ from thetares import (
     ramanujan_tau,
     rec_sequence,
     residue_report,
-    resum_matrix,
     sigma1,
 )
 from thetares.checks import (
@@ -34,6 +33,7 @@ from thetares.checks import (
     R4_NUM,
     identities_suite,
     max_three_term_defect,
+    resum_suite,
 )
 from thetares.recurrence import PRIME
 
@@ -113,13 +113,16 @@ def test_criterion_5_multiplicative_residues_to_15(theta4_seq, theta_seq, delta_
             assert rep.recovered == cf_coeff(seq.family, rep.pole)
     report(5, "residues recover q-coefficients for (0,0,1), (0,0,1/4), (2,2,2)")
 
-def test_criterion_6_resummation_equivalence(theta2_seq, delta_seq):
-    for seq in (theta2_seq, delta_seq):
-        matrix = resum_matrix(seq.family, 6, 12)
-        for m in range(7):
-            taylor = seq.entries[m].taylor(12)
-            assert tuple(matrix[m]) == taylor
-    report(6, "resummation equivalence (m <= 6, i <= 12)")
+def test_criterion_6_resummation_equivalence():
+    results = resum_suite()
+    mixed = "mult:1,3,5*poly:2:[(0,2,1),(1,1,-3/2),(2,0,2)]"
+    assert [r.name for r in results] == [
+        f"resummation equivalence for {family}, every entry m <= {m_max} "
+        "(8 coefficients past deg N vanish)"
+        for family, m_max in (("theta^2", 20), ("256*Delta", 20), (mixed, 12))]
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    report(6, "resummation equivalence, whole entries (theta^2 and 256*Delta to m = 20, "
+              "a mixed family to m = 12)")
 
 def test_criterion_7_qseries_identities():
     results = identities_suite(jacobi_trunc=128, identity_trunc=64)

@@ -466,20 +466,24 @@ class TestVerify:
                 "jet mod p 1)\n") in out
 
     def test_resum_mismatch_exits_1(self, capsys, monkeypatch):
-        # one u-side entry of theta^2 moves by 1; the v-side Taylor columns do not
-        matrix = checks.resum_matrix
+        # one u-side coefficient of theta^2 moves by 1; the v-side entries do not
+        columns = checks.u_columns
 
-        def bumped(family, m_max, n_max):
-            rows = matrix(family, m_max, n_max)
-            rows[2][3] += family == THETA2
-            return rows
+        def bumped(family, lengths):
+            out = columns(family, lengths)
+            if family == THETA2:
+                coeffs = list(out[2].coeffs)
+                coeffs[3] += 1
+                out[2] = Poly(coeffs)
+            return out
 
-        monkeypatch.setattr(checks, "resum_matrix", bumped)
+        monkeypatch.setattr(checks, "u_columns", bumped)
         code, out, _ = run_cli(capsys, "verify", "--suite", "resum")
         assert code == 1
         assert out.count("FAIL  ") == 1
-        assert ("FAIL  resummation equivalence for theta^2 (m <= 6, i <= 12) "
-                "(first mismatch at m = 2, i = 3: u-side 3/4, v-side -1/4)\n") in out
+        assert ("FAIL  resummation equivalence for theta^2, every entry m <= 20 (8 "
+                "coefficients past deg N vanish) (first mismatch at m = 2, coefficient 3: "
+                "u-side D T 3/4, v-side N / den -1/4)\n") in out
 
 
 class TestQSeriesDump:
@@ -549,6 +553,11 @@ def test_size_past_an_index_is_a_usage_error(capsys, argv):
     ("residues", "--family", f"mult:{2**60 - 1},0,0", "--m-max", "1"),
     ("verify", "--suite", "residues", "--m-max", str(2**60)),
     ("qseries-dump", "--family", "mult:0,0,2", "--trunc", str(2**60)),
+    # the family's own a or degree k: the Family constructor refuses it
+    ("compute", "--family", f"poly:{2**61}:[({2**61},0,1)]", "--m-max", "1"),
+    ("residues", "--family", f"poly:{2**61}:[({2**61},0,1)]", "--m-max", "1"),
+    ("qseries-dump", "--family", f"poly:{2**61}:[({2**61},0,1)]", "--trunc", "4"),
+    ("qseries-dump", "--family", f"mult:{10**400},0,0", "--trunc", "4"),
 ])
 def test_size_bound_is_a_usage_error(capsys, monkeypatch, argv):
     # refused at once: the engine never runs, where a scan this long would

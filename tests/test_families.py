@@ -81,6 +81,16 @@ class TestPolynomial:
         with pytest.raises(FamilyError):
             Family(monomials=[(0, 1, 1), (0, 1, -1)])
 
+    @pytest.mark.parametrize("a, monomials", [
+        (2**60, ((0, 0, 1),)), (0, ((2**60, 0, 1),)), (0, ((0, 2**61, 1),)),
+        (10**400, ((1, 0, 1),)),
+    ], ids=["a", "k in x", "k in y", "a of 401 digits"])
+    def test_size_bound_is_2_to_the_60(self, a, monomials):
+        # phi0 would hold k + 1 coefficients, and x^a's recursion overflows at 10^400
+        with pytest.raises(FamilyError, match="not below 2\\^60$"):
+            Family(a, monomials=monomials)
+        assert Family(2**60 - 1, monomials=((2**60 - 1, 0, 1),)).k == 2**60 - 1
+
     def test_duplicate_monomials_combine(self):
         fam = Family(monomials=[(0, 1, 1), (0, 1, 2)])
         assert fam.phi0() == Poly([0, 3])

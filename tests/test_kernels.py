@@ -1,5 +1,5 @@
 """The integer kernels in ``thetares.backend``: the Kronecker
-``conv_trunc`` against a schoolbook reference, the binomial lists the
+``conv_trunc`` and the full ``conv`` against a schoolbook reference, the binomial lists the
 v-side step and the golden check multiply by, and the evaluation and
 division at v = 1/j behind every root test and residue."""
 
@@ -65,6 +65,8 @@ def test_conv_trunc_matches_schoolbook():
         cases.append((t, t, n))
     for a, b, n in cases:
         assert backend.conv_trunc(a, b, n) == schoolbook_trunc(a, b, n), (a, b, n)
+        # the full product, the empty operand's [] included
+        assert backend.conv(a, b) == schoolbook_trunc(a, b, len(a) + len(b) - 1), (a, b)
 
 
 @st.composite
@@ -136,6 +138,9 @@ class TestDivexactLinear:
     def test_not_divisible(self):
         assert backend.divexact_linear([1, 0, 1], 1) is None
         assert backend.divexact_linear([1, 0, -1], 2) is None
+
+    def test_zero_polynomial(self):
+        assert backend.divexact_linear([], 3) == []
 
     def test_round_trip(self):
         rng = random.Random(1729)

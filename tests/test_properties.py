@@ -9,7 +9,7 @@ at most a simple pole at the edge, the residue there must recover the
 family's q-expansion coefficient from the independent q-series oracle
 and equal the residue of the local jet at the edge (exactly, and mod its
 prime), and the entries' Taylor coefficients must match the u-side
-resummation.  The cache's check (`_fits`, each entry against its value
+columns.  The cache's check (`_fits`, each entry against its value
 at one point mod a drawn prime, read off the jet expanded there) accepts
 every entry and rejects the entry with one numerator coefficient moved
 by 1/den or by (2^61 - 1)/den, as `relation_defect` does; a moved
@@ -22,7 +22,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relation import relation_defect
+from relation import relation_defect, taylor
 from thetares import (
     Family,
     Poly,
@@ -33,8 +33,8 @@ from thetares import (
     local_residue_mod,
     rec_sequence,
     residue_report,
-    resum_matrix,
 )
+from thetares.checks import u_columns
 from thetares.recurrence import PRIME, _draw_prime, _fits, _jet_values, _Tables
 
 M_MAX = 8
@@ -97,6 +97,6 @@ def test_every_step_satisfies_the_relation_and_the_residue_identity(family, i, k
             assert local_residue(family, m) == res
             res_mod = res.numerator * pow(res.denominator, -1, PRIME) % PRIME
             assert local_residue_mod(family, m) == res_mod
-    matrix = resum_matrix(family, M_MAX, M_MAX)
-    for m, entry in enumerate(seq.entries):
-        assert tuple(matrix[m]) == entry.taylor(M_MAX)
+    columns = u_columns(family, [M_MAX + 1] * (M_MAX + 1))
+    for entry, column in zip(seq.entries, columns):
+        assert [column.coeff(i) for i in range(M_MAX + 1)] == list(taylor(entry, M_MAX))

@@ -60,6 +60,7 @@ class TestPolyBasics:
         assert Poly([1, 2, 3]).degree == 2
         assert Poly().degree == float("-inf")
         assert not Poly([0, 0])
+        assert str(Poly()) == "0"
 
     def test_trailing_zeros_stripped(self):
         assert Poly([1, 0, 0]) == Poly([1])

@@ -7,8 +7,8 @@ from math import comb, isqrt, lcm
 import pytest
 
 from conftest import rand_ratfunc
-from relation import relation_defect
-from thetares import backend, recurrence
+from relation import relation_defect, taylor
+from thetares import backend, checks, recurrence
 from thetares import (
     DELTA256,
     THETA,
@@ -29,7 +29,6 @@ from thetares import (
     rec_sequence,
     rec_step,
     residue_report,
-    resum_matrix,
     upoly_sequence,
     upoly_step,
 )
@@ -43,8 +42,8 @@ MIXED = [f"mult:{a},{b4},{c4}*{poly}" for a in range(3) for b4 in (0, 3, 6)
          for c4 in (0, 4, 8) if a or b4 or c4
          for poly in ("poly:1:[(0,1,1),(1,0,1)]", "poly:1:[(0,1,1)]", "poly:1:[(1,0,1)]",
                       RATIONAL_DEG2)]
-# the mixed families whose resummation is checked here and whose three-term
-# relation test_qseries.py checks
+# the mixed families whose u-side columns are checked here and whose
+# three-term relation test_qseries.py checks
 MIXED_DEEP = [f"mult:{theta}*{RATIONAL_DEG2}" for theta in ("1,0,4", "0,4,4", "2,8,8", "1,3,5")]
 # theta^2, theta, theta^4, 256*Delta, three more monomials and three P(x, y)
 U_SIDE_FAMILIES = [
@@ -448,12 +447,12 @@ class TestStructuralInvariants:
     def test_constant_term_law(self, theta2_seq, delta_seq):
         for seq in (theta2_seq, delta_seq):
             for m, entry in enumerate(seq.entries):
-                assert entry.taylor(0)[0] == seq.family.rhs(m)
+                assert entry.num.coeff(0) == seq.family.rhs(m)  # D(0) = 1
 
     def test_constant_term_law_poly(self):
         seq = rec_sequence(P_EQ_Y, 5)
         for m, entry in enumerate(seq.entries):
-            assert entry.taylor(0)[0] == P_EQ_Y.rhs(m)
+            assert entry.num.coeff(0) == P_EQ_Y.rhs(m)
 
 
 class TestUPoly:
@@ -502,37 +501,62 @@ class TestUPoly:
                 assert rel == 0, (text, n, i)
 
 
-class TestResummation:
-    def test_theta2_entry_1_2(self):
-        assert resum_matrix(THETA2, 2, 3)[1][2] == Fraction(-1, 4)
+def assert_columns_are_taylor(family, entries, n):
+    """u-side column m equals e_m's Taylor coefficients at v^0 .. v^(n-1)."""
+    columns = checks.u_columns(family, [n] * len(entries))
+    for m, (entry, column) in enumerate(zip(entries, columns)):
+        assert [column.coeff(i) for i in range(n)] == list(taylor(entry, n - 1)), m
 
-    def test_multiplicative_row_zero(self, delta_seq):
-        matrix = resum_matrix(DELTA256, 4, 6)
+
+class TestResummation:
+    """The weighted u-side columns of `checks.u_columns` against the v-side
+    entries' Taylor coefficients, and the suite's whole-entry check."""
+
+    def test_theta2_entry_1_2(self):
+        assert checks.u_columns(THETA2, [4, 4, 4])[1].coeff(2) == Fraction(-1, 4)
+
+    def test_multiplicative_row_zero(self):
+        columns = checks.u_columns(DELTA256, [7] * 5)
         for m in range(5):
-            assert matrix[m][0] == (1 if m == 0 else 0)
+            assert columns[m].coeff(0) == (1 if m == 0 else 0)
 
     def test_poly_column_zero(self):
-        matrix = resum_matrix(P_EQ_Y, 3, 4)
+        columns = checks.u_columns(P_EQ_Y, [5] * 4)
         for m in range(4):
-            assert matrix[m][0] == P_EQ_Y.rhs(m)
+            assert columns[m].coeff(0) == P_EQ_Y.rhs(m)
 
     def test_matches_taylor_theta2(self, theta2_seq):
-        matrix = resum_matrix(THETA2, 5, 9)
-        for m in range(6):
-            taylor = theta2_seq.entries[m].taylor(9)
-            assert tuple(matrix[m]) == taylor
+        assert_columns_are_taylor(THETA2, theta2_seq.entries[:6], 10)
 
     def test_matches_taylor_delta(self, delta_seq):
-        matrix = resum_matrix(DELTA256, 4, 8)
-        for m in range(5):
-            taylor = delta_seq.entries[m].taylor(8)
-            assert tuple(matrix[m]) == taylor
+        assert_columns_are_taylor(DELTA256, delta_seq.entries[:5], 9)
 
     def test_matches_taylor_poly_family(self):
-        seq = rec_sequence(P_EQ_Y, 4)
-        matrix = resum_matrix(P_EQ_Y, 4, 8)
-        for m in range(5):
-            assert tuple(matrix[m]) == seq.entries[m].taylor(8)
+        assert_columns_are_taylor(P_EQ_Y, rec_sequence(P_EQ_Y, 4).entries, 9)
+
+    def test_uneven_lengths_cut_the_even_columns(self):
+        lengths = [12, 3, 7]
+        even = checks.u_columns(THETA2, [12] * 3)
+        for column, whole, n in zip(checks.u_columns(THETA2, lengths), even, lengths):
+            assert column == Poly(whole.coeffs[:n])
+
+    def test_suite_checks_every_coefficient_past_deg_n(self, monkeypatch):
+        # the last of the 8 coefficients past deg N of theta^2's entry 20 moves
+        columns = checks.u_columns
+
+        def bumped(family, lengths):
+            out = columns(family, lengths)
+            if family == THETA2:
+                coeffs = [out[20].coeff(i) for i in range(lengths[20])]
+                coeffs[-1] += 1
+                out[20] = Poly(coeffs)
+            return out
+
+        monkeypatch.setattr(checks, "u_columns", bumped)
+        theta2, delta, mixed = checks.resum_suite()
+        assert delta.passed and mixed.passed and not theta2.passed
+        n = len(rec_sequence(THETA2, 20).entries[20].num.int_coeffs)
+        assert theta2.detail.startswith(f"first mismatch at m = 20, coefficient {n + 7}: ")
 
 
 class TestMixedFamilies:
@@ -555,10 +579,7 @@ class TestMixedFamilies:
     @pytest.mark.parametrize("text", MIXED_DEEP)
     def test_resummation_matches_taylor(self, text):
         family = parse_family(text)
-        seq = rec_sequence(family, 5)
-        matrix = resum_matrix(family, 5, 10)
-        for m in range(6):
-            assert tuple(matrix[m]) == seq.entries[m].taylor(10)
+        assert_columns_are_taylor(family, rec_sequence(family, 5).entries, 11)
 
 
 class TestResidueReport:

@@ -27,7 +27,7 @@ README_NAMES = {
     "Family", "HigherOrderPoleError", "OracleConsistencyError", "Poly", "QSeries",
     "RatFunc", "RelationError", "SeqState", "THETA2", "cf_coeff", "has_pole",
     "local_residue", "local_residue_mod", "r2_count", "ramanujan_tau", "rec_sequence",
-    "rec_step", "residue_report", "resum_matrix", "sigma1", "upoly_sequence", "upoly_step",
+    "rec_step", "residue_report", "sigma1", "upoly_sequence", "upoly_step",
 }
 OTHER_NAMES = {
     "BACKEND", "DEFAULT_TRUNC", "DELTA256", "FamilyError", "ResidueReport", "THETA",

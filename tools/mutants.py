@@ -3,17 +3,20 @@
 Every mutant replaces one exact piece of source text (``old``, found
 exactly once in its file) by ``new``.  The script copies the tree to a
 temporary directory, applies one mutant there, and runs ``pytest -x -q``
-on the mutant's test files with that copy's ``src`` first on the path.
-The mutant is killed when a test fails and survives when they all pass.
-An equivalent mutant, which no test can tell from the original, names
-the reason instead of test files; it is only checked to still apply.
+on the mutant's tests (whole files, or node ids where a file is more than
+it needs) with that copy's ``src`` first on the path.  The mutant is
+killed when a test fails and survives when they all pass; each verdict
+line ends with the seconds its mutant took.  An equivalent mutant, which
+no test can tell from the original, names the reason instead of tests;
+it is only checked to still apply.
 
 Run from anywhere, with pytest and hypothesis installed:
 
     python tools/mutants.py
 
-It exits 1 when a mutant survives, no longer applies, or its test files
-fail on the unmutated tree (a failing file would kill every mutant).
+It exits 1 when a mutant survives, no longer applies, or the files of
+its tests fail on the unmutated tree (a failing file would kill every
+mutant).
 A change that fixes a bug adds the mutant that brings the bug back.
 """
 
@@ -30,7 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# tests: the test files that must kill the mutant; equivalent: why none can
+# tests: the test files or node ids that must kill the mutant; equivalent: why none can
 Mutant = namedtuple("Mutant", "name file old new tests equivalent", defaults=((), ""))
 
 MUTANTS = [
@@ -239,6 +242,18 @@ MUTANTS = [
            "    trunc = family.edge(args.m_max)\n",
            "    trunc = family.edge(args.m_max) - 1\n",
            ("tests/test_cli.py",)),
+    Mutant("the family's size bound switched off", "src/thetares/families.py",
+           "        if max(a, k) >= 2**60:",
+           "        if False:",
+           ("tests/test_families.py::TestPolynomial::test_size_bound_is_2_to_the_60",)),
+    Mutant("the weight product one index off", "src/thetares/checks.py",
+           "weight *= i * (i - 1 + family.w)",
+           "weight *= i * (i + family.w)",
+           ("tests/test_recurrence.py::TestResummation",)),
+    Mutant("phi cut at u^(M-1)", "src/thetares/checks.py",
+           "phi.int_coeffs[:len(lengths)]",
+           "phi.int_coeffs[:len(lengths) - 1]",
+           ("tests/test_recurrence.py::TestResummation",)),
     Mutant("the CLI's size bound switched off", "src/thetares/cli.py",
            "    if reach >= 2**60:",
            "    if False:",
@@ -327,11 +342,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         _copy_tree(tree)
-        files = sorted({f for m in MUTANTS for f in m.tests})
+        files = sorted({t.split("::")[0] for m in MUTANTS for t in m.tests})
         if _pytest(tree, files):
             print(f"the unmutated tree fails {' '.join(files)}: no mutant can be judged")
             return 1
         for mutant in MUTANTS:
+            began = time.monotonic()
             shutil.rmtree(tree)
             _copy_tree(tree)
             if not _apply(tree, mutant):
@@ -344,7 +360,8 @@ def main() -> int:
                 verdict = {0: "SURVIVED", 1: "killed", 2: "killed"}.get(
                     code, f"ERROR (pytest exit {code})")
             bad += not (verdict == "killed" or verdict.startswith("equivalent"))
-            print(f"{mutant.file}: {mutant.name}: {verdict}", flush=True)
+            print(f"{mutant.file}: {mutant.name}: {verdict} "
+                  f"({time.monotonic() - began:.1f} s)", flush=True)
     print(f"{len(MUTANTS)} mutants, {bad} not killed or stale, "
           f"{time.monotonic() - start:.0f} s")
     return 1 if bad else 0
