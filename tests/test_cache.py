@@ -3,28 +3,38 @@
 import errno
 import json
 import os
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetares import DELTA256, THETA2, Poly, RatFunc, __version__, rec_sequence, rec_step
-from thetares import backend, parse_family, recurrence
-from thetares.cache import SeqCache, cached_sequence
+from thetares import backend, cache as cache_module, parse_family, recurrence
+from thetares.cache import SeqCache, cached_sequence, family_digest
 from thetares.cli import main
 
-# theta^2 entry m = 3 in the retired format 1 (decimal "p/q" strings):
-# a miss, recomputed and rewritten in format 2
-PINNED_M3 = (
-    '{"engine": "0.1.0", "entry": {"den": [[1, 5], [2, 3]], "num": ["0", "0", "0", "0", '
-    '"-1/4", "17/8", "-457/64", "13", "-953/64", "351/32", "-35/8", "3/4"]}, '
-    '"family": "mult:0,0,2", "format": 1, "m": 3}'
+# theta^2 entry m = 3 in format 3, written by engine 0.1.0: the pickle of
+# {"engine": "0.1.0", "family": "mult:0,0,2", "format": 3, "m": 3,
+#  "nums": [0, 0, 0, 0, -16, 136, -457, 832, -953, 702, -280, 48],
+#  "den": 64, "factors": [[1, 5], [2, 3]]}; reading it and writing it
+# back must give these bytes
+PINNED_M3 = bytes.fromhex(
+    "80059594000000000000007d94288c06656e67696e65948c05302e312e30948c"
+    "0666616d696c79948c0a6d756c743a302c302c32948c06666f726d6174944b03"
+    "8c016d944b038c046e756d73945d94284b004b004b004b004af0ffffff4b884a"
+    "37feffff4d40034a47fcffff4dbe024ae8feffff4b30658c0364656e944b408c"
+    "07666163746f7273945d94285d94284b014b05655d94284b024b036565752e"
 )
-# the same entry in format 2: hex numerators over the shared denominator
-# 0x40 = 64; reading it and writing it back must give these bytes
-PINNED_M3_HEX = (
-    '{"engine": "0.1.0", "entry": {"den": "40", "factors": [[1, 5], [2, 3]], "nums": '
-    '["0", "0", "0", "0", "-10", "88", "-1c9", "340", "-3b9", "2be", "-118", "30"]}, '
-    '"family": "mult:0,0,2", "format": 2, "m": 3}'
-)
+M3_NUMS = [0, 0, 0, 0, -16, 136, -457, 832, -953, 702, -280, 48]
+
+
+def load(path):
+    return pickle.loads(path.read_bytes())
+
+
+def dump(path, data):
+    path.write_bytes(pickle.dumps(data, protocol=5))
 
 
 def test_round_trip(tmp_path):
@@ -41,12 +51,12 @@ def test_cache_files_are_versioned(tmp_path):
     cache = SeqCache(tmp_path)
     cached_sequence(THETA2, 2, cache)
     path = cache.entry_path(THETA2, 1)
-    data = json.loads(path.read_text())
-    assert data["format"] == 2
+    assert path.suffix == ".pkl"
+    data = load(path)
+    assert data["format"] == 3
     assert data["family"] == "mult:0,0,2"
     assert data["m"] == 1
-    assert set(data) == {"format", "engine", "family", "m", "entry"}
-    assert set(data["entry"]) == {"nums", "den", "factors"}
+    assert set(data) == {"format", "engine", "family", "m", "nums", "den", "factors"}
 
 
 def test_corrupt_entries_are_recomputed(tmp_path):
@@ -60,20 +70,17 @@ def test_corrupt_entries_are_recomputed(tmp_path):
     assert cache.read(THETA2, 2) == good  # rewritten
 
 
-def this_engine(text):
-    return text.replace('"engine": "0.1.0"', f'"engine": "{__version__}"')
-
-
-def test_pinned_file_reads_and_writes_back_byte_identical(tmp_path):
+def test_pinned_file_reads_and_writes_back_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_module, "__version__", "0.1.0")
     cache = SeqCache(tmp_path)
     path = cache.entry_path(THETA2, 3)
-    pinned = this_engine(PINNED_M3_HEX)
-    path.write_text(pinned, encoding="utf-8")
+    path.write_bytes(PINNED_M3)
     entry = cache.read(THETA2, 3)
     assert entry == rec_sequence(THETA2, 3).entries[3]
+    assert list(entry.num.int_coeffs) == M3_NUMS
     path.unlink()
     cache.write(THETA2, 3, entry)
-    assert path.read_bytes() == pinned.encode()
+    assert path.read_bytes() == PINNED_M3
 
 
 @pytest.mark.parametrize("text, m_max", [
@@ -82,31 +89,55 @@ def test_pinned_file_reads_and_writes_back_byte_identical(tmp_path):
     ("poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]", 6),
     ("poly:1:[(0,1,1)]", 2),  # e_0 = 0: no numerators at all
 ])
-def test_written_text_is_the_json_encoding(tmp_path, text, m_max):
+def test_written_bytes_are_the_pickle_encoding(tmp_path, text, m_max):
     family = parse_family(text)
     cache = SeqCache(tmp_path)
     for m, entry in enumerate(rec_sequence(family, m_max).entries):
         cache.write(family, m, entry)
         data = {
-            "format": 2,
             "engine": __version__,
             "family": text,
+            "format": 3,
+            "m": m,
+            "nums": list(entry.num.int_coeffs),
+            "den": entry.num.int_den,
+            "factors": [list(f) for f in entry.factors],
+        }
+        expected = pickle.dumps(data, protocol=5)
+        assert cache.entry_path(family, m).read_bytes() == expected
+
+
+def test_format_2_files_are_ignored(tmp_path, capsys, monkeypatch):
+    # a directory filled in format 2: one JSON file of hex strings per
+    # entry, named .json; none is read, every entry is recomputed into a
+    # .pkl file, and the .json files are left as they were
+    monkeypatch.delenv("THETARES_CACHE_DIR", raising=False)
+    for m, entry in enumerate(rec_sequence(THETA2, 4).entries):
+        data = {
+            "format": 2,
+            "engine": __version__,
+            "family": "mult:0,0,2",
             "m": m,
             "entry": {"nums": [format(c, "x") for c in entry.num.int_coeffs],
                       "den": format(entry.num.int_den, "x"), "factors": entry.factors},
         }
-        expected = json.dumps(data, sort_keys=True).encode()
-        assert cache.entry_path(family, m).read_bytes() == expected
+        path = tmp_path / f"{family_digest(THETA2)}-m{m}.json"
+        path.write_text(json.dumps(data, sort_keys=True), encoding="utf-8")
+    old = {path: path.read_bytes() for path in tmp_path.glob("*.json")}
+    assert main(["compute", "--family", "mult:0,0,2", "--m-max", "4", "--format", "json"]) == 0
+    plain = capsys.readouterr().out
+    written, write = [], SeqCache.write
 
+    def counted(self, family, m, entry):
+        written.append(m)
+        write(self, family, m, entry)
 
-def test_format_1_file_is_rewritten_in_format_2(tmp_path):
-    cache = SeqCache(tmp_path)
-    cached_sequence(THETA2, 3, cache)
-    path = cache.entry_path(THETA2, 3)
-    path.write_text(this_engine(PINNED_M3), encoding="utf-8")
-    assert cache.read(THETA2, 3) is None
-    cached_sequence(THETA2, 3, cache)
-    assert path.read_text(encoding="utf-8") == this_engine(PINNED_M3_HEX)
+    monkeypatch.setattr(SeqCache, "write", counted)
+    assert compute(tmp_path, 4) == 0
+    assert capsys.readouterr().out == plain
+    assert written == [0, 1, 2, 3, 4]
+    assert len(list(tmp_path.glob("*.pkl"))) == 5
+    assert {path: path.read_bytes() for path in tmp_path.glob("*.json")} == old
 
 
 def test_zero_denominator_is_recomputed(tmp_path):
@@ -114,9 +145,9 @@ def test_zero_denominator_is_recomputed(tmp_path):
     cached_sequence(THETA2, 3, cache)
     good = cache.read(THETA2, 2)
     path = cache.entry_path(THETA2, 2)
-    data = json.loads(path.read_text())
-    data["entry"]["den"] = "0"
-    path.write_text(json.dumps(data))
+    data = load(path)
+    data["den"] = 0
+    dump(path, data)
     assert cache.read(THETA2, 2) is None
     seq = cached_sequence(THETA2, 3, cache)
     assert seq.entries[2] == good
@@ -130,7 +161,7 @@ def test_coefficients_beyond_the_int_str_limit(tmp_path):
     assert entry.num.to_strings() == ["-" + "3" * 14999 + "1/4", "1", "0", "5/2"]
     cache = SeqCache(tmp_path)
     cache.write(THETA2, 7, entry)
-    assert f'"-{big:x}"' in cache.entry_path(THETA2, 7).read_text()
+    assert load(cache.entry_path(THETA2, 7))["nums"] == [-big, 4, 0, 10]
     assert cache.read(THETA2, 7) == entry
 
 
@@ -138,10 +169,10 @@ def test_mismatched_header_rejected(tmp_path):
     cache = SeqCache(tmp_path)
     cached_sequence(THETA2, 1, cache)
     path = cache.entry_path(THETA2, 1)
-    data = json.loads(path.read_text())
-    data["family"] = "mult:9,9,9"
-    path.write_text(json.dumps(data))
-    assert cache.read(THETA2, 1) is None
+    good = load(path)
+    for key, value in [("family", "mult:9,9,9"), ("format", 2), ("m", 2)]:
+        dump(path, {**good, key: value})
+        assert cache.read(THETA2, 1) is None, key
 
 
 def test_distinct_families_do_not_collide(tmp_path):
@@ -284,20 +315,33 @@ def test_numerator_moved_by_2_61_minus_1_is_a_miss(tmp_path, capsys, monkeypatch
     assert [path.read_bytes() for path in paths] == good
 
 
+def coefficient_4(value):
+    """Entry 3's numerators with coefficient 4 (-16) replaced by value."""
+    return M3_NUMS[:4] + [value] + M3_NUMS[5:]
+
+
 @pytest.mark.parametrize("key, value", [
     ("factors", [[1, 5], [2.0, 3]]),
     ("factors", [[1, 5], [2, True]]),
     ("factors", [[1, 5], ["2", 3]]),
-    ("nums", "1"),  # one hex string, not a list of them
+    ("nums", "1"),  # one string, not a list
+    ("nums", coefficient_4(-16.0)),
+    ("nums", coefficient_4(True)),  # a bool is an int to isinstance
+    ("nums", coefficient_4("-10")),  # -16 as format 2 wrote it
+    ("factors", [[1, 5], [2, 3, 0]]),
+    ("factors", [[1, 5], 2]),
+    ("den", 64.0),
+    ("den", True),
 ])
 def test_entry_of_the_wrong_json_types_is_a_miss(tmp_path, key, value):
+    # values of the types a JSON document holds, where the file must hold
+    # exact ints: each is a miss at the read, before any check of the entry
     cache = SeqCache(tmp_path)
     cached_sequence(THETA2, 3, cache)
     path = cache.entry_path(THETA2, 3)
     good = path.read_bytes()
-    data = json.loads(good)
-    data["entry"][key] = value
-    path.write_text(json.dumps(data, sort_keys=True))
+    assert load(path)["nums"] == M3_NUMS
+    dump(path, {**load(path), key: value})
     assert cache.read(THETA2, 3) is None
     cached_sequence(THETA2, 3, cache)
     assert path.read_bytes() == good
@@ -305,14 +349,83 @@ def test_entry_of_the_wrong_json_types_is_a_miss(tmp_path, key, value):
 
 @pytest.mark.parametrize("text", ["[]", "1", '"x"', "null"])
 def test_non_object_file_is_a_miss(tmp_path, capsys, text):
+    # a file holding the object the JSON text gives, and no dict
     assert compute(tmp_path, 3) == 0
     cold = capsys.readouterr().out
     path = SeqCache(tmp_path).entry_path(THETA2, 2)
     good = path.read_bytes()
-    path.write_text(text)
+    dump(path, json.loads(text))
     assert compute(tmp_path, 3) == 0
     assert capsys.readouterr().out == cold
     assert path.read_bytes() == good
+
+
+CALLED = []
+
+
+def record_call(data):
+    """A global that a forged file names: no read may call it."""
+    CALLED.append(data)
+    return data
+
+
+class CallOnLoad:
+    """Pickles as a REDUCE of record_call over data."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def __reduce__(self):
+        return record_call, (self.data,)
+
+
+def test_global_in_a_file_is_never_resolved(tmp_path):
+    # resolved and called, record_call would hand the read the genuine dict
+    cache = SeqCache(tmp_path)
+    cached_sequence(THETA2, 3, cache)
+    path = cache.entry_path(THETA2, 3)
+    good = path.read_bytes()
+    CALLED.clear()
+    dump(path, CallOnLoad(load(path)))
+    assert b"record_call" in path.read_bytes()
+    assert cache.read(THETA2, 3) is None
+    assert CALLED == []
+    cached_sequence(THETA2, 3, cache)
+    assert path.read_bytes() == good
+
+
+@pytest.mark.parametrize("tail", [b".", b"\x00", PINNED_M3], ids=["stop", "zero", "pickle"])
+def test_bytes_after_the_pickle_are_a_miss(tmp_path, tail):
+    cache = SeqCache(tmp_path)
+    cached_sequence(THETA2, 3, cache)
+    path = cache.entry_path(THETA2, 3)
+    good = path.read_bytes()
+    path.write_bytes(good + tail)
+    assert cache.read(THETA2, 3) is None
+    cached_sequence(THETA2, 3, cache)
+    assert path.read_bytes() == good
+
+
+def test_every_truncation_is_a_miss(tmp_path):
+    cache = SeqCache(tmp_path)
+    cached_sequence(THETA2, 3, cache)
+    path = cache.entry_path(THETA2, 3)
+    good = path.read_bytes()
+    for n in range(len(good)):
+        path.write_bytes(good[:n])
+        assert cache.read(THETA2, 3) is None, n
+
+
+@pytest.fixture(scope="module")
+def scratch_cache(tmp_path_factory):
+    return SeqCache(tmp_path_factory.mktemp("random"))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.binary(max_size=400))
+def test_random_bytes_are_a_miss(scratch_cache, raw):
+    scratch_cache.entry_path(THETA2, 3).write_bytes(raw)
+    assert scratch_cache.read(THETA2, 3) is None
 
 
 @pytest.mark.parametrize("text", [
@@ -378,9 +491,7 @@ def test_other_engine_version_is_a_miss(tmp_path):
     cached_sequence(THETA2, 2, cache)
     path = cache.entry_path(THETA2, 2)
     good = path.read_bytes()
-    data = json.loads(good)
-    data["engine"] = "0.0.0"
-    path.write_text(json.dumps(data, sort_keys=True))
+    dump(path, {**load(path), "engine": "0.0.0"})
     assert cache.read(THETA2, 2) is None
     cached_sequence(THETA2, 2, cache)
     assert path.read_bytes() == good
@@ -391,7 +502,7 @@ def test_cli_uses_cache_dir(tmp_path, capsys):
             "--format", "json", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    assert len(list(tmp_path.glob("*.json"))) == 3
+    assert len(list(tmp_path.glob("*.pkl"))) == 3
     assert main(argv) == 0
     assert capsys.readouterr().out == first
 
@@ -400,4 +511,4 @@ def test_cli_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("THETARES_CACHE_DIR", str(tmp_path))
     assert main(["compute", "--family", "mult:0,0,2", "--m-max", "1"]) == 0
     capsys.readouterr()
-    assert len(list(tmp_path.glob("*.json"))) == 2
+    assert len(list(tmp_path.glob("*.pkl"))) == 2

@@ -134,7 +134,7 @@ class TestCompute:
                                  "--format", "json", "--cache-dir", str(tmp_path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert len(list(tmp_path.glob("*.json"))) == 3
+        assert len(list(tmp_path.glob("*.pkl"))) == 3
 
     def test_missing_family(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--m-max", "1")

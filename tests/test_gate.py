@@ -9,8 +9,8 @@ path, cold then warm, with a forged entry in between.
 """
 
 import hashlib
-import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -119,22 +119,21 @@ def test_cache_cold_then_warm(tmp_path, family, m_max):
             "--cache-dir", str(cache))
     code, cold = thetares(*argv)
     assert code == 0
-    written = {path: path.read_bytes() for path in cache.glob("*.json")}
+    written = {path: path.read_bytes() for path in cache.glob("*.pkl")}
     assert len(written) == m_max + 1
     prefix = hashlib.sha256(family.encode()).hexdigest()[:16]
     refused = set()
     if family == "mult:0,0,2":
-        forged = cache / f"{prefix}-m3.json"
-        data = json.loads(written[forged])
-        nums = data["entry"]["nums"]
-        nums[0] = format(int(nums[0], 16) + 2**61 - 1, "x")
-        forged.write_text(json.dumps(data, sort_keys=True))
-        refused = {cache / f"{prefix}-m{m}.json" for m in range(3, m_max + 1)}
+        forged = cache / f"{prefix}-m3.pkl"
+        data = pickle.loads(written[forged])
+        data["nums"][0] += 2**61 - 1
+        forged.write_bytes(pickle.dumps(data, protocol=5))
+        refused = {cache / f"{prefix}-m{m}.pkl" for m in range(3, m_max + 1)}
     stamps = {path: (path.stat().st_ino, path.stat().st_mtime_ns) for path in written}
 
     code, warm = thetares(*argv)
     assert (code, warm) == (0, cold)
-    assert {path: path.read_bytes() for path in cache.glob("*.json")} == written
+    assert {path: path.read_bytes() for path in cache.glob("*.pkl")} == written
     rewritten = {path for path in written
                  if (path.stat().st_ino, path.stat().st_mtime_ns) != stamps[path]}
     assert rewritten == refused

@@ -64,9 +64,10 @@ def test_conv_trunc_matches_schoolbook():
         t = tuple(a)
         cases.append((t, t, n))
     for a, b, n in cases:
-        assert backend.conv_trunc(a, b, n) == schoolbook_trunc(a, b, n), (a, b, n)
-        # the full product, the empty operand's [] included
-        assert backend.conv(a, b) == schoolbook_trunc(a, b, len(a) + len(b) - 1), (a, b)
+        # the full product, the empty operand's [] included, and its prefix
+        full = schoolbook_trunc(a, b, len(a) + len(b) - 1)
+        assert backend.conv_trunc(a, b, n) == full[:max(n, 0)], (a, b, n)
+        assert backend.conv(a, b) == full, (a, b)
 
 
 @st.composite

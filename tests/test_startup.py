@@ -18,8 +18,9 @@ from thetares.cli import main
 # and usage errors: a plain command line never needs them
 PARSER = {"argparse", "gettext", "locale"}
 # modules a CLI run must not pay for at import: dataclasses pulls in inspect
-# (and ast, dis, tokenize), csv serves one output format, hashlib only the cache
-FORBIDDEN = {"dataclasses", "inspect", "csv", "hashlib", "typing"} | PARSER
+# (and ast, dis, tokenize), csv serves one output format, hashlib and pickle
+# only the cache
+FORBIDDEN = {"dataclasses", "inspect", "csv", "hashlib", "pickle", "typing"} | PARSER
 
 # the public names the README's Library section lists, then the rest of the
 # names the package's top-level imports make public

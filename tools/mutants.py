@@ -202,6 +202,18 @@ MUTANTS = [
            'data.get("format") != CACHE_FORMAT or data.get("engine") != __version__',
            'data.get("format") != CACHE_FORMAT',
            ("tests/test_cache.py",)),
+    Mutant("the cache reader resolves globals", "src/thetares/cache.py",
+           '                raise pickle.UnpicklingError(f"global {module}.{name} refused")',
+           "                return super().find_class(module, name)",
+           ("tests/test_cache.py",)),
+    Mutant("the cache reader accepts trailing bytes", "src/thetares/cache.py",
+           "if stream.tell() != len(raw) or type(data) is not dict:",
+           "if type(data) is not dict:",
+           ("tests/test_cache.py",)),
+    Mutant("the cache reader's type(c) is int loosened to isinstance", "src/thetares/cache.py",
+           "return all(type(c) is int for c in values)",
+           "return all(isinstance(c, int) for c in values)",
+           ("tests/test_cache.py",)),
     Mutant("the drawn prime may divide a denominator", "src/thetares/recurrence.py",
            "if _is_prime(p) and dens % p:",
            "if _is_prime(p):",
