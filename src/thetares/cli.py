@@ -5,10 +5,10 @@ table against the q-series oracle), scan (two-squares / squares / lehmer
 / perfect-odd), verify (the named check suite), qseries-dump.
 
 Exit codes: 0 all checks pass, 1 theory/oracle mismatch, 2 usage error (a
-UsageError, a size of 2^60 or more among them, or argparse's), 3 internal
-error (any other exception, a bug: traceback to stderr, nothing to
-stdout).  Output is deterministic: JSON is emitted with sorted keys and
-exact rational strings, never floats.
+UsageError, a size of 2^60 or more or a family degree of 2^24 or more
+among them, or argparse's), 3 internal error (any other exception, a
+bug: traceback to stderr, nothing to stdout).  Output is deterministic:
+JSON is emitted with sorted keys and exact rational strings, never floats.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 from .cache import SeqCache
 from .checks import SUITES
-from .families import DELTA256, THETA, THETA2, UsageError, parse_family
+from .families import DELTA256, THETA, THETA2, Family, UsageError, parse_family
 from .qseries import (
     DEFAULT_TRUNC,
     OracleConsistencyError,
@@ -75,11 +75,22 @@ def _check_size(flag: str, value: int, low: int, reach: int) -> None:
         raise UsageError(f"{flag} {value} reaches size {reach}, not below 2^60")
 
 
+def _family(text: str) -> Family:
+    """The parsed family, refusing a degree k of 2^24 or more: every family
+    command builds phi_0 = P(1, u), a dense list of k + 1 coefficients, and
+    2^24 of them already take 128 MiB of pointers."""
+    family = parse_family(text)
+    if family.k >= 2**24:
+        raise UsageError(f"family degree k = {family.k}, not below 2^24: phi_0 would "
+                         "hold k + 1 coefficients")
+    return family
+
+
 # -- compute ---------------------------------------------------------------
 
 
 def cmd_compute(args) -> int:
-    family = parse_family(args.family)
+    family = _family(args.family)
     _check_size("--m-max", args.m_max, 0, family.edge(args.m_max))
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     try:
@@ -104,7 +115,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_residues(args) -> int:
-    family = parse_family(args.family)
+    family = _family(args.family)
     _check_size("--m-max", args.m_max, 1, family.edge(args.m_max))
     if args.normalize_delta and family != DELTA256:
         raise UsageError("--normalize-delta only applies to the 256*Delta family mult:2,8,8")
@@ -249,7 +260,7 @@ def cmd_qseries_dump(args) -> int:
     if args.series:
         qs = _SERIES[args.series](args.trunc)
     else:
-        qs = cf_series(parse_family(args.family), args.trunc)
+        qs = cf_series(_family(args.family), args.trunc)
     _emit_json(qs.to_json_dict())
     return EXIT_OK
 

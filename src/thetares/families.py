@@ -116,10 +116,15 @@ class Family:
             coeffs[j] = c
         return Poly(coeffs)
 
+    def rhs_table(self) -> dict:
+        """{m: rhs_m} over the m with rhs_m != 0: P's coefficients keyed by
+        their power of y, one monomial per power as P is homogeneous."""
+        return {j: c for _i, j, c in self.monomials}
+
     def rhs(self, m: int) -> Fraction:
         """Right-hand side of the m-th relation (after clearing the 1/v):
         [u^m] P(1, u), the m-th coefficient of `phi0`."""
-        return next((c for _i, j, c in self.monomials if j == m), Fraction(0))
+        return self.rhs_table().get(m, Fraction(0))
 
     def recovered_from_residue(self, m: int, residue: Fraction) -> Fraction:
         """Invert the residue identity: the q-expansion coefficient of the

@@ -88,9 +88,15 @@ The division mod a prime p multiplies by u^-1 mod p instead, so it
 builds no powers of u, and gives den = 0 when p divides u; a divisor
 s, 4 or a denominator that p divides shows as den = 0 mod p too.  A
 nonzero residue mod any prime p proves the pole, so p's size costs no
-exactness: `has_pole` takes p = PRIME = 2^30 - 35, the largest prime
-below 2^30, whose residues CPython holds in one 30-bit digit, and falls
-back to the exact jet only on a zero mod p or on den = 0.
+exactness: `has_pole` takes p = PRIME = 32749, the largest prime below
+2^15, and falls back to the exact jet only on a zero mod p or on den = 0.
+A jet value is then 15 bits, and a stencil sum f_i (jet values times row
+entries that grow like s i) stays below 2^30, one CPython digit, in
+every jet of `scan --kind lehmer --m-max 15` (32 bits by --m-max 30), so
+its product with u^-1 mod p takes at most two digits.  What p's size
+does cost is fallbacks: a nonzero residue reads 0 mod p with chance
+about 1/p = 3 * 10^-5, and p divides a divisor only when s >= p or a
+denominator of P holds p.
 
 Nothing above needs v0 = 1/s to be a pole: expanded at any point v0 mod p
 where every 1 - s_k v0 is a unit, e_k(v0) = f_k(v0) / (1 - s_k v0) for
@@ -123,9 +129,10 @@ from .rational import Poly
 from .ratfunc import RatFunc, expanded_den
 
 # the modulus of the scans' jets (`local_residue_mod`): the largest prime
-# below 2^30, so every jet value is one CPython digit; `rec_sequence` draws
+# below 2^15, so every jet value is 15 bits and, in the scans' jets, every
+# stencil sum stays within one 30-bit CPython digit; `rec_sequence` draws
 # its own prime in [2^61, 2^62) instead (`_draw_prime`)
-PRIME = 2**30 - 35
+PRIME = 32749
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # the first twelve primes
 _BASES_PRODUCT = prod(_BASES)
 
@@ -405,9 +412,10 @@ def _stencil(family: Family, m: int, s: int, divide):
         [b - cw1q - q4 + (b - cw1q - 5 * q4 - 4 * q4 * i) * i for i in idx],
         [-q4 * (i + 1) * (i + 2) for i in idx],
     )
+    rhs = family.rhs_table()  # read once: a lookup per step, no Fraction built
     jet, den = [0] * (2 * m + 3), 1  # e_{-1} = 0, as a jet over den
     for k in range(m + 1):
-        r = family.rhs(k)
+        r = rhs.get(k, 0)
         rn, rd, a = r.numerator, r.denominator, s * ((k - 1) * q - bq)
         # f = rhs_k - v G_k(e) over den q s^2 rd: the stencil on the jet c
         c = [0, 0, *jet]

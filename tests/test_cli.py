@@ -12,6 +12,7 @@ import pytest
 from thetares import (
     THETA,
     THETA2,
+    Family,
     Poly,
     RatFunc,
     RelationError,
@@ -570,6 +571,33 @@ def test_size_bound_is_a_usage_error(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith("not below 2^60\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--family", f"poly:{2**59}:[({2**59},0,1)]", "--m-max", "1"),
+    ("residues", "--family", f"poly:{2**59}:[({2**59},0,1)]", "--m-max", "1"),
+    ("qseries-dump", "--family", f"mult:1,0,0*poly:{2**24}:[(0,{2**24},1)]", "--trunc", "4"),
+])
+def test_family_degree_past_a_dense_list_is_a_usage_error(capsys, monkeypatch, argv):
+    # a degree below Family's 2^60 whose phi_0 = P(1, u), k + 1 coefficients,
+    # would not fit: refused before phi_0 or the engine is built, where
+    # allocating it raised MemoryError, an internal error
+    def refuse(*args):
+        raise AssertionError("phi_0 or the engine was built")
+
+    monkeypatch.setattr(Family, "phi0", refuse)
+    monkeypatch.setattr(recurrence, "_stencil", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: family degree k = ")
+    assert err.endswith(", not below 2^24: phi_0 would hold k + 1 coefficients\n")
+    assert err.count("\n") == 1
+
+
+def test_family_degree_bound_is_2_to_the_24():
+    assert cli._family(f"poly:{2**24 - 1}:[({2**24 - 1},0,1)]").k == 2**24 - 1
+    with pytest.raises(UsageError, match=r"^family degree k = 16777216, not below 2\^24: "):
+        cli._family(f"poly:{2**24}:[(0,{2**24},1)]")
 
 
 def test_size_bound_is_2_to_the_60():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb, isqrt, lcm
 
 import pytest
@@ -699,9 +700,11 @@ class TestScans:
 
 class TestLocalJets:
     def test_matches_the_global_residue(self, theta2_seq, delta_seq):
-        # an odd edge offset, a nonzero 4c with 4b = 1, and a rational poly family
+        # an odd edge offset, a nonzero 4c with 4b = 1, a rational poly family,
+        # and a rational P beside an odd a, so rhs_k's denominator rd is not 1
         others = [rec_sequence(parse_family(spec), 10) for spec in
                   ("mult:1,0,0", "mult:0,1,3", "poly:2:[(0,2,1/3),(1,1,-5/2),(2,0,1)]")]
+        others.append(rec_sequence(checks.MIXED, 10))
         p = recurrence.PRIME
         for seq in (theta2_seq, delta_seq, *others):
             for m in range(1, len(seq.entries)):
@@ -756,11 +759,18 @@ class TestLocalJets:
         assert all(checked.values())
 
     def test_prime_is_one_digit(self):
-        # the largest prime below 2^30: CPython holds every jet value mod it
-        # in one 30-bit digit
+        # the largest prime below 2^15, so that every stencil sum f_i of the
+        # jets `scan --kind lehmer --m-max 15` runs stays in one 30-bit digit
         p = recurrence.PRIME
-        assert p < 2**30 and recurrence._is_prime(p)
-        assert not any(recurrence._is_prime(n) for n in range(p + 1, 2**30))
+        assert p < 2**15 and recurrence._is_prime(p)
+        assert not any(recurrence._is_prime(n) for n in range(p + 1, 2**15))
+        largest = 0
+        for k in range(16):
+            m = 2 * k
+            for f, _den in recurrence._stencil(DELTA256, m, DELTA256.edge(m),
+                                               partial(recurrence._divide_mod, p)):
+                largest = max(largest, *map(abs, f))
+        assert 0 < largest < 2**30
 
     def test_divisor_divisible_by_the_real_prime_falls_back_to_the_exact_jet(self):
         # rhs_1 has PRIME as its denominator, so every jet from m = 1 on has

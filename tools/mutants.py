@@ -220,7 +220,7 @@ MUTANTS = [
            ("tests/test_recurrence.py",)),
     Mutant("rec_sequence draws its prime from PRIME's range", "src/thetares/recurrence.py",
            "rng.randrange(2**61 + 1, 2**62, 2)",
-           "rng.randrange(2**29 + 1, 2**30, 2)",
+           "rng.randrange(2**14 + 1, 2**15, 2)",
            ("tests/test_recurrence.py",)),
     Mutant("the drawn point may sit at a pole 1/j", "src/thetares/recurrence.py",
            "v0 = pow(rng.randrange(low, p), -1, p)",
@@ -230,6 +230,14 @@ MUTANTS = [
            "(pm1 - a) * cm1",
            "(pm1 + a) * cm1",
            ("tests/test_recurrence.py",)),
+    Mutant("the jet's rhs lookup reads rhs_{k+1}", "src/thetares/recurrence.py",
+           "        r = rhs.get(k, 0)",
+           "        r = rhs.get(k + 1, 0)",
+           ("tests/test_recurrence.py::TestLocalJets",)),
+    Mutant("the jet's rhs lookup drops rhs_k's denominator rd", "src/thetares/recurrence.py",
+           "rn, rd, a = r.numerator, r.denominator,",
+           "rn, rd, a = r.numerator, 1,",
+           ("tests/test_recurrence.py::TestLocalJets",)),
     Mutant("the u-side adds r_{i-1} / 4", "src/thetares/recurrence.py",
            "- dp * rm",
            "+ dp * rm",
@@ -270,6 +278,10 @@ MUTANTS = [
            "    if reach >= 2**60:",
            "    if False:",
            ("tests/test_cli.py",)),
+    Mutant("the CLI's family degree bound switched off", "src/thetares/cli.py",
+           "    if family.k >= 2**24:",
+           "    if False:",
+           ("tests/test_cli.py::test_family_degree_past_a_dense_list_is_a_usage_error",)),
     Mutant("parse_family lets int()'s digit-limit ValueError escape",
            "src/thetares/families.py",
            "    except ValueError:  # the only one int() raises on ASCII digits",
