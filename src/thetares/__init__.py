@@ -36,7 +36,6 @@ from .recurrence import (
     RelationError,
     ResidueReport,
     SeqState,
-    check_perfect_odd,
     has_pole,
     local_residue,
     local_residue_mod,

@@ -5,7 +5,7 @@ table against the q-series oracle), scan (two-squares / squares / lehmer
 / perfect-odd), verify (the named check suite), qseries-dump.
 
 Exit codes: 0 all checks pass, 1 theory/oracle mismatch, 2 usage error (a
-UsageError, a size of 2^60 or more or a family degree of 2^24 or more
+UsageError, any input that would build a list of 2^24 entries or more
 among them, or argparse's), 3 internal error (any other exception, a
 bug: traceback to stderr, nothing to stdout).  Output is deterministic:
 JSON is emitted with sorted keys and exact rational strings, never floats.
@@ -16,13 +16,14 @@ from __future__ import annotations
 import json
 import os
 import sys
+from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 from types import SimpleNamespace
 
 from .cache import SeqCache
 from .checks import SUITES
-from .families import DELTA256, THETA, THETA2, Family, UsageError, parse_family
+from .families import DELTA256, MAX_TERMS, THETA, THETA2, THETA4, UsageError, parse_family
 from .qseries import (
     DEFAULT_TRUNC,
     OracleConsistencyError,
@@ -38,7 +39,6 @@ from .qseries import (
 )
 from .recurrence import (
     RelationError,
-    check_perfect_odd,
     has_pole,
     local_residue,
     rec_sequence,
@@ -66,32 +66,22 @@ def _emit_csv(header, rows) -> None:
                      for row in rows)
 
 
-def _check_size(flag: str, value: int, low: int, reach: int) -> None:
-    """Refuse a flag's value below low, or one that reaches a truncation or
-    pole parameter of 2^60 or more: no list that long fits, no scan ends."""
+def _check_size(flag: str, value: int, low: int, terms: int) -> None:
+    """Refuse a flag's value below low, or one whose command would build a
+    list of ``terms`` >= MAX_TERMS entries, ``terms`` being the longest list
+    the command builds; checked before anything runs."""
     if value < low:
         raise UsageError(f"{flag} must be at least {low}")
-    if reach >= 2**60:
-        raise UsageError(f"{flag} {value} reaches size {reach}, not below 2^60")
-
-
-def _family(text: str) -> Family:
-    """The parsed family, refusing a degree k of 2^24 or more: every family
-    command builds phi_0 = P(1, u), a dense list of k + 1 coefficients, and
-    2^24 of them already take 128 MiB of pointers."""
-    family = parse_family(text)
-    if family.k >= 2**24:
-        raise UsageError(f"family degree k = {family.k}, not below 2^24: phi_0 would "
-                         "hold k + 1 coefficients")
-    return family
+    if terms >= MAX_TERMS:
+        raise UsageError(f"{flag} {value} needs a list of {terms} entries, not below 2^24")
 
 
 # -- compute ---------------------------------------------------------------
 
 
 def cmd_compute(args) -> int:
-    family = _family(args.family)
-    _check_size("--m-max", args.m_max, 0, family.edge(args.m_max))
+    family = parse_family(args.family)
+    _check_size("--m-max", args.m_max, 0, 2 * args.m_max + 3)  # the jets of rec_sequence
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     try:
         cache = SeqCache(Path(cache_dir)) if cache_dir else None
@@ -115,8 +105,9 @@ def cmd_compute(args) -> int:
 
 
 def cmd_residues(args) -> int:
-    family = _family(args.family)
-    _check_size("--m-max", args.m_max, 1, family.edge(args.m_max))
+    family = parse_family(args.family)
+    # the jets, and the oracle's q-series up to the last pole parameter
+    _check_size("--m-max", args.m_max, 1, max(2 * args.m_max + 3, family.edge(args.m_max) + 1))
     if args.normalize_delta and family != DELTA256:
         raise UsageError("--normalize-delta only applies to the 256*Delta family mult:2,8,8")
     norm = 256 if args.normalize_delta else 1
@@ -171,7 +162,8 @@ _SET_SCANS = {
 
 def cmd_scan(args) -> int:
     kind, m = args.kind, args.m_max
-    _check_size("--m-max", m, 1, DELTA256.edge(2 * m) if kind == "lehmer" else m)
+    # the jets at entry m, at entry 2m for lehmer
+    _check_size("--m-max", m, 1, 4 * m + 3 if kind == "lehmer" else 2 * m + 3)
     payload = {"kind": kind, "m_max": m}
 
     if kind in _SET_SCANS:
@@ -187,8 +179,11 @@ def cmd_scan(args) -> int:
         oracle = [k for k in range(m + 1) if delta.coeff(2 * k + 2) == 0]
         payload.update(violations=violations, oracle_tau_zeros=oracle,
                        mismatches=sorted(set(violations) ^ set(oracle)))
-    else:  # perfect-odd
-        rows = check_perfect_odd(m)
+    else:  # perfect-odd: theta^4's residue at v = 1/n is 16^(1-n) iff n is perfect
+        rows = []
+        for n in range(1, m + 1, 2):
+            res = local_residue(THETA4, n)
+            rows.append((n, res, res == Fraction(1, 16 ** (n - 1))))
         payload.update(
             rows=[{"m": mm, "residue": str(res), "is_perfect": flag} for mm, res, flag in rows],
             perfect=[mm for mm, _res, flag in rows if flag],
@@ -219,7 +214,7 @@ def cmd_verify(args) -> int:
     if args.m_max is not None:
         if args.suite != "residues":
             raise UsageError("--m-max only applies to --suite residues")
-        _check_size("--m-max", args.m_max, 1, args.m_max)
+        _check_size("--m-max", args.m_max, 1, 2 * args.m_max + 3)  # theta^2's jets
         kwargs = {"theta2_max": args.m_max}
     results = SUITES[args.suite](**kwargs)
     passed = all(r.passed for r in results)
@@ -256,11 +251,11 @@ _SERIES = {
 
 
 def cmd_qseries_dump(args) -> int:
-    _check_size("--trunc", args.trunc, 2 if args.series == "delta" else 0, args.trunc)
+    _check_size("--trunc", args.trunc, 2 if args.series == "delta" else 0, args.trunc + 1)
     if args.series:
         qs = _SERIES[args.series](args.trunc)
     else:
-        qs = cf_series(_family(args.family), args.trunc)
+        qs = cf_series(parse_family(args.family), args.trunc)
     _emit_json(qs.to_json_dict())
     return EXIT_OK
 

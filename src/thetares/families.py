@@ -19,6 +19,10 @@ from fractions import Fraction
 
 from .rational import Poly, _as_rat
 
+# no dense list (phi_0 here, the CLI's jets and q-series) reaches this many
+# entries: an input that would build one is refused; 2^24 pointers take 128 MiB
+MAX_TERMS = 2**24
+
 
 class UsageError(ValueError):
     """A parameter the caller gave that the program refuses: exit 2 in the CLI."""
@@ -32,8 +36,8 @@ class Family:
     """Immutable; equal families (and their hashes) ignore the label, so a
     parsed "mult:0,0,2" is THETA2 and shares its cached series.  The one
     constructor checks that a, 4b and 4c are nonnegative integers, that P is
-    homogeneous with exact coefficients, that the weight is not zero, and
-    that a and k are below 2^60."""
+    homogeneous with exact coefficients, that the weight is not zero, that
+    phi_0's k + 1 coefficients stay below MAX_TERMS and that a is below 2^60."""
 
     __slots__ = (
         "a",
@@ -63,8 +67,10 @@ class Family:
         if len(degrees) != 1:
             raise FamilyError(f"polynomial is not homogeneous (degrees {sorted(degrees)})")
         k = degrees.pop()
-        if max(a, k) >= 2**60:  # phi0 holds k + 1 coefficients; x^a recurses per bit of a
-            raise FamilyError(f"family size max(a, k) = {max(a, k)}, not below 2^60")
+        if k + 1 >= MAX_TERMS:  # phi0 is a dense list of k + 1 coefficients
+            raise FamilyError(f"family degree k = {k}: phi_0's k + 1 terms, not below 2^24")
+        if a >= 2**60:  # a builds no list: it enters pole parameters and x^a's recursion per bit
+            raise FamilyError(f"exponent a = {a}, not below 2^60")
         if not (a or any(quarters) or k):
             raise FamilyError("a = b = c = 0 with a constant P gives weight zero")
         mons = tuple(sorted((i, j, c) for (i, j), c in combined.items()))

@@ -37,7 +37,7 @@ q-expansion coefficient c(s) of the family's form up to a sign (see
 `Family.recovered_from_residue`) and the factor s 16^s.  So e_m has its
 pole iff c(s) != 0: `has_pole` at the bottom is that test, and the scans
 read membership off it (sums of two squares, squares, vanishing of
-Ramanujan's tau); `check_perfect_odd` compares theta^4's residues.
+Ramanujan's tau).
 
 The residue also has a local route that never builds e_m
 (`local_residue`).  Fix m and s = s_m, and write s_k = k + a for the
@@ -124,7 +124,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from . import backend
-from .families import THETA4, Family
+from .families import Family
 from .rational import Poly
 from .ratfunc import RatFunc, expanded_den
 
@@ -502,14 +502,3 @@ def has_pole(family: Family, m: int) -> bool:
     test behind every scan.  The jet mod PRIME decides it; only a zero
     there, or a divisor PRIME divides, goes to the exact jet."""
     return bool(local_residue_mod(family, m) or local_residue(family, m))
-
-
-def check_perfect_odd(m_max: int) -> list:
-    """(m, residue, is_perfect) for odd m <= m_max: the theta^4 entry's
-    residue at v = 1/m, read off the local jet, equals 16^(1-m) exactly
-    when m is a perfect number."""
-    out = []
-    for m in range(1, m_max + 1, 2):
-        res = local_residue(THETA4, m)
-        out.append((m, res, res == Fraction(1, 16 ** (m - 1))))
-    return out

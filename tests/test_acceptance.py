@@ -5,6 +5,9 @@ lines.  Everything here is an exact (rational-arithmetic) assertion; there
 are no tolerances.
 """
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,6 @@ from thetares import (
     Family,
     Poly,
     backend,
-    check_perfect_odd,
     has_pole,
     local_residue,
     local_residue_mod,
@@ -35,6 +37,7 @@ from thetares.checks import (
     max_three_term_defect,
     resum_suite,
 )
+from thetares.cli import main
 from thetares.recurrence import PRIME
 
 @pytest.fixture(scope="module")
@@ -156,13 +159,19 @@ def test_criterion_9_number_theoretic_scans(theta2_seq, delta_seq, theta4_seq):
     ]
     assert all(ramanujan_tau(m + 1) != 0 for m in range(9))
 
-    rows = check_perfect_odd(31)
-    assert [m for m, _res, flag in rows if flag] == []
+    # the perfect-odd scan, through the command that runs it (capsys would
+    # also swallow this test's PASS line)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["scan", "--kind", "perfect-odd", "--m-max", "31", "--format", "json"])
+    payload = json.loads(out.getvalue())
+    assert code == 0 and payload["perfect"] == [] and payload["mismatches"] == []
+    rows = payload["rows"]
     # the local jets agree with the global entries' residues
-    assert [res for _m, res, _flag in rows] == [
-        residue_report(theta4_seq, m).residue for m in range(1, 32, 2)
+    assert [row["residue"] for row in rows] == [
+        str(residue_report(theta4_seq, m).residue) for m in range(1, 32, 2)
     ]
-    assert all(flag == (sigma1(m) == 2 * m) for m, _res, flag in rows)
+    assert all(row["is_perfect"] == (sigma1(row["m"]) == 2 * row["m"]) for row in rows)
     report(9, "number-theoretic scans (two-squares 40, squares 16, lehmer 8, perfect-odd 31)")
 
 def _is_square(n):

@@ -6,6 +6,7 @@ import errno
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -341,6 +342,32 @@ class TestScan:
         payload = json.loads(out)
         assert code == 0 and payload["perfect"] == []
 
+    def test_perfect_odd_small(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "scan", "--kind", "perfect-odd", "--m-max", "9", "--format", "json",
+        )
+        rows = json.loads(out)["rows"]
+        assert code == 0
+        assert rows[0] == {"m": 1, "residue": "1/2", "is_perfect": False}
+        assert rows[-1] == {"m": 9, "residue": str(Fraction(8 * 13, 9 * 16**9)),
+                            "is_perfect": False}
+
+    def test_perfect_odd_flags_a_perfect_residue(self, capsys, monkeypatch):
+        # no odd perfect number is known, so every real row is False: hand
+        # the criterion 16^(1-m) at m = 5 to see that it flags exactly that m
+        real = cli.local_residue
+
+        def residue(family, m):
+            return Fraction(1, 16 ** (m - 1)) if m == 5 else real(family, m)
+
+        monkeypatch.setattr(cli, "local_residue", residue)
+        code, out, _ = run_cli(
+            capsys, "scan", "--kind", "perfect-odd", "--m-max", "9", "--format", "json",
+        )
+        payload = json.loads(out)
+        # sigma1(5) = 6, not 10: the flagged row is a mismatch
+        assert (code, payload["perfect"], payload["mismatches"]) == (1, [5], [5])
+
     def test_unknown_kind_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--kind", "nonsense", "--m-max", "3")
         assert code == 2
@@ -530,14 +557,31 @@ class TestQSeriesDump:
         assert first == second
 
 
+@pytest.fixture
+def engine_refused(monkeypatch):
+    """Every route by which a command builds a list raises instead: the
+    engine (the jets and the steps), phi_0, and the q-series builders the
+    commands call.  A case that gets past the size rule then exits 3 with
+    "the engine ran" and allocates nothing."""
+    def refuse(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(recurrence, "_stencil", refuse)
+    monkeypatch.setattr(recurrence, "rec_step", refuse)
+    monkeypatch.setattr(Family, "phi0", refuse)
+    for name in ("cf_series", "cf_coeff", "delta_series"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli, "_SERIES", dict.fromkeys(cli._SERIES, refuse))
+
+
 @pytest.mark.parametrize("argv", [
     ("residues", "--family", "mult:0,0,2", "--m-max", str(10**20)),
     ("qseries-dump", "--series", "t", "--trunc", str(10**20)),
     ("compute", "--family", "mult:0,0,2", "--m-max", str(10**20)),
 ])
 def test_size_past_an_index_is_a_usage_error(capsys, argv):
-    # each reaches a size of 2^60 or more, which the command refuses before
-    # it runs; exit 1 would read as a mismatch
+    # each needs a list of 2^24 entries or more, which the command refuses
+    # before it runs; exit 1 would read as a mismatch
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith("error:") and "Traceback" not in err
@@ -547,8 +591,8 @@ def test_size_past_an_index_is_a_usage_error(capsys, argv):
     ("scan", "--kind", "lehmer", "--m-max", str(10**20)),
     ("scan", "--kind", "two-squares", "--m-max", str(10**20)),
     ("compute", "--family", f"mult:{2**61},0,0"),
-    # the largest pole parameter, not --m-max alone, meets the bound: 2m + 2
-    # for lehmer, m + a for a family
+    # the longest list, not --m-max alone, meets the bound: the jets' 4m + 3
+    # terms for lehmer, the oracle's m + a + 1 for residues
     ("scan", "--kind", "lehmer", "--m-max", str(2**59 - 1)),
     ("compute", "--family", f"mult:{2**59},0,0", "--m-max", str(2**59)),
     ("residues", "--family", f"mult:{2**60 - 1},0,0", "--m-max", "1"),
@@ -559,51 +603,78 @@ def test_size_past_an_index_is_a_usage_error(capsys, argv):
     ("residues", "--family", f"poly:{2**61}:[({2**61},0,1)]", "--m-max", "1"),
     ("qseries-dump", "--family", f"poly:{2**61}:[({2**61},0,1)]", "--trunc", "4"),
     ("qseries-dump", "--family", f"mult:{10**400},0,0", "--trunc", "4"),
-])
-def test_size_bound_is_a_usage_error(capsys, monkeypatch, argv):
-    # refused at once: the engine never runs, where a scan this long would
-    # not end and a list this long would not fit
-    def refuse(*args):
-        raise AssertionError("the engine ran")
-
-    monkeypatch.setattr(recurrence, "_stencil", refuse)
-    monkeypatch.setattr(recurrence, "rec_step", refuse)
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.endswith("not below 2^60\n")
-
-
-@pytest.mark.parametrize("argv", [
+    # each exited 3 with MemoryError once its list was allocated (with no
+    # memory limit, --m-max 2^40 would grow _stencil's rows until memory ran
+    # out); the lehmer one has 4m + 3 > 2^24 > 2m + 3
+    ("qseries-dump", "--series", "t", "--trunc", str(2**59)),
+    ("residues", "--family", f"mult:{2**59},0,0", "--m-max", "1"),
+    ("residues", "--family", f"mult:{2**30},0,0", "--m-max", "1"),
+    ("compute", "--family", "mult:0,0,2", "--m-max", str(2**40)),
+    ("verify", "--suite", "residues", "--m-max", str(2**40)),
+    ("scan", "--kind", "lehmer", "--m-max", str(2**22)),
+    # phi_0 = P(1, u) would hold k + 1 coefficients
     ("compute", "--family", f"poly:{2**59}:[({2**59},0,1)]", "--m-max", "1"),
     ("residues", "--family", f"poly:{2**59}:[({2**59},0,1)]", "--m-max", "1"),
     ("qseries-dump", "--family", f"mult:1,0,0*poly:{2**24}:[(0,{2**24},1)]", "--trunc", "4"),
 ])
-def test_family_degree_past_a_dense_list_is_a_usage_error(capsys, monkeypatch, argv):
-    # a degree below Family's 2^60 whose phi_0 = P(1, u), k + 1 coefficients,
-    # would not fit: refused before phi_0 or the engine is built, where
-    # allocating it raised MemoryError, an internal error
-    def refuse(*args):
-        raise AssertionError("phi_0 or the engine was built")
-
-    monkeypatch.setattr(Family, "phi0", refuse)
-    monkeypatch.setattr(recurrence, "_stencil", refuse)
+def test_size_bound_is_a_usage_error(capsys, engine_refused, argv):
+    # refused at once: the engine never runs, where a scan this long would
+    # not end and a list this long would not fit; only a, which builds no
+    # list, has its own bound of 2^60
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: family degree k = ")
-    assert err.endswith(", not below 2^24: phi_0 would hold k + 1 coefficients\n")
+    a = next((int(arg[5:].split(",")[0]) for arg in argv if arg.startswith("mult:")), 0)
+    bound = "2^60" if a >= 2**60 else "2^24"
+    assert err.startswith("error: ") and err.endswith(f"not below {bound}\n")
     assert err.count("\n") == 1
 
 
-def test_family_degree_bound_is_2_to_the_24():
-    assert cli._family(f"poly:{2**24 - 1}:[({2**24 - 1},0,1)]").k == 2**24 - 1
-    with pytest.raises(UsageError, match=r"^family degree k = 16777216, not below 2\^24: "):
-        cli._family(f"poly:{2**24}:[(0,{2**24},1)]")
+# a = 2^59 enters pole parameters alone: one step and a one-term oracle run
+@pytest.mark.parametrize("argv,expected", [
+    (("compute", "--family", f"mult:{2**59},0,0", "--m-max", "1"),
+     f"e_0(v) = (1) / (1 - {2**59}v)\n"
+     f"e_1(v) = ({2**58}v^2) / (1 - {2**59}v)^3\n"),
+    (("qseries-dump", "--family", f"mult:{2**59},0,0", "--trunc", "0"),
+     '{"coeffs": ["0"], "trunc": 0}\n'),
+])
+def test_huge_a_with_short_lists_runs(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected, "")
 
 
-def test_size_bound_is_2_to_the_60():
-    cli._check_size("--trunc", 2**60 - 1, 0, 2**60 - 1)
-    with pytest.raises(UsageError, match=r"^--m-max 3 reaches size 1152921504606846976, "):
-        cli._check_size("--m-max", 3, 1, 2**60)
+def test_size_rule_is_2_to_the_24():
+    # the one rule: a list of 2^24 - 1 entries is built, one of 2^24 is not
+    cli._check_size("--trunc", 5, 0, 2**24 - 1)
+    with pytest.raises(UsageError,
+                       match=r"^--m-max 3 needs a list of 16777216 entries, not below 2\^24$"):
+        cli._check_size("--m-max", 3, 1, 2**24)
+    assert Family(monomials=((2**24 - 2, 0, 1),)).k == 2**24 - 2
+    with pytest.raises(UsageError, match=r"^family degree k = 16777215: .*not below 2\^24$"):
+        Family(monomials=((0, 2**24 - 1, 1),))
+
+
+# each command at the last accepted size reaches the engine, and one past
+# it is refused: the longest list is 2m + 3 jet terms, 4m + 3 for lehmer,
+# max(2m + 3, m + a + 1) for residues and trunc + 1 for qseries-dump
+@pytest.mark.parametrize("argv,last", [
+    (("compute", "--family", "mult:0,0,2", "--m-max"), 2**23 - 2),
+    (("verify", "--suite", "residues", "--m-max"), 2**23 - 2),
+    (("scan", "--kind", "two-squares", "--m-max"), 2**23 - 2),
+    (("scan", "--kind", "perfect-odd", "--m-max"), 2**23 - 2),
+    (("scan", "--kind", "lehmer", "--m-max"), 2**22 - 1),
+    (("residues", "--family", "mult:0,0,2", "--m-max"), 2**23 - 2),
+    (("residues", "--m-max", "1", "--family"), 2**24 - 3),  # a of mult:a,0,0
+    (("qseries-dump", "--series", "t", "--trunc"), 2**24 - 2),
+    (("qseries-dump", "--family", "mult:0,0,2", "--trunc"), 2**24 - 2),
+], ids=["compute", "verify", "two-squares", "perfect-odd", "lehmer", "residues-m",
+        "residues-a", "qseries-dump-series", "qseries-dump-family"])
+def test_size_rule_boundary_per_command(capsys, engine_refused, argv, last):
+    def value(n):
+        return f"mult:{n},0,0" if argv[-1] == "--family" else str(n)
+
+    code, out, err = run_cli(capsys, *argv, value(last))
+    assert (code, out) == (3, "") and err.endswith("AssertionError: the engine ran\n")
+    code, out, err = run_cli(capsys, *argv, value(last + 1))
+    assert (code, out) == (2, "") and err.endswith("not below 2^24\n")
 
 
 @pytest.mark.parametrize("trunc", [0, 1])

@@ -86,10 +86,14 @@ class TestPolynomial:
         (10**400, ((1, 0, 1),)),
     ], ids=["a", "k in x", "k in y", "a of 401 digits"])
     def test_size_bound_is_2_to_the_60(self, a, monomials):
-        # phi0 would hold k + 1 coefficients, and x^a's recursion overflows at 10^400
-        with pytest.raises(FamilyError, match="not below 2\\^60$"):
+        # a builds no list and keeps its bound of 2^60 (x^a's recursion overflows
+        # at 10^400); phi0 would hold k + 1 coefficients, refused from 2^24 on
+        bound = "2\\^60" if a else "2\\^24"
+        with pytest.raises(FamilyError, match=f"not below {bound}$"):
             Family(a, monomials=monomials)
-        assert Family(2**60 - 1, monomials=((2**60 - 1, 0, 1),)).k == 2**60 - 1
+        assert Family(2**60 - 1, monomials=((2**24 - 2, 0, 1),)).k == 2**24 - 2
+        with pytest.raises(FamilyError, match="not below 2\\^24$"):
+            Family(monomials=((2**24 - 1, 0, 1),))
 
     def test_duplicate_monomials_combine(self):
         fam = Family(monomials=[(0, 1, 1), (0, 1, 2)])

@@ -21,7 +21,6 @@ from thetares import (
     RatFunc,
     SeqState,
     cf_coeff,
-    check_perfect_odd,
     has_pole,
     local_residue,
     local_residue_mod,
@@ -677,25 +676,6 @@ class TestScans:
         assert family.rhs(0) == 0
         found = pole_set(family, 40)
         assert found == coefficient_set(family, 40) and len(found) == 20
-
-    def test_perfect_odd_small(self):
-        rows = check_perfect_odd(9)
-        assert rows[0] == (1, Fraction(1, 2), False)
-        m9 = rows[-1]
-        assert m9[0] == 9
-        assert m9[1] == Fraction(8 * 13, 9 * 16**9)
-        assert m9[2] is False
-
-    def test_perfect_odd_flags_a_perfect_residue(self, monkeypatch):
-        # no odd perfect number is known, so every real row is False: hand
-        # the criterion 16^(1-m) at m = 5 to see that it flags exactly that m
-        real = recurrence.local_residue
-
-        def residue(family, m):
-            return Fraction(1, 16 ** (m - 1)) if m == 5 else real(family, m)
-
-        monkeypatch.setattr(recurrence, "local_residue", residue)
-        assert [m for m, _res, flag in check_perfect_odd(9) if flag] == [5]
 
 
 class TestLocalJets:

@@ -32,9 +32,8 @@ README_NAMES = {
 }
 OTHER_NAMES = {
     "BACKEND", "DEFAULT_TRUNC", "DELTA256", "FamilyError", "ResidueReport", "THETA",
-    "THETA4", "TruncationError", "cf_series", "check_perfect_odd", "delta_series",
-    "dstar", "parse_family", "t_series", "theta_series", "u_series", "UsageError",
-    "xy_series",
+    "THETA4", "TruncationError", "cf_series", "delta_series", "dstar",
+    "parse_family", "t_series", "theta_series", "u_series", "UsageError", "xy_series",
 }
 
 

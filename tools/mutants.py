@@ -76,14 +76,14 @@ MUTANTS = [
            "    if lattice != divisor:",
            "    if False:",
            ("tests/test_qseries.py",)),
-    Mutant("check_perfect_odd's flag forced to False", "src/thetares/recurrence.py",
-           "out.append((m, res, res == Fraction(1, 16 ** (m - 1))))",
-           "out.append((m, res, False))",
-           ("tests/test_recurrence.py",)),
-    Mutant("check_perfect_odd compares with 16^(-m)", "src/thetares/recurrence.py",
-           "res == Fraction(1, 16 ** (m - 1))",
-           "res == Fraction(1, 16 ** m)",
-           ("tests/test_recurrence.py",)),
+    Mutant("the perfect-odd scan's flag forced to False", "src/thetares/cli.py",
+           "rows.append((n, res, res == Fraction(1, 16 ** (n - 1))))",
+           "rows.append((n, res, False))",
+           ("tests/test_cli.py::TestScan::test_perfect_odd_flags_a_perfect_residue",)),
+    Mutant("the perfect-odd scan compares with 16^(-n)", "src/thetares/cli.py",
+           "res == Fraction(1, 16 ** (n - 1))",
+           "res == Fraction(1, 16 ** n)",
+           ("tests/test_cli.py::TestScan::test_perfect_odd_flags_a_perfect_residue",)),
     Mutant("conv_trunc squares a whatever b is", "src/thetares/backend.py",
            "    square = a is b",
            "    square = True",
@@ -262,9 +262,14 @@ MUTANTS = [
            "    trunc = family.edge(args.m_max)\n",
            "    trunc = family.edge(args.m_max) - 1\n",
            ("tests/test_cli.py",)),
-    Mutant("the family's size bound switched off", "src/thetares/families.py",
-           "        if max(a, k) >= 2**60:",
+    Mutant("the family's exponent bound switched off", "src/thetares/families.py",
+           "        if a >= 2**60:",
            "        if False:",
+           ("tests/test_families.py::TestPolynomial::test_size_bound_is_2_to_the_60",)),
+    Mutant("the family's degree bound lets k + 1 = 2^24 coefficients through",
+           "src/thetares/families.py",
+           "        if k + 1 >= MAX_TERMS:",
+           "        if k >= MAX_TERMS:",
            ("tests/test_families.py::TestPolynomial::test_size_bound_is_2_to_the_60",)),
     Mutant("the weight product one index off", "src/thetares/checks.py",
            "weight *= i * (i - 1 + family.w)",
@@ -274,14 +279,30 @@ MUTANTS = [
            "phi.int_coeffs[:len(lengths)]",
            "phi.int_coeffs[:len(lengths) - 1]",
            ("tests/test_recurrence.py::TestResummation",)),
-    Mutant("the CLI's size bound switched off", "src/thetares/cli.py",
-           "    if reach >= 2**60:",
+    Mutant("the CLI's size rule switched off", "src/thetares/cli.py",
+           "    if terms >= MAX_TERMS:",
            "    if False:",
-           ("tests/test_cli.py",)),
-    Mutant("the CLI's family degree bound switched off", "src/thetares/cli.py",
-           "    if family.k >= 2**24:",
-           "    if False:",
-           ("tests/test_cli.py::test_family_degree_past_a_dense_list_is_a_usage_error",)),
+           ("tests/test_cli.py::test_size_bound_is_a_usage_error",)),
+    Mutant("the CLI's size rule lets a list of 2^24 entries through", "src/thetares/cli.py",
+           "    if terms >= MAX_TERMS:",
+           "    if terms > MAX_TERMS:",
+           ("tests/test_cli.py::test_size_rule_is_2_to_the_24",)),
+    Mutant("the family commands' degree bound switched off", "src/thetares/families.py",
+           "        if k + 1 >= MAX_TERMS:",
+           "        if False:",
+           ("tests/test_cli.py::test_size_bound_is_a_usage_error",)),
+    Mutant("residues sizes its jets only, not its oracle's q-series", "src/thetares/cli.py",
+           "max(2 * args.m_max + 3, family.edge(args.m_max) + 1)",
+           "2 * args.m_max + 3",
+           ("tests/test_cli.py::test_size_rule_boundary_per_command",)),
+    Mutant("the lehmer scan sizes the jets of entry m, not 2m", "src/thetares/cli.py",
+           '4 * m + 3 if kind == "lehmer" else 2 * m + 3',
+           "2 * m + 3",
+           ("tests/test_cli.py::test_size_rule_boundary_per_command",)),
+    Mutant("qseries-dump sizes trunc, not its trunc + 1 coefficients", "src/thetares/cli.py",
+           'args.trunc, 2 if args.series == "delta" else 0, args.trunc + 1)',
+           'args.trunc, 2 if args.series == "delta" else 0, args.trunc)',
+           ("tests/test_cli.py::test_size_rule_boundary_per_command",)),
     Mutant("parse_family lets int()'s digit-limit ValueError escape",
            "src/thetares/families.py",
            "    except ValueError:  # the only one int() raises on ASCII digits",
