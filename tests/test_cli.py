@@ -647,9 +647,23 @@ def test_size_rule_is_2_to_the_24():
     with pytest.raises(UsageError,
                        match=r"^--m-max 3 needs a list of 16777216 entries, not below 2\^24$"):
         cli._check_size("--m-max", 3, 1, 2**24)
+
+
+def test_family_degree_bound_is_2_to_the_24():
+    # the same rule for phi_0's k + 1 coefficients, as the commands parse it
+    assert parse_family(f"poly:{2**24 - 2}:[({2**24 - 2},0,1)]").k == 2**24 - 2
     assert Family(monomials=((2**24 - 2, 0, 1),)).k == 2**24 - 2
     with pytest.raises(UsageError, match=r"^family degree k = 16777215: .*not below 2\^24$"):
+        parse_family(f"poly:{2**24 - 1}:[(0,{2**24 - 1},1)]")
+    with pytest.raises(UsageError, match=r"^family degree k = 16777215: .*not below 2\^24$"):
         Family(monomials=((0, 2**24 - 1, 1),))
+
+
+def test_size_bound_is_2_to_the_60():
+    # a builds no list, so the only bound of 2^60 left is a's own guard
+    assert parse_family(f"mult:{2**60 - 1},0,0").a == 2**60 - 1
+    with pytest.raises(UsageError, match=r"^exponent a = 1152921504606846976, not below 2\^60$"):
+        parse_family(f"mult:{2**60},0,0")
 
 
 # each command at the last accepted size reaches the engine, and one past
